@@ -236,7 +236,13 @@ def dim_from_eigs(c1: complex, c2: complex, c3: complex) -> complex:
 
 def braiding_eig_sq(params: QuantumParams, lam: Weight, mu: Weight, nu: Weight) -> complex:
     """Square of the braiding eigenvalue on V_nu inside V_lam (x) V_mu: q^{c_nu-c_lam-c_mu}."""
-    if fuse(params.alcove, lam, mu).get(nu, 0) <= 0:
+    return _eig_sq(params, fuse(params.alcove, lam, mu), lam, mu, nu)
+
+
+def _eig_sq(params: QuantumParams, product: dict[Weight, int],
+            lam: Weight, mu: Weight, nu: Weight) -> complex:
+    """braiding_eig_sq with V_lam (x) V_mu already fused into ``product``."""
+    if product.get(nu, 0) <= 0:
         raise DomainError(f"{nu} does not appear in {lam} (x) {mu}")
     datum = params.datum
     e = twist_exponent(datum, nu) - twist_exponent(datum, lam) - twist_exponent(datum, mu)
@@ -261,7 +267,8 @@ def eig_square_set_check(params: QuantumParams) -> dict:
     """
     k = params.datum.rank
     V = generator_weight(k, params.ell)
-    got = {nu: braiding_eig_sq(params, V, V, nu) for nu in vsq_summands(k)}
+    product = fuse(params.alcove, V, V)
+    got = {nu: _eig_sq(params, product, V, V, nu) for nu in vsq_summands(k)}
     s = -1 if (k % 2 == 1 and params.q_ell_sign == -1) else 1
     target = [s * params.q_power(e) for e in (-8 * k, 4, -4)]
     return {

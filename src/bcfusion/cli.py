@@ -1,6 +1,7 @@
 """Command-line front end: alcove/fusion queries, character tables, verification.
 
-Exit codes: 0 success, 1 a verification suite failed, 2 usage or domain error.
+Exit codes: 0 success, 1 a verification suite failed, 2 usage or domain error,
+3 internal error (a broken invariant of the package itself).
 All numeric output is printed with 12 significant digits and JSON keys are
 ordered, so reports are diff-stable.
 """
@@ -14,7 +15,7 @@ import math
 import sys
 
 from .bmwdual import duality_report
-from .errors import WeightParseError
+from .errors import CertificationError, SingularParameterError, WeightParseError
 from .fusion import AlcoveParams, FusionTable, alcove_enumerate, fuse
 from .qchar import QuantumParams, character_vector, positive_character
 from .rootdata import Weight, make_root_datum
@@ -142,7 +143,7 @@ def cmd_chars(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cells = [(args.rank, args.ell)] if args.rank and args.ell else list(DEFAULT_GRID)
+    cells = [(args.rank, args.ell)] if args.rank is not None else list(DEFAULT_GRID)
     all_ok = True
     chunks, payload = [], []
     for (k, ell) in cells:
@@ -173,7 +174,7 @@ def cmd_duality(args) -> int:
 
 
 def cmd_unitarity(args) -> int:
-    if args.rank and args.ell:
+    if args.rank is not None:
         reports = [audit(args.rank, args.ell)]
     else:
         reports = audit_grid(max_ell=args.max_ell)
@@ -190,10 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fusion rings of type B/C quantum groups at odd roots of unity.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_ell=True):
-        p.add_argument("--family", choices=("B", "C"), default="B")
-        p.add_argument("--rank", type=int, required=need_ell)
-        p.add_argument("--ell", type=int, required=need_ell)
+    def common(p, families=("B", "C")):
+        p.add_argument("--family", choices=families, default="B")
+        p.add_argument("--rank", type=int, required=True)
+        p.add_argument("--ell", type=int, required=True)
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
 
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("duality", help="Gamma/Psi/rank-level duality report")
-    common(p)
+    common(p, families=("B",))
     p.set_defaults(func=cmd_duality)
 
     p = sub.add_parser("unitarity", help="unitarity-failure audit")
@@ -246,11 +247,16 @@ def main(argv=None) -> int:
     if getattr(args, "z", None) is not None and args.command == "chars":
         if math.gcd(args.z, args.ell) != 1:
             parser.error(f"--z {args.z} is not coprime to ell={args.ell}")
+    if args.command in ("verify", "unitarity") and (args.rank is None) != (args.ell is None):
+        parser.error("--rank and --ell must be given together")
     try:
         return args.func(args)
     except (WeightParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, SingularParameterError, CertificationError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

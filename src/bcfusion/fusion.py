@@ -5,6 +5,13 @@ Racah-Speiser summation over the weight multiset P(lambda) with each shifted
 weight reduced into the alcove under the rho-shifted dot action of the
 affine Weyl group.  The two-stage variant (classical decomposition first,
 affine antisymmetrization second) is kept as an independent oracle.
+
+A whole table fuses only the generator rows: the fundamental weights
+e_1 + ... + e_i (i < k) and the spin weight for type B, e_1 + ... + e_i
+(i <= r) for type C, those inside the alcove.  Every other label nu is filled
+in alcove order from a generator g with nu - g dominant, by exact integer
+matrix algebra: N_nu = N_{nu-g} N_g - sum_{sigma != nu} N_{g,nu-g}^sigma N_sigma,
+where every sigma precedes nu.
 """
 from __future__ import annotations
 
@@ -206,6 +213,17 @@ def fuse_two_stage(params: AlcoveParams, lam: Weight, mu: Weight) -> dict[Weight
     return {lab: c for lab, c in out.items() if c}
 
 
+def _generators(datum: RootDatum) -> list[tuple[int, ...]]:
+    """Doubled fundamental weights generating the ring: e_1 + ... + e_i for
+    i < k plus the spin weight (type B), or for i <= r (type C)."""
+    k = datum.rank
+    top = k - 1 if datum.family == "B" else k
+    gens = [(2,) * i + (0,) * (k - i) for i in range(1, top + 1)]
+    if datum.family == "B":
+        gens.append((1,) * k)
+    return gens
+
+
 @dataclass(frozen=True)
 class FusionTable:
     """All structure constants N_{lam,mu}^{nu} over the alcove, in canonical order."""
@@ -219,20 +237,44 @@ class FusionTable:
 
     @classmethod
     def build(cls, params: AlcoveParams) -> "FusionTable":
+        """Fuse the generator rows, then fill the rest by the generator recursion.
+
+        coeffs[nu] is the transposed fusion matrix of nu; the recursion (see
+        the module docstring) holds for it as written since the ring is
+        commutative.  It needs N_{g,nu-g}^nu = 1 and every other term filled.
+        """
         labels = alcove_enumerate(params)
-        index = {w: i for i, w in enumerate(labels)}
+        index = {w.doubled: i for i, w in enumerate(labels)}
         n = len(labels)
-        dims = [params.datum.weyl_dim(w) for w in labels]
         coeffs = np.zeros((n, n, n), dtype=np.int64)
+        filled = np.zeros(n, dtype=bool)
+        unit = index[(0,) * params.rank]
+        coeffs[unit] = np.eye(n, dtype=np.int64)
+        filled[unit] = True
+        gens = sorted((index[g] for g in _generators(params.datum) if g in index),
+                      key=lambda i: params.datum.weyl_dim(labels[i]))
         cache: ReduceCache = {}
-        for i in range(n):
-            for j in range(i, n):
-                small, big = (i, j) if dims[i] <= dims[j] else (j, i)
-                row = fuse(params, labels[small], labels[big], _cache=cache)
-                for nu, c in row.items():
-                    coeffs[i, j, index[nu]] = c
-                if j > i:
-                    coeffs[j, i] = coeffs[i, j]
+        for g in gens:
+            for mu, lab in enumerate(labels):
+                for nu, c in fuse(params, labels[g], lab, _cache=cache).items():
+                    coeffs[g, mu, index[nu.doubled]] = c
+            filled[g] = True
+        for v in range(n):
+            if filled[v]:
+                continue
+            nu = labels[v].doubled
+            # some fundamental weight lies below every nonzero dominant nu
+            g, rest = next((g, index[d]) for g in gens
+                           if (d := tuple(a - b for a, b in zip(nu, labels[g].doubled))) in index)
+            row = coeffs[g, rest].copy()
+            row[v] = 0
+            terms = np.flatnonzero(row)
+            if coeffs[g, rest, v] != 1 or not filled[rest] or not filled[terms].all():
+                raise AssertionError(f"generator recursion breaks at nu={labels[v]}, g={labels[g]}")
+            coeffs[v] = coeffs[rest] @ coeffs[g] - np.tensordot(row[terms], coeffs[terms], axes=1)
+            if (coeffs[v] < 0).any():
+                raise AssertionError(f"negative fusion coefficient at nu={labels[v]}, g={labels[g]}")
+            filled[v] = True
         coeffs.setflags(write=False)
         return cls(params, labels, coeffs)
 

@@ -12,7 +12,7 @@ from bcfusion.bmwdual import (BOX, EMPTY, BmwParams, FerrersDiagram, bar_map, bm
                               eig_square_set_check, gamma_bratteli, gamma_set,
                               generator_weight, in_gamma, markov_trace_g, psi, psi_table,
                               ranklevel_check, trace_match, type_c_alcove,
-                              verify_psi_fusion, _graphs_isomorphic)
+                              verify_psi_fusion, vsq_summands, _graphs_isomorphic)
 from bcfusion.errors import ConfigurationError, DomainError, SingularParameterError
 from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, bratteli_endo_dim
 from bcfusion.qchar import QuantumParams, admissible_z, quantum_integer
@@ -163,6 +163,17 @@ def test_eig_square_multiset(k, ell):
     params = AlcoveParams(make_root_datum("B", k), ell)
     for z in admissible_z(ell):
         assert eig_square_set_check(QuantumParams(params, z))["match"]
+
+
+@pytest.mark.parametrize("k,ell", [(2, 9), (3, 13)])
+def test_eig_square_set_check_agrees_with_braiding_eig_sq(k, ell):
+    params = AlcoveParams(make_root_datum("B", k), ell)
+    V = generator_weight(k, ell)
+    for z in admissible_z(ell):
+        qp = QuantumParams(params, z)
+        squares = eig_square_set_check(qp)["squares"]
+        for nu in vsq_summands(k):
+            assert squares[nu] == braiding_eig_sq(qp, V, V, nu)
 
 
 def test_eig_square_minus_branch(params313):

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from bcfusion.cli import format_weight, main, parse_weight
-from bcfusion.errors import WeightParseError
-from bcfusion.fusion import alcove_enumerate
+from bcfusion.errors import CertificationError, SingularParameterError, WeightParseError
+from bcfusion.fusion import FusionTable, alcove_enumerate
 
 
 def test_parse_weight():
@@ -89,6 +89,34 @@ def test_cli_usage_error_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["bogus"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "--rank", "2"], ["verify", "--ell", "9"],
+                                  ["unitarity", "--rank", "2"], ["unitarity", "--ell", "11"]])
+def test_cli_rank_and_ell_go_together(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--rank and --ell must be given together" in capsys.readouterr().err
+
+
+def test_cli_duality_is_type_b_only(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["duality", "--family", "C", "--rank", "2", "--ell", "9"])
+    assert err.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [AssertionError, SingularParameterError, CertificationError])
+def test_cli_internal_error_exit_3(exc, monkeypatch, capsys):
+    def broken(cls, params):
+        raise exc("broken invariant")
+
+    monkeypatch.setattr(FusionTable, "build", classmethod(broken))
+    assert main(["matrix", "--rank", "2", "--ell", "9"]) == 3
+    assert main(["verify", "--rank", "2", "--ell", "9"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"internal error: {exc.__name__}: broken invariant"] * 2
 
 
 def test_cli_verify_single_cell(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bcfusion.errors import ConfigurationError, DomainError
-from bcfusion.fusion import (AlcoveParams, affine_reduce, alcove_enumerate,
+from bcfusion.fusion import (AlcoveParams, FusionTable, affine_reduce, alcove_enumerate,
                              bratteli_endo_dim, classical_tensor, fuse, fuse_two_stage)
 from bcfusion.rootdata import Weight, make_root_datum
 
@@ -171,6 +171,27 @@ def test_fuse_symmetry_and_grading(params313):
         for nu, c in res.items():
             assert c > 0
             assert nu.parity == lam.parity * mu.parity
+
+
+@pytest.mark.parametrize("family,rank,ell", [
+    ("B", 2, 5), ("B", 2, 9), ("B", 3, 7), ("B", 3, 13), ("B", 4, 11), ("B", 5, 13),
+    ("C", 2, 9), ("C", 3, 11)])
+def test_table_matches_two_stage_everywhere(family, rank, ell):
+    """The generator recursion against an all-pairs table from the two-stage oracle.
+
+    The generator rows come from fuse, so the reference must not: at (2,5) and
+    (3,7) the vector weight leaves the alcove and the spin row alone generates.
+    """
+    params = AlcoveParams(make_root_datum(family, rank), ell)
+    table = FusionTable.build(params)
+    labels = table.labels
+    index = {lab: i for i, lab in enumerate(labels)}
+    expected = np.zeros_like(table.coeffs)
+    for i, lam in enumerate(labels):
+        for j in range(i, len(labels)):
+            for nu, c in fuse_two_stage(params, lam, labels[j]).items():
+                expected[i, j, index[nu]] = expected[j, i, index[nu]] = c
+    assert np.array_equal(table.coeffs, expected)
 
 
 def test_table_invariants(table29, table211, table313):
