@@ -9,17 +9,14 @@ and the unitarity-failure audit.
 from .errors import (CertificationError, ConfigurationError, DimensionMismatchError,
                      DomainError, InvalidRankError, SingularParameterError, WeightParseError)
 from .fusion import (AlcoveParams, FusionTable, affine_reduce, alcove_enumerate,
-                     bratteli_endo_dim, classical_tensor, fuse, fuse_two_stage,
-                     fusion_matrix)
+                     bratteli_endo_dim, classical_tensor, fuse, fuse_two_stage)
 from .qchar import (CharacterVector, PFCertificate, QuantumParams, admissible_z,
-                    character_vector, chi, dim_mu, pf_certify_unique,
-                    positive_character, qdim, quantum_integer, twist_exponent,
-                    weyl_denominator)
+                    character_vector, chi, pf_certify_unique, positive_character, qdim,
+                    quantum_integer, twist_exponent, weyl_denominator)
 from .rootdata import RootDatum, Weight, WeylElement, make_root_datum
-from .symmetry import InvolutionData, phi, phi_sign, verify_simple_current
-from .bmwdual import (BmwParams, FerrersDiagram, bar_map, bmw_trace_g, box_neighbors,
-                      braiding_eig_sq, dim_from_eigs, gamma_set, psi, ranklevel_check,
-                      verify_psi_fusion)
+from .symmetry import InvolutionData, phi_sign, verify_simple_current
+from .bmwdual import (BmwParams, FerrersDiagram, bar_map, box_neighbors, braiding_eig_sq,
+                      dim_from_eigs, gamma_set, psi, ranklevel_check, verify_psi_fusion)
 from .unitarity import UnitarityReport, audit, dim_box, h
 
 __all__ = [
@@ -28,11 +25,10 @@ __all__ = [
     "FusionTable", "InvalidRankError", "InvolutionData", "PFCertificate",
     "QuantumParams", "RootDatum", "SingularParameterError", "UnitarityReport",
     "Weight", "WeightParseError", "WeylElement", "admissible_z", "affine_reduce",
-    "alcove_enumerate", "audit", "bar_map", "bmw_trace_g", "box_neighbors",
-    "braiding_eig_sq", "bratteli_endo_dim", "character_vector", "chi",
-    "classical_tensor", "dim_box", "dim_from_eigs", "dim_mu", "fuse",
-    "fuse_two_stage", "fusion_matrix", "gamma_set", "h", "make_root_datum",
-    "pf_certify_unique", "phi", "phi_sign", "positive_character", "psi", "qdim",
+    "alcove_enumerate", "audit", "bar_map", "box_neighbors", "braiding_eig_sq",
+    "bratteli_endo_dim", "character_vector", "chi", "classical_tensor", "dim_box",
+    "dim_from_eigs", "fuse", "fuse_two_stage", "gamma_set", "h", "make_root_datum",
+    "pf_certify_unique", "phi_sign", "positive_character", "psi", "qdim",
     "quantum_integer", "ranklevel_check", "twist_exponent", "verify_psi_fusion",
     "verify_simple_current", "weyl_denominator",
 ]

@@ -222,10 +222,6 @@ def markov_trace_g(q: complex, r: complex) -> complex:
     return r * (q - 1 / q) / den
 
 
-def bmw_trace_g(params: BmwParams) -> complex:
-    return markov_trace_g(params.q, params.r)
-
-
 def dim_from_eigs(c1: complex, c2: complex, c3: complex) -> complex:
     """Generator dimension from the three braiding eigenvalues (one sign branch)."""
     den = c3 * (1 / c1 + 1 / c2)
@@ -236,13 +232,13 @@ def dim_from_eigs(c1: complex, c2: complex, c3: complex) -> complex:
 
 def braiding_eig_sq(params: QuantumParams, lam: Weight, mu: Weight, nu: Weight) -> complex:
     """Square of the braiding eigenvalue on V_nu inside V_lam (x) V_mu: q^{c_nu-c_lam-c_mu}."""
-    return _eig_sq(params, fuse(params.alcove, lam, mu), lam, mu, nu)
+    return _eig_sq(params, fuse(params.alcove, lam, mu).get(nu, 0), lam, mu, nu)
 
 
-def _eig_sq(params: QuantumParams, product: dict[Weight, int],
+def _eig_sq(params: QuantumParams, multiplicity: int,
             lam: Weight, mu: Weight, nu: Weight) -> complex:
-    """braiding_eig_sq with V_lam (x) V_mu already fused into ``product``."""
-    if product.get(nu, 0) <= 0:
+    """braiding_eig_sq given N_{lam,mu}^nu, the multiplicity of V_nu in V_lam (x) V_mu."""
+    if multiplicity <= 0:
         raise DomainError(f"{nu} does not appear in {lam} (x) {mu}")
     datum = params.datum
     e = twist_exponent(datum, nu) - twist_exponent(datum, lam) - twist_exponent(datum, mu)
@@ -258,17 +254,19 @@ def vsq_summands(k: int) -> tuple[Weight, Weight, Weight]:
             Weight((2, 2) + (0,) * (k - 2)))
 
 
-def eig_square_set_check(params: QuantumParams) -> dict:
+def eig_square_set_check(params: QuantumParams, table: FusionTable) -> dict:
     """Multiset check of the braiding eigenvalue squares on V (x) V.
 
+    V (x) V is read from ``table``, the fusion table of ``params.alcove``.
     The target is {s q^{-8k}, s q^{4}, s q^{-4}} with s = -1 exactly when the
     rank is odd and q^ell = -1.  Values are compared (not exponents), since
     for q^ell = +1 exponents are only defined mod ell.
     """
+    if table.params != params.alcove:
+        raise DomainError(f"the table is for {table.params}, not {params.alcove}")
     k = params.datum.rank
     V = generator_weight(k, params.ell)
-    product = fuse(params.alcove, V, V)
-    got = {nu: _eig_sq(params, product, V, V, nu) for nu in vsq_summands(k)}
+    got = {nu: _eig_sq(params, table.coefficient(V, V, nu), V, V, nu) for nu in vsq_summands(k)}
     s = -1 if (k % 2 == 1 and params.q_ell_sign == -1) else 1
     target = [s * params.q_power(e) for e in (-8 * k, 4, -4)]
     return {

@@ -46,10 +46,6 @@ def parse_weight(text: str) -> Weight:
     return w
 
 
-def format_weight(w: Weight) -> str:
-    return str(w)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -73,7 +69,7 @@ def cmd_alcove(args) -> int:
                    "labels": [list(w.doubled) for w in labels]}
         _emit(json.dumps(payload, sort_keys=True), args.output)
     else:
-        _emit("\n".join(format_weight(w) for w in labels), args.output)
+        _emit("\n".join(str(w) for w in labels), args.output)
     return 0
 
 
@@ -82,15 +78,15 @@ def cmd_fuse(args) -> int:
     res = fuse(params, parse_weight(args.lhs), parse_weight(args.rhs))
     items = sorted(res.items(), key=lambda p: (sum(p[0].doubled), p[0].doubled))
     if args.format == "json":
-        _emit(json.dumps({format_weight(w): c for w, c in items}, sort_keys=True), args.output)
+        _emit(json.dumps({str(w): c for w, c in items}, sort_keys=True), args.output)
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["nu", "coefficient"])
-        writer.writerows((format_weight(w), c) for w, c in items)
+        writer.writerows((str(w), c) for w, c in items)
         _emit(buf.getvalue().rstrip("\n"), args.output)
     else:
-        _emit("\n".join(f"{format_weight(w)}  {c}" for w, c in items), args.output)
+        _emit("\n".join(f"{w}  {c}" for w, c in items), args.output)
     return 0
 
 
@@ -134,7 +130,7 @@ def cmd_chars(args) -> int:
         writer = csv.writer(buf)
         writer.writerow(["label", "Dim", f"dim_spin@z={z}"])
         for w in labels:
-            writer.writerow([format_weight(w), _fmt(dim_vec[w]), _fmt(spin_vec[w])])
+            writer.writerow([str(w), _fmt(dim_vec[w]), _fmt(spin_vec[w])])
         text = buf.getvalue().rstrip("\n")
         if args.format == "table":
             text = text.replace(",", "\t")
@@ -162,7 +158,7 @@ def cmd_verify(args) -> int:
 
 def cmd_duality(args) -> int:
     report = duality_report(args.rank, args.ell)
-    if args.format in ("json", "csv"):
+    if args.format == "json":
         _emit(json.dumps(report, sort_keys=True), args.output)
     else:
         lines = [f"duality report k={report['k']} ell={report['ell']} (dual type C rank {report['r']})",
@@ -176,6 +172,8 @@ def cmd_duality(args) -> int:
 def cmd_unitarity(args) -> int:
     if args.rank is not None:
         reports = [audit(args.rank, args.ell)]
+    elif args.max_ell is None:
+        reports = audit_grid()
     else:
         reports = audit_grid(max_ell=args.max_ell)
     if args.format == "json":
@@ -191,15 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fusion rings of type B/C quantum groups at odd roots of unity.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, families=("B", "C")):
+    def common(p, families=("B", "C"), formats=("json", "csv", "table")):
         p.add_argument("--family", choices=families, default="B")
         p.add_argument("--rank", type=int, required=True)
         p.add_argument("--ell", type=int, required=True)
-        p.add_argument("--format", choices=("json", "csv", "table"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
 
     p = sub.add_parser("alcove", help="list the alcove labels")
-    common(p)
+    common(p, formats=("json", "table"))
     p.set_defaults(func=cmd_alcove)
 
     p = sub.add_parser("fuse", help="fusion product of two labels")
@@ -209,12 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("matrix", help="fusion matrix of one label, or the whole table")
-    common(p)
+    common(p, formats=("json", "table"))
     p.add_argument("--lhs", default=None, help="label; omit to dump the full table as JSON")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("chars", help="positive character and spin character at z")
-    common(p)
+    common(p, families=("B",))
     p.add_argument("--z", type=int, default=None)
     p.set_defaults(func=cmd_chars)
 
@@ -222,19 +220,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("B",), default="B")
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--format", choices=("json", "csv", "table"), default="table")
+    p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("duality", help="Gamma/Psi/rank-level duality report")
-    common(p, families=("B",))
+    common(p, families=("B",), formats=("json", "table"))
     p.set_defaults(func=cmd_duality)
 
     p = sub.add_parser("unitarity", help="unitarity-failure audit")
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--max-ell", type=int, default=25)
-    p.add_argument("--format", choices=("json", "csv", "table"), default="table")
+    p.add_argument("--max-ell", type=int, default=None,
+                   help="audit the grid of every ell <= this (default 25); not with --rank/--ell")
+    p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_unitarity)
 
@@ -249,6 +248,12 @@ def main(argv=None) -> int:
             parser.error(f"--z {args.z} is not coprime to ell={args.ell}")
     if args.command in ("verify", "unitarity") and (args.rank is None) != (args.ell is None):
         parser.error("--rank and --ell must be given together")
+    if args.command == "unitarity" and args.max_ell is not None:
+        if args.rank is not None:
+            parser.error("--max-ell sets the grid; it cannot be combined with --rank/--ell")
+        # the first conclusive cell, 2(2k+1) < ell at k = 2, is ell = 11
+        if args.max_ell < 11:
+            parser.error(f"--max-ell {args.max_ell} selects no conclusive cell; it must be >= 11")
     try:
         return args.func(args)
     except (WeightParseError, ValueError) as exc:

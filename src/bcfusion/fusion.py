@@ -341,10 +341,6 @@ class FusionTable:
         return not bad.any()
 
 
-def fusion_matrix(table: FusionTable, lam: Weight) -> np.ndarray:
-    return table.fusion_matrix(lam)
-
-
 def bratteli_endo_dim(table: FusionTable, generator: Weight, n: int) -> tuple[dict[Weight, int], int]:
     """Path counts from the unit into each label after n fusions with ``generator``.
 

@@ -100,18 +100,15 @@ def _pair_exponents(datum: RootDatum, rows: np.ndarray, cols: np.ndarray) -> np.
     return prod / (2.0 if datum.family == "B" else 4.0)
 
 
-def alternating_sum(params: QuantumParams, v: Weight, nu: Weight) -> complex:
-    """sum_w eps(w) q^<w(v), nu>, the numerator of the Weyl character at H_nu."""
+def alternating_sum(params: QuantumParams, shifted, nu: Weight) -> np.ndarray:
+    """sum_w eps(w) q^<w(v), nu> for each v in ``shifted``: the Weyl numerator
+    of chi_lam(H_nu) at v = lam + rho, and the Weyl denominator at v = rho."""
     datum = params.datum
     imgs, eps = _weyl_images(datum, nu)
-    expo = _pair_exponents(datum, np.asarray([v.doubled]), imgs)[0]
-    phases = np.exp(1j * math.pi * params.z / params.ell * expo)
-    return complex(phases @ eps)
-
-
-def chi_numerator(params: QuantumParams, kappa: Weight, nu: Weight) -> complex:
-    """Numerator of chi_kappa(H_nu): the alternating sum at kappa + rho."""
-    return alternating_sum(params, kappa + params.datum.rho, nu)
+    rows = np.asarray([v.doubled for v in shifted], dtype=np.int64)
+    expo = _pair_exponents(datum, rows, imgs)
+    scale = math.pi * params.z / params.ell
+    return np.exp(1j * scale * expo) @ eps
 
 
 def weyl_denominator(params: QuantumParams, nu: Weight) -> float:
@@ -125,14 +122,6 @@ def weyl_denominator(params: QuantumParams, nu: Weight) -> float:
     return val
 
 
-def weyl_denominator_sum(params: QuantumParams, nu: Weight) -> complex:
-    """The same denominator as the alternating sum over W (testing route).
-
-    Equals (q - q^-1)^{#positive roots} times the quantum-integer product.
-    """
-    return alternating_sum(params, params.datum.rho, nu)
-
-
 def chi(params: QuantumParams, lam: Weight, nu: Weight) -> float:
     """The q-character chi_lam(H_nu) as a real number."""
     return float(chi_vector(params, nu, (lam,))[0])
@@ -143,13 +132,9 @@ def chi_vector(params: QuantumParams, nu: Weight, lambdas) -> np.ndarray:
     datum = params.datum
     if not datum.in_root_lattice(nu):
         raise DomainError(f"{nu} is not in the root lattice")
-    imgs, eps = _weyl_images(datum, nu)
     rho = datum.rho
-    rows = np.asarray([(lam + rho).doubled for lam in lambdas], dtype=np.int64)
-    expo = _pair_exponents(datum, rows, imgs)
-    scale = math.pi * params.z / params.ell
-    nums = np.exp(1j * scale * expo) @ eps
-    den = np.exp(1j * scale * _pair_exponents(datum, np.asarray([rho.doubled]), imgs)[0]) @ eps
+    nums = alternating_sum(params, [lam + rho for lam in lambdas], nu)
+    den = alternating_sum(params, (rho,), nu)[0]
     if abs(den) < 1e-12:
         raise SingularParameterError(f"Weyl denominator vanishes at nu={nu}, z={params.z}")
     vals = nums / den
@@ -158,26 +143,28 @@ def chi_vector(params: QuantumParams, nu: Weight, lambdas) -> np.ndarray:
     return vals.real
 
 
+def _weyl_product(params: QuantumParams, lam: Weight, pairing) -> float:
+    """prod_{alpha > 0} [pairing(lam + rho, alpha)] / [pairing(rho, alpha)]."""
+    datum = params.datum
+    shifted = lam + datum.rho
+    val = 1.0
+    for a in datum.positive_roots:
+        val *= quantum_integer(params, pairing(shifted, a)) / quantum_integer(params, pairing(datum.rho, a))
+    return val
+
+
 def qdim(params: QuantumParams, mu: Weight) -> float:
     """Categorical dimension of V_mu by the q-deformed Weyl product formula."""
     datum = params.datum
     if not mu.is_dominant:
         raise DomainError(f"{mu} is not dominant")
-    shifted = mu + datum.rho
-    if datum.form(shifted, datum.theta_check) > params.ell:
+    if datum.form(mu + datum.rho, datum.theta_check) > params.ell:
         raise DomainError(f"{mu} is outside the closed alcove at ell={params.ell}")
-    val = 1.0
-    for a in datum.positive_roots:
-        val *= quantum_integer(params, datum.form(shifted, a)) / quantum_integer(params, datum.form(datum.rho, a))
-    return val
-
-
-def dim_mu(params: QuantumParams, mu: Weight, lam: Weight) -> float:
-    """dim^mu(V_lam) = chi_lam(H_{mu+rho}) for half-integral dominant mu."""
-    return float(dim_mu_vector(params, mu, (lam,))[0])
+    return _weyl_product(params, mu, datum.form)
 
 
 def dim_mu_vector(params: QuantumParams, mu: Weight, lambdas) -> np.ndarray:
+    """dim^mu(V_lam) = chi_lam(H_{mu+rho}) for half-integral dominant mu, per lam."""
     if params.datum.family != "B":
         raise DomainError("dim^mu characters are defined on the type B side only")
     if not (mu.is_dominant and mu.has_uniform_parity and mu.parity == -1):
@@ -192,16 +179,9 @@ def spin_character_product(params: QuantumParams, lam: Weight) -> float:
     denominator of the dual (type C) root system, which turns the character
     into prod_{coroots} [<lam+rho, alpha_check>] / [<rho, alpha_check>].
     """
-    datum = params.datum
-    if datum.family != "B":
+    if params.datum.family != "B":
         raise DomainError("the spin character product is a type B construction")
-    shifted = lam + datum.rho
-    val = 1.0
-    for a in datum.positive_roots:
-        num = datum.form_coroot(shifted, a)
-        den = datum.form_coroot(datum.rho, a)
-        val *= quantum_integer(params, num) / quantum_integer(params, den)
-    return val
+    return _weyl_product(params, lam, params.datum.form_coroot)
 
 
 # -- characters of the fusion ring ----------------------------------------

@@ -147,29 +147,13 @@ class RootDatum:
     # -- structural data ----------------------------------------------------
 
     @property
-    def form_scale(self) -> int:
-        """form(a, b) = form_scale * dot(a, b); 2 for B, 1 for C."""
-        return 2 if self.family == "B" else 1
-
-    @property
     def positive_roots(self) -> tuple[Weight, ...]:
         return _positive_roots(self.family, self.rank)
 
     @property
-    def positive_coroots(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Coroots 2a/<a,a> as entry tuples (type B short coroots mix parities)."""
-        return tuple(
-            tuple(Fraction(2, self.form_doubled(a, a) // 2) * e for e in a.entries)
-            for a in self.positive_roots
-        )
-
-    @property
     def rho(self) -> Weight:
         """Half the sum of the positive roots."""
-        k = self.rank
-        if self.family == "B":
-            return Weight(tuple(2 * k - 2 * i - 1 for i in range(k)))
-        return Weight(tuple(2 * (k - i) for i in range(k)))
+        return _rho(self.family, self.rank)
 
     @property
     def theta(self) -> Weight:
@@ -310,6 +294,13 @@ def _positive_roots(family: str, rank: int) -> tuple[Weight, ...]:
         v[u] = short
         out.append(Weight(tuple(v)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _rho(family: str, rank: int) -> Weight:
+    if family == "B":
+        return Weight(tuple(2 * rank - 2 * i - 1 for i in range(rank)))
+    return Weight(tuple(2 * (rank - i) for i in range(rank)))
 
 
 @lru_cache(maxsize=None)

@@ -46,18 +46,11 @@ class InvolutionData:
             raise AssertionError("phi has a fixed point")
         return cls(alcove, gamma, w1, perm)
 
-    @property
-    def labels(self) -> tuple[Weight, ...]:
-        return alcove_enumerate(self.alcove)
-
     def phi(self, lam: Weight) -> Weight:
         """gamma - w1(lam), defined for alcove labels."""
-        labels = self.labels
-        try:
-            i = labels.index(lam)
-        except ValueError:
-            raise DomainError(f"{lam} is not in the alcove C_{self.alcove.ell}") from None
-        return labels[self.perm[i]]
+        if not self.alcove.contains(lam):
+            raise DomainError(f"{lam} is not in the alcove C_{self.alcove.ell}")
+        return self.gamma - self.w1.apply(lam)
 
     def permutation_matrix(self) -> np.ndarray:
         n = len(self.perm)
@@ -65,10 +58,6 @@ class InvolutionData:
         for i, j in enumerate(self.perm):
             P[j, i] = 1
         return P
-
-
-def phi(data: InvolutionData, lam: Weight) -> Weight:
-    return data.phi(lam)
 
 
 def verify_simple_current(table: FusionTable, data: InvolutionData) -> bool:

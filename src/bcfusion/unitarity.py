@@ -167,11 +167,11 @@ def audit(k: int, ell: int) -> UnitarityReport:
     return UnitarityReport(k, ell, conclusive, tuple(rows))
 
 
-def audit_grid(max_ell: int = 25, min_rank: int = 2) -> list[UnitarityReport]:
-    """Audit every (k, ell) with ell odd <= max_ell and 2(2k+1) < ell."""
+def audit_grid(max_ell: int = 25) -> list[UnitarityReport]:
+    """Audit every (k >= 2, ell) with ell odd <= max_ell and 2(2k+1) < ell."""
     out = []
     for ell in range(5, max_ell + 1, 2):
-        k = min_rank
+        k = 2
         while 2 * (2 * k + 1) < ell:
             out.append(audit(k, ell))
             k += 1

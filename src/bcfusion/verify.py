@@ -162,7 +162,8 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
 
     vsq_in_alcove = all(params.contains(nu) for nu in vsq_summands(k))
     if vsq_in_alcove:
-        ok = all(eig_square_set_check(QuantumParams(params, z))["match"] for z in admissible_z(ell))
+        ok = all(eig_square_set_check(QuantumParams(params, z), table)["match"]
+                 for z in admissible_z(ell))
         add("eigenvalue_squares", ok)
     else:
         add("eigenvalue_squares", True,

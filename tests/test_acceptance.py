@@ -141,10 +141,11 @@ def test_criterion_07_psi_duality():
 def test_criterion_08_eigenvalue_arithmetic():
     for (k, ell) in INSTANCES:
         params = _params(k, ell)
+        table = FusionTable.build(params)
         V = generator_weight(k, ell)
         for z in admissible_z(ell):
             q = QuantumParams(params, z)
-            assert eig_square_set_check(q)["match"], (k, ell, z)
+            assert eig_square_set_check(q, table)["match"], (k, ell, z)
             lhs = abs(qdim(q, V))
             rhs = abs(quantum_integer(q, 4 * k) / quantum_integer(q, 2) + 1)
             assert abs(lhs - rhs) < 1e-9 * (1 + rhs), (k, ell, z)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcfusion.bmwdual import (BOX, EMPTY, BmwParams, FerrersDiagram, bar_map, bmw_trace_g,
+from bcfusion.bmwdual import (BOX, EMPTY, BmwParams, FerrersDiagram, bar_map,
                               box_neighbors, braiding_eig_sq,
                               diagram_as_c_weight, dim_from_eigs, duality_report,
                               eig_square_set_check, gamma_bratteli, gamma_set,
@@ -129,7 +129,7 @@ def test_bmw_trace_values(params29):
     bp = BmwParams(QuantumParams(params29, 1))
     q = bp.q
     assert bp.r == pytest.approx(-q ** 4)
-    tr = bmw_trace_g(bp)
+    tr = markov_trace_g(bp.q, bp.r)
     assert tr * (bp.r - 1 / bp.r + q - 1 / q) == pytest.approx(bp.r * (q - 1 / q), rel=1e-12)
     with pytest.raises(SingularParameterError):
         markov_trace_g(1.0 + 0j, 1.0 + 0j)
@@ -161,24 +161,35 @@ def test_braiding_eig_sq_examples(params29):
 @pytest.mark.parametrize("k,ell", [(2, 9), (2, 11), (3, 13), (3, 15), (4, 17)])
 def test_eig_square_multiset(k, ell):
     params = AlcoveParams(make_root_datum("B", k), ell)
+    table = FusionTable.build(params)
     for z in admissible_z(ell):
-        assert eig_square_set_check(QuantumParams(params, z))["match"]
+        assert eig_square_set_check(QuantumParams(params, z), table)["match"]
 
 
 @pytest.mark.parametrize("k,ell", [(2, 9), (3, 13)])
 def test_eig_square_set_check_agrees_with_braiding_eig_sq(k, ell):
     params = AlcoveParams(make_root_datum("B", k), ell)
+    table = FusionTable.build(params)
     V = generator_weight(k, ell)
     for z in admissible_z(ell):
         qp = QuantumParams(params, z)
-        squares = eig_square_set_check(qp)["squares"]
+        squares = eig_square_set_check(qp, table)["squares"]
         for nu in vsq_summands(k):
             assert squares[nu] == braiding_eig_sq(qp, V, V, nu)
 
 
-def test_eig_square_minus_branch(params313):
+def test_eig_square_set_check_needs_the_matching_table(table29, table313, params313):
+    with pytest.raises(DomainError):
+        eig_square_set_check(QuantumParams(params313, 1), table29)
+    # at (3, 9) V is a label but the summand (2,0,0) of V (x) V leaves the alcove
+    params39 = AlcoveParams(make_root_datum("B", 3), 9)
+    with pytest.raises(DomainError):
+        eig_square_set_check(QuantumParams(params39, 1), FusionTable.build(params39))
+
+
+def test_eig_square_minus_branch(params313, table313):
     """Odd rank with q^ell = -1 carries the minus signs on the squares."""
-    check = eig_square_set_check(QuantumParams(params313, 1))
+    check = eig_square_set_check(QuantumParams(params313, 1), table313)
     assert check["match"]
     q = QuantumParams(params313, 1)
     plus_only = [q.q_power(e) for e in (-24, 4, -4)]

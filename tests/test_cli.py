@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bcfusion.cli import format_weight, main, parse_weight
+from bcfusion.cli import main, parse_weight
 from bcfusion.errors import CertificationError, SingularParameterError, WeightParseError
 from bcfusion.fusion import FusionTable, alcove_enumerate
 
@@ -26,7 +26,7 @@ def test_parse_weight_errors():
 
 def test_format_roundtrip_on_alcove(params29):
     for lab in alcove_enumerate(params29):
-        assert parse_weight(format_weight(lab)) == lab
+        assert parse_weight(str(lab)) == lab
 
 
 def test_cli_alcove(capsys):
@@ -105,6 +105,28 @@ def test_cli_duality_is_type_b_only(capsys):
         main(["duality", "--family", "C", "--rank", "2", "--ell", "9"])
     assert err.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["unitarity", "--max-ell", "3"], "selects no conclusive cell"),
+    (["unitarity", "--max-ell", "9", "--format", "json"], "selects no conclusive cell"),
+    (["unitarity", "--rank", "2", "--ell", "11", "--max-ell", "99"], "cannot be combined"),
+    (["chars", "--family", "C", "--rank", "2", "--ell", "9"], "invalid choice"),
+    (["unitarity", "--format", "csv"], "invalid choice"),
+    *[([cmd, "--rank", "2", "--ell", "9", "--format", "csv"], "invalid choice")
+      for cmd in ("alcove", "matrix", "verify", "duality")],
+])
+def test_cli_rejects_input_it_would_ignore(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_unitarity_smallest_grid(capsys):
+    assert main(["unitarity", "--max-ell", "11", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [(c["k"], c["ell"], c["conclusive"]) for c in payload] == [(2, 11, True)]
 
 
 @pytest.mark.parametrize("exc", [AssertionError, SingularParameterError, CertificationError])

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bcfusion.errors import DimensionMismatchError, DomainError, InvalidRankError
-from bcfusion.rootdata import Weight, WeylElement, make_root_datum
+from bcfusion.rootdata import RootDatum, Weight, WeylElement, make_root_datum
 
 from conftest import w
 from oracles import character_multiset, kostant_mult
@@ -35,6 +35,11 @@ def test_c2_rho_matches_half_sum():
     for r in datum.positive_roots:
         total = [a + b for a, b in zip(total, r.doubled)]
     assert tuple(x // 2 for x in total) == datum.rho.doubled == (4, 2)
+
+
+def test_rho_is_built_once():
+    # rho sits in the inner loops of affine reduction and qdim
+    assert RootDatum("B", 3).rho is RootDatum("B", 3).rho
 
 
 def test_invalid_rank():
