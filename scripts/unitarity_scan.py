@@ -19,6 +19,9 @@ def main(argv=None) -> int:
     ap.add_argument("--max-ell", type=int, default=25)
     ap.add_argument("--json", default=None)
     args = ap.parse_args(argv)
+    # the first conclusive cell, 2(2k+1) < ell at k = 2, is ell = 11
+    if args.max_ell < 11:
+        ap.error(f"--max-ell {args.max_ell} selects no conclusive cell; it must be >= 11")
 
     reports = audit_grid(max_ell=args.max_ell)
     for report in reports:

@@ -365,9 +365,8 @@ def c_vector_graph(paramsC: AlcoveParams) -> tuple[tuple[Weight, ...], np.ndarra
     index = {w: i for i, w in enumerate(labels)}
     vec = paramsC.datum.fundamental_weight_1
     A = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    cache: dict = {}
     for j, mu in enumerate(labels):
-        for nu, c in fuse(paramsC, vec, mu, _cache=cache).items():
+        for nu, c in fuse(paramsC, vec, mu).items():
             A[index[nu], j] = c
     return labels, A
 

@@ -127,14 +127,12 @@ def cmd_chars(args) -> int:
         _emit(json.dumps(payload, sort_keys=True), args.output)
     else:
         buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(buf, delimiter="\t" if args.format == "table" else ",",
+                            lineterminator="\n")
         writer.writerow(["label", "Dim", f"dim_spin@z={z}"])
         for w in labels:
             writer.writerow([str(w), _fmt(dim_vec[w]), _fmt(spin_vec[w])])
-        text = buf.getvalue().rstrip("\n")
-        if args.format == "table":
-            text = text.replace(",", "\t")
-        _emit(text, args.output)
+        _emit(buf.getvalue().rstrip("\n"), args.output)
     return 0
 
 

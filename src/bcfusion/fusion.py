@@ -3,8 +3,11 @@
 The truncated tensor product at an odd root of unity is computed by
 Racah-Speiser summation over the weight multiset P(lambda) with each shifted
 weight reduced into the alcove under the rho-shifted dot action of the
-affine Weyl group.  The two-stage variant (classical decomposition first,
-affine antisymmetrization second) is kept as an independent oracle.
+affine Weyl group.  ``fuse`` does this as one batched, exact integer numpy
+pass: the Weyl images of the dominant weights are built as arrays and every
+row is reduced at once by ``_reduce_rows``, the one affine-reduction kernel.
+There is no reduce cache.  The two-stage variant (classical decomposition
+first, affine antisymmetrization second) is kept as an independent oracle.
 
 A whole table fuses only the generator rows: the fundamental weights
 e_1 + ... + e_i (i < k) and the spin weight for type B, e_1 + ... + e_i
@@ -24,7 +27,9 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .rootdata import RootDatum, Weight, make_root_datum
 
-ReduceCache = dict[tuple[int, ...], tuple[int, tuple[int, ...] | None]]
+# rows of Weyl images reduced at once by fuse: (rows, rank) int64 temporaries
+# of at most a few MiB
+_CHUNK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -113,36 +118,45 @@ def affine_reduce(params: AlcoveParams, xi: Weight) -> tuple[Weight | None, int]
     """
     if xi.rank != params.rank:
         raise DomainError(f"expected rank {params.rank}, got {xi.rank}")
-    sign, lab = _reduce_doubled(params, tuple(a + b for a, b in zip(xi.doubled, params.datum.rho.doubled)))
-    return (None, 0) if sign == 0 else (Weight(lab), sign)
+    signs, labels = _reduce_rows(params, np.array([(xi + params.datum.rho).doubled]))
+    sign = int(signs[0])
+    return (None, 0) if sign == 0 else (Weight(tuple(labels[0].tolist())), sign)
 
 
-def _reduce_doubled(params: AlcoveParams, v: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
-    """Core reduction of the already rho-shifted vector v (doubled coords)."""
+def _reduce_rows(params: AlcoveParams, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce each row of V, a rho-shifted vector in doubled coordinates, into C_ell.
+
+    Returns (signs, labels): signs[i] is the signature of the affine Weyl
+    element taking row i into the rho-shifted alcove, 0 when the row lies on a
+    reflection hyperplane, and labels[i] the label it reaches (meaningless
+    where signs[i] is 0).
+    """
     ell, family = params.ell, params.datum.family
-    rho = params.datum.rho.doubled
-    sign = 1
-    while True:
+    rho = np.array(params.datum.rho.doubled, dtype=np.int64)
+    i, j = np.triu_indices(V.shape[1], 1)
+    signs = np.ones(len(V), dtype=np.int64)
+    labels = np.zeros_like(V)
+    rows = np.arange(len(V))
+    while rows.size:
         # finite Weyl reduction: sort absolute values, descending
-        w = sorted((abs(x) for x in v), reverse=True)
-        if w[-1] == 0 or any(w[i] == w[i + 1] for i in range(len(w) - 1)):
-            return 0, None
-        neg = sum(1 for x in v if x < 0)
-        inv = _inversions(v)
-        if (neg + inv) % 2:
-            sign = -sign
-        pairing = w[0] if family == "B" else (w[0] + w[1]) // 2
-        if pairing < ell:
-            return sign, tuple(a - b for a, b in zip(w, rho))
-        if pairing == ell:
-            return 0, None
-        # affine reflection t_ell: v += (ell - <v,theta_check>) * theta, doubled
-        shift = 2 * (ell - pairing)
-        if family == "B":
-            v = (w[0] + shift,) + tuple(w[1:])
-        else:
-            v = (w[0] + shift, w[1] + shift) + tuple(w[2:])
-        sign = -sign
+        a = np.abs(V)
+        w = -np.sort(-a, axis=1)
+        odd = ((V < 0).sum(axis=1) + (a[:, i] < a[:, j]).sum(axis=1)) % 2
+        s = np.where(odd, -signs[rows], signs[rows])
+        wall = (w[:, -1] == 0) | (w[:, :-1] == w[:, 1:]).any(axis=1)
+        pairing = w[:, 0] if family == "B" else (w[:, 0] + w[:, 1]) // 2
+        s[wall | (pairing == ell)] = 0
+        done = wall | (pairing <= ell)
+        # affine reflection t_ell of the rest: v += (ell - <v,theta_check>) * theta, doubled
+        signs[rows] = np.where(done, s, -s)
+        labels[rows[done]] = w[done] - rho
+        V = w[~done]
+        shift = 2 * (ell - pairing[~done])
+        V[:, 0] += shift
+        if family == "C":
+            V[:, 1] += shift
+        rows = rows[~done]
+    return signs, labels
 
 
 def _inversions(v: tuple[int, ...]) -> int:
@@ -176,27 +190,49 @@ def classical_tensor(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, 
 
 
 def fuse(params: AlcoveParams, lam: Weight, mu: Weight,
-         _cache: ReduceCache | None = None) -> dict[Weight, int]:
-    """Fusion coefficients N_{lam,mu}^: one Racah-Speiser pass with affine reduction."""
+         _cache: None = None) -> dict[Weight, int]:
+    """Fusion coefficients N_{lam,mu}^: one batched Racah-Speiser pass with affine reduction.
+
+    Every Weyl image of every dominant weight of the smaller factor is
+    shifted by the other's highest weight plus rho and reduced by exact
+    integer numpy array operations, in chunks of about _CHUNK_ROWS images.
+    Nothing is cached between calls; ``_cache`` must stay None.
+    """
+    if _cache is not None:
+        raise TypeError("fuse has no reduce cache")
     for w in (lam, mu):
         if not params.contains(w):
             raise DomainError(f"{w} is not in the alcove C_{params.ell}")
     datum = params.datum
     if datum.weyl_dim(lam) > datum.weyl_dim(mu):
         lam, mu = mu, lam
-    out: dict[tuple[int, ...] | None, int] = {}
-    rho = datum.rho.doubled
-    cache = _cache if _cache is not None else {}
-    for dom, m in datum.dominant_weight_multiplicities(lam).items():
-        for kap in datum.weyl_orbit(dom):
-            key = tuple(a + b + c for a, b, c in zip(mu.doubled, kap, rho))
-            hit = cache.get(key)
-            if hit is None:
-                hit = _reduce_doubled(params, key)
-                cache[key] = hit
-            s, lab = hit
-            if s:
-                out[lab] = out.get(lab, 0) + s * m
+    perm, flips = _weyl_arrays(datum)
+    order = len(perm)
+    doms = datum.dominant_weight_multiplicities(lam)
+    dom = np.array([d.doubled for d in doms], dtype=np.int64)
+    mult = np.fromiter(doms.values(), dtype=np.int64, count=len(doms))
+    shift = np.array((mu + datum.rho).doubled, dtype=np.int64)
+    # every weight of V_lam has entries in [-top, top]; alcove labels in [0, 2 ell)
+    top = lam.doubled[0]
+    image_dims = (2 * top + 1,) * params.rank
+    label_dims = (2 * params.ell,) * params.rank
+    step = max(1, _CHUNK_ROWS // order)
+    out: dict[tuple[int, ...], int] = {}
+    for lo in range(0, len(dom), step):
+        images = (dom[lo:lo + step][:, perm] * flips).reshape(-1, params.rank)
+        # Weyl orbits of distinct dominant weights are disjoint: only a
+        # weight's own stabilizer repeats an image
+        _, first = np.unique(np.ravel_multi_index(tuple((images + top).T), image_dims),
+                             return_index=True)
+        signs, labels = _reduce_rows(params, images[first] + shift)
+        live = signs != 0
+        labels, terms = labels[live], signs[live] * mult[lo + first[live] // order]
+        _, rep, where = np.unique(np.ravel_multi_index(tuple(labels.T), label_dims),
+                                  return_index=True, return_inverse=True)
+        totals = np.zeros(len(rep), dtype=np.int64)
+        np.add.at(totals, where, terms)
+        for lab, c in zip(map(tuple, labels[rep].tolist()), totals.tolist()):
+            out[lab] = out.get(lab, 0) + c
     res = {Weight(lab): c for lab, c in out.items() if c}
     if any(c < 0 for c in res.values()):
         raise AssertionError(f"negative fusion coefficient in {lam} (x) {mu}")
@@ -205,12 +241,26 @@ def fuse(params: AlcoveParams, lam: Weight, mu: Weight,
 
 def fuse_two_stage(params: AlcoveParams, lam: Weight, mu: Weight) -> dict[Weight, int]:
     """Oracle path: classical decomposition, then affine antisymmetrization."""
+    classical = classical_tensor(params.datum, lam, mu)
+    shifted = np.array([nu.doubled for nu in classical], dtype=np.int64) + params.datum.rho.doubled
+    signs, labels = _reduce_rows(params, shifted)
     out: dict[Weight, int] = {}
-    for nu, m in classical_tensor(params.datum, lam, mu).items():
-        lab, s = affine_reduce(params, nu)
+    for m, s, lab in zip(classical.values(), signs.tolist(), labels.tolist()):
         if s:
-            out[lab] = out.get(lab, 0) + s * m
+            key = Weight(tuple(lab))
+            out[key] = out.get(key, 0) + s * m
     return {lab: c for lab, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _weyl_arrays(datum: RootDatum) -> tuple[np.ndarray, np.ndarray]:
+    """The Weyl group as arrays: image w of v is flips[w] * v[perm[w]]."""
+    elems = datum.weyl_elements()
+    perm = np.array([e.perm for e in elems], dtype=np.intp)
+    flips = np.array([e.signs for e in elems], dtype=np.int64)
+    perm.setflags(write=False)
+    flips.setflags(write=False)
+    return perm, flips
 
 
 def _generators(datum: RootDatum) -> list[tuple[int, ...]]:
@@ -253,10 +303,9 @@ class FusionTable:
         filled[unit] = True
         gens = sorted((index[g] for g in _generators(params.datum) if g in index),
                       key=lambda i: params.datum.weyl_dim(labels[i]))
-        cache: ReduceCache = {}
         for g in gens:
             for mu, lab in enumerate(labels):
-                for nu, c in fuse(params, labels[g], lab, _cache=cache).items():
+                for nu, c in fuse(params, labels[g], lab).items():
                     coeffs[g, mu, index[nu.doubled]] = c
             filled[g] = True
         for v in range(n):

@@ -333,7 +333,7 @@ def _fd(family: str, a: tuple[int, ...], b: tuple[int, ...]) -> int:
 @lru_cache(maxsize=None)
 def _freudenthal(family: str, rank: int, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     datum = make_root_datum(family, rank)
-    roots = [r.doubled for r in _positive_roots(family, rank)]
+    roots = [(r.doubled, _fd(family, r.doubled, r.doubled)) for r in _positive_roots(family, rank)]
     rho = datum.rho.doubled
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     top_norm = _fd(family, lam, lam)
@@ -349,16 +349,16 @@ def _freudenthal(family: str, rank: int, lam: tuple[int, ...]) -> dict[tuple[int
         mu_rho = tuple(a + b for a, b in zip(mu, rho))
         denom = top_casimir - _fd(family, mu_rho, mu_rho)
         num = 0
-        for a in roots:
+        mu_norm = _fd(family, mu, mu)
+        for a, a_norm in roots:
+            # <mu, a> >= 0 for dominant mu, so |mu + j a|^2 grows with j
+            pair = _fd(family, mu, a)
             j = 1
-            while True:
+            while mu_norm + j * (2 * pair + j * a_norm) <= top_norm:
                 w = tuple(x + j * y for x, y in zip(mu, a))
-                if _fd(family, w, w) > top_norm:
-                    break
-                key = tuple(sorted((abs(x) for x in w), reverse=True))
-                m = mult.get(key, 0)
+                m = mult.get(tuple(sorted((abs(x) for x in w), reverse=True)), 0)
                 if m:
-                    num += 2 * m * _fd(family, w, a)
+                    num += 2 * m * (pair + j * a_norm)
                 j += 1
         if num % denom:
             raise AssertionError(f"Freudenthal recursion not integral at {mu} below {lam}")

@@ -154,7 +154,7 @@ def affine_reduce_bfs(family: str, rank: int, ell: int, xi_doubled: tuple[int, .
     sign flip, and the ell-reflection, tracking signatures.  Returns
     (label_doubled, sign) or (None, 0) when two routes reach the same vector
     with opposite signs (a stabilizing reflection) or a degenerate vector
-    appears.  Exponential; use at rank 2 only.
+    appears.  Exponential; use at rank 2 or 3 only.
     """
     datum = make_root_datum(family, rank)
     rho = datum.rho.doubled

@@ -1,10 +1,13 @@
+import csv
+import io
 import json
 
 import pytest
 
 from bcfusion.cli import main, parse_weight
 from bcfusion.errors import CertificationError, SingularParameterError, WeightParseError
-from bcfusion.fusion import FusionTable, alcove_enumerate
+from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate
+from bcfusion.rootdata import make_root_datum
 
 
 def test_parse_weight():
@@ -74,6 +77,18 @@ def test_cli_chars(capsys):
     assert main(["chars", "--rank", "2", "--ell", "9", "--z", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["z"] == 2 and len(payload["Dim"]) == 12
+
+
+@pytest.mark.parametrize("fmt,delimiter", [("csv", ","), ("table", "\t")])
+def test_cli_chars_parses_back(capsys, fmt, delimiter):
+    assert main(["chars", "--rank", "2", "--ell", "9", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert "\r" not in out
+    rows = list(csv.reader(io.StringIO(out), delimiter=delimiter))
+    assert rows[0] == ["label", "Dim", "dim_spin@z=1"]
+    assert [parse_weight(r[0]) for r in rows[1:]] == list(alcove_enumerate(
+        AlcoveParams(make_root_datum("B", 2), 9)))
+    assert all(len(r) == 3 for r in rows)
 
 
 def test_cli_chars_bad_z():

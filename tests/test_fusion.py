@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -160,6 +161,22 @@ def test_fuse_matches_two_stage_everywhere(params29, params211, params313):
                 assert fuse(params, lam, mu) == fuse_two_stage(params, lam, mu)
 
 
+@pytest.mark.parametrize("rank", [4, 5])
+def test_fuse_matches_two_stage_at_ell_21(rank):
+    """Seeded pairs and the largest label with itself, past the table-sized cells."""
+    params = AlcoveParams(make_root_datum("B", rank), 21)
+    labels = alcove_enumerate(params)
+    big = max(labels, key=lambda lab: (params.datum.weyl_dim(lab), lab.doubled))
+    rng = random.Random(rank)
+    for lam, mu in [(big, big)] + [tuple(rng.sample(labels, 2)) for _ in range(20)]:
+        assert fuse(params, lam, mu) == fuse_two_stage(params, lam, mu)
+
+
+def test_fuse_has_no_reduce_cache(params29):
+    with pytest.raises(TypeError, match="no reduce cache"):
+        fuse(params29, w(1, 0), w(1, 0), _cache={})
+
+
 def test_fuse_symmetry_and_grading(params313):
     labels = alcove_enumerate(params313)
     rng = np.random.default_rng(0)
@@ -246,19 +263,76 @@ def test_json_roundtrip(table29):
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("family,ell", [("B", 9), ("B", 7), ("C", 9)])
-def test_affine_reduce_against_bfs_oracle(family, ell):
+def _shifted_vectors(params: AlcoveParams, seed: int):
+    """Seeded rho-shifted vectors v = xi + rho (doubled) of lattice weights xi,
+    each with the (label, sign) it must reduce to where that is known.
+
+    - 60 plain draws with |v_i| <= 2 ell + 1;
+    - 8 far ones, w(lam + rho + 2 ell tau) for an alcove label lam, a finite
+      Weyl element w and a translation tau of the affine Weyl group with an
+      entry (two for C) of size 2: one affine reflection leaves such a vector
+      outside, so the reduction takes two or more, and it ends at
+      (lam, sign of w);
+    - 12 on a finite wall (a zero or a repeated |v_i|) or an affine one
+      (|v_i| = ell for B, |v_i| + |v_j| = 2 ell for C), which reduce to (None, 0).
+    """
+    family, rank, ell = params.datum.family, params.rank, params.ell
+    rng = np.random.default_rng(seed)
+    labels = alcove_enumerate(params)
+    elements = params.datum.weyl_elements()
+    rho = params.datum.rho.doubled
+
+    def pm():
+        return int(rng.choice((1, -1)))
+
+    def plain():
+        # doubled entries of xi + rho share one parity: both sectors for B, even for C
+        q = int(rng.choice((0, 1))) if family == "B" else 0
+        return q, [pm() * (2 * int(rng.integers(0, ell + 1)) + q) for _ in range(rank)]
+
+    for _ in range(60):
+        yield "plain", tuple(plain()[1]), None
+    for _ in range(8):
+        lab = labels[rng.integers(len(labels))]
+        i, j = rng.choice(rank, size=2, replace=False)
+        # the translations are 2 ell Z^k for B and 2 ell {tau in Z^k : sum even} for C
+        tau = [int(t) for t in rng.integers(-2, 3, size=rank)]
+        tau[i] = 2 * pm()
+        if family == "C":
+            tau = [2 * (t // 2) for t in tau]
+            tau[j] = 2 * pm()
+        w = elements[rng.integers(len(elements))]
+        v = w.apply_doubled(tuple(a + b + 2 * ell * t for a, b, t in zip(lab.doubled, rho, tau)))
+        yield "far", v, (lab.doubled, w.sign)
+    for _ in range(12):
+        q, v = plain()
+        i, j = rng.choice(rank, size=2, replace=False)
+        if family == "B" and q == 1 and rng.random() < 0.5:
+            v[i] = pm() * ell
+        elif family == "C" and rng.random() < 0.5:
+            v[i] = 2 * int(rng.integers(1, ell))
+            v[j] = pm() * (2 * ell - v[i])
+        elif q == 0 and rng.random() < 0.5:
+            v[i] = 0
+        else:
+            v[j] = pm() * v[i]
+        yield "wall", tuple(v), (None, 0)
+
+
+@pytest.mark.parametrize("family,rank,ell", [("B", 2, 9), ("B", 2, 7), ("C", 2, 9),
+                                             ("B", 3, 7), ("C", 3, 7)],
+                         ids=["B-9", "B-7", "C-9", "B3-7", "C3-7"])
+def test_affine_reduce_against_bfs_oracle(family, rank, ell):
     from oracles import affine_reduce_bfs
 
-    params = AlcoveParams(make_root_datum(family, 2), ell)
-    rng = np.random.default_rng(11)
-    parities = (0, 1) if family == "B" else (0,)
-    for _ in range(60):
-        par = int(rng.choice(parities))
-        xi = Weight(tuple(int(2 * x + par) for x in rng.integers(-9, 10, size=2)))
+    params = AlcoveParams(make_root_datum(family, rank), ell)
+    rho = params.datum.rho.doubled
+    for kind, v, expected in _shifted_vectors(params, seed=11):
+        xi = Weight(tuple(a - b for a, b in zip(v, rho)))
         lab, sign = affine_reduce(params, xi)
         got = (None if lab is None else lab.doubled, sign)
-        assert got == affine_reduce_bfs(family, 2, ell, xi.doubled)
+        assert got == affine_reduce_bfs(family, rank, ell, xi.doubled), (kind, v)
+        assert expected is None or got == expected, (kind, v)
 
 
 def test_type_c_fusion_table():

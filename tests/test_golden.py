@@ -1,5 +1,7 @@
-"""Golden outputs: sha256 digests of exact CLI output, recorded before the
-qchar/symmetry/cli consolidation, so a refactor that changes a byte fails here.
+"""Golden outputs: sha256 digests of exact CLI output, so a refactor that
+changes a byte fails here.  The matrix, verify and unitarity digests at rank
+2 and 3 were recorded before the qchar/symmetry/cli consolidation, the fuse
+digests and the (4,15) table before fuse became one batched numpy pass.
 
 Only integers, booleans and strings are hashed (the fusion tables, the verify
 check names/verdicts/details, and the decisions of the unitarity audit), so
@@ -21,6 +23,23 @@ MATRIX = {
     ("B", 2, 9): "4dc10eeed93a3b9660122f5abad03a9238eb9faf4f6279e1c90abd9d9fec8b8d",
     ("B", 3, 13): "8d4106e64cf7bfcd4b2512954e9eaf9002a75a32918fa9cf96ff2116708bb489",
     ("C", 3, 11): "bbbf28faaf9ace998bc041650d85849b3b4dfe7e2dc23d1cc679c2065be817b0",
+    ("B", 4, 15): "8bb213393a335f32267dc1c3089d9ea9a8214f55c43673ade221d14dd8932a42",
+}
+
+# `bcfusion fuse --rank 4 --format json`; each ell has its largest label with itself
+FUSE = {
+    (15, "7/2,7/2,5/2,3/2", "7/2,7/2,5/2,3/2"):
+        "67813c0aa8b99670ba12386bf7ea448ac7d9907ff8e40cbe74347267a0e3e7da",
+    (15, "5/2,5/2,1/2,1/2", "1,0,0,0"):
+        "9f279a022008f37c2cda79b87e62e93c54a6e22998ddae69c58c859d9fa4069c",
+    (15, "7/2,7/2,5/2,5/2", "2,0,0,0"):
+        "6fec10f20d90401aa7131f55e7e2fa0239ff757a7c98abb327f371050ae05af7",
+    (21, "13/2,13/2,9/2,5/2", "13/2,13/2,9/2,5/2"):
+        "c5fcdf6e4a71396d36ecce54bd02f63c384db093899bd47cd33f6e16fb1d820c",
+    (21, "4,2,2,1", "6,3,2,2"):
+        "32884d5e2b1dcabb81f14b0893a05c0333618c0ecf5875176282cb97e6c305ec",
+    (21, "6,6,3,3", "11/2,11/2,7/2,5/2"):
+        "0b263f0c2adb2e8e6901ddaa57e369c56136c1b3b40921ba96c36d547075254b",
 }
 
 VERIFY = {
@@ -36,6 +55,13 @@ UNITARITY_MAX_ELL_25 = "b6d37ce5698ace4be8ac90bd1989e4708843b7a2eafbb9aacc12f5f9
 def test_matrix_json_golden(capsys, family, rank, ell):
     assert main(["matrix", "--family", family, "--rank", str(rank), "--ell", str(ell)]) == 0
     assert _sha(capsys.readouterr().out) == MATRIX[family, rank, ell]
+
+
+@pytest.mark.parametrize("ell,lhs,rhs", sorted(FUSE))
+def test_fuse_json_golden(capsys, ell, lhs, rhs):
+    assert main(["fuse", "--rank", "4", "--ell", str(ell), "--lhs", lhs, "--rhs", rhs,
+                 "--format", "json"]) == 0
+    assert _sha(capsys.readouterr().out) == FUSE[ell, lhs, rhs]
 
 
 @pytest.mark.parametrize("rank,ell", sorted(VERIFY))

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
@@ -100,3 +102,24 @@ def test_report_serialization():
     table = report.format_table()
     assert "z = ell-1" in table  # boundary note present
     assert str(report.per_z[0].negative_even_witness) in table
+
+
+def _unitarity_scan():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "unitarity_scan.py"
+    spec = importlib.util.spec_from_file_location("unitarity_scan", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("max_ell", ["3", "9", "10"])
+def test_unitarity_scan_rejects_empty_grid(max_ell, capsys):
+    with pytest.raises(SystemExit) as err:
+        _unitarity_scan().main(["--max-ell", max_ell])
+    assert err.value.code == 2
+    assert "selects no conclusive cell" in capsys.readouterr().err
+
+
+def test_unitarity_scan_smallest_grid(capsys):
+    assert _unitarity_scan().main(["--max-ell", "11"]) == 0
+    assert "1/1 conclusive cells certified" in capsys.readouterr().out
