@@ -7,6 +7,7 @@ Psi is a genuine two-sided test rather than a tautology.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,25 +64,53 @@ def in_gamma(k: int, ell: int, lam: FerrersDiagram) -> bool:
 
 
 def gamma_set(k: int, ell: int) -> tuple[FerrersDiagram, ...]:
-    """All of Gamma(k, ell), ordered by (size, rows)."""
+    """All of Gamma(k, ell), ordered by (size, rows): the whole of ``iter_gamma``."""
+    return tuple(iter_gamma(k, ell))
+
+
+def iter_gamma(k: int, ell: int) -> Iterator[FerrersDiagram]:
+    """Gamma(k, ell) in (size, rows) order, walked lazily one size at a time.
+
+    Each size yields its partitions with rows in lex-ascending order.  A row
+    of length 1 costs one unit of the col1 + col2 <= 2k+1 budget and a longer
+    row two, and the walk only enters a branch whose remaining size still fits
+    the budget left, so every branch it enters ends in a diagram.  Gamma is an
+    order ideal of Young's lattice, so its sizes run without a gap from 0 to
+    the largest that fits the whole budget, where the walk stops.  Raises
+    ``ConfigurationError`` when called, not on first iteration.
+    """
     if ell <= 2 * k + 1:
         raise ConfigurationError(f"need ell > 2k+1, got k={k}, ell={ell}")
-    width_cap = (ell - 2 * k - 1) // 2
-    out: list[FerrersDiagram] = []
+    return _size_ordered_walk(2 * k + 1, (ell - 2 * k - 1) // 2)
 
-    def rec(rows: tuple[int, ...], top: int):
-        d = FerrersDiagram(rows)
-        if in_gamma(k, ell, d):
-            out.append(d)
-        else:
-            return
-        if len(rows) >= 2 * k + 1:
-            return
-        for part in range(1, top + 1):
-            rec(rows + (part,), part)
 
-    rec((), width_cap)
-    return tuple(sorted(out, key=lambda d: (d.size, d.rows)))
+def _largest_fill(top: int, budget: int) -> int:
+    """The largest size that rows of length <= top fit in ``budget``: pairs of
+    units go to rows of length top, an odd unit left over to a row of 1."""
+    if top < 2:
+        return top * budget
+    return (budget // 2) * top + budget % 2
+
+
+def _size_ordered_walk(budget: int, width: int) -> Iterator[FerrersDiagram]:
+    tails: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+
+    def rows_of(size: int, top: int, budget: int) -> list[tuple[int, ...]]:
+        """The lex-ascending row tuples of ``size`` with rows <= top within
+        ``budget``; shared between every prefix that leaves the same three."""
+        key = (size, top, budget)
+        if key not in tails:
+            out = [()] if not size else []
+            for part in range(1, min(top, size) + 1):
+                left = budget - (1 if part == 1 else 2)
+                if left >= 0 and size - part <= _largest_fill(part, left):
+                    out.extend([(part,) + tail for tail in rows_of(size - part, part, left)])
+            tails[key] = out
+        return tails[key]
+
+    for size in range(_largest_fill(width, budget) + 1):
+        for rows in rows_of(size, width, budget):
+            yield FerrersDiagram(rows)
 
 
 def bar_map(k: int, lam: FerrersDiagram) -> Weight:

@@ -81,7 +81,7 @@ def cmd_fuse(args) -> int:
         _emit(json.dumps({str(w): c for w, c in items}, sort_keys=True), args.output)
     elif args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["nu", "coefficient"])
         writer.writerows((str(w), c) for w, c in items)
         _emit(buf.getvalue().rstrip("\n"), args.output)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CertificationError, DomainError, SingularParameterError
 from .fusion import AlcoveParams, FusionTable, alcove_enumerate
-from .rootdata import RootDatum, Weight
+from .rootdata import RootDatum, Weight, make_root_datum
 
 IMAG_TOL = 1e-9
 
@@ -78,8 +78,6 @@ def twist_exponent(datum: RootDatum, lam: Weight) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _weyl_arrays(family: str, rank: int):
-    from .rootdata import make_root_datum
-
     elems = make_root_datum(family, rank).weyl_elements()
     perms = np.array([w.perm for w in elems], dtype=np.intp)
     signs = np.array([w.signs for w in elems], dtype=np.int64)
@@ -143,13 +141,35 @@ def chi_vector(params: QuantumParams, nu: Weight, lambdas) -> np.ndarray:
     return vals.real
 
 
-def _weyl_product(params: QuantumParams, lam: Weight, pairing) -> float:
-    """prod_{alpha > 0} [pairing(lam + rho, alpha)] / [pairing(rho, alpha)]."""
-    datum = params.datum
-    shifted = lam + datum.rho
-    val = 1.0
+@lru_cache(maxsize=None)
+def _pairing_rows(family: str, rank: int,
+                  coroot: bool) -> tuple[tuple[tuple[int, ...], int, float], ...]:
+    """(alpha.doubled, d, <rho, .>) per positive root alpha, where <v, alpha>
+    (or <v, alpha_check> with ``coroot``) = dot(v.doubled, alpha.doubled) / d.
+
+    The form is dot/2 on B and dot/4 on C, and the coroot pairing
+    2<v, alpha>/<alpha, alpha> is dot / (|alpha.doubled|^2 / 2) on both.
+    Int true division is correctly rounded, as float(Fraction) is.
+    """
+    datum = make_root_datum(family, rank)
+    rho = datum.rho.doubled
+    rows = []
     for a in datum.positive_roots:
-        val *= quantum_integer(params, pairing(shifted, a)) / quantum_integer(params, pairing(datum.rho, a))
+        d = sum(x * x for x in a.doubled) // 2 if coroot else (2 if family == "B" else 4)
+        rows.append((a.doubled, d, sum(x * y for x, y in zip(rho, a.doubled)) / d))
+    return tuple(rows)
+
+
+def _weyl_product(params: QuantumParams, lam: Weight, coroot: bool) -> float:
+    """prod_{alpha > 0} [<lam + rho, alpha>] / [<rho, alpha>], or with alpha_check."""
+    datum = params.datum
+    shifted = (lam + datum.rho).doubled
+    x = math.pi * params.z / params.ell
+    sin_x = math.sin(x)
+    val = 1.0
+    for a, d, at_rho in _pairing_rows(datum.family, datum.rank, coroot):
+        at_shifted = sum(u * v for u, v in zip(shifted, a)) / d
+        val *= (math.sin(at_shifted * x) / sin_x) / (math.sin(at_rho * x) / sin_x)
     return val
 
 
@@ -158,9 +178,9 @@ def qdim(params: QuantumParams, mu: Weight) -> float:
     datum = params.datum
     if not mu.is_dominant:
         raise DomainError(f"{mu} is not dominant")
-    if datum.form(mu + datum.rho, datum.theta_check) > params.ell:
+    if datum.form_doubled(mu + datum.rho, datum.theta_check) > 2 * params.ell:
         raise DomainError(f"{mu} is outside the closed alcove at ell={params.ell}")
-    return _weyl_product(params, mu, datum.form)
+    return _weyl_product(params, mu, coroot=False)
 
 
 def dim_mu_vector(params: QuantumParams, mu: Weight, lambdas) -> np.ndarray:
@@ -181,7 +201,7 @@ def spin_character_product(params: QuantumParams, lam: Weight) -> float:
     """
     if params.datum.family != "B":
         raise DomainError("the spin character product is a type B construction")
-    return _weyl_product(params, lam, params.datum.form_coroot)
+    return _weyl_product(params, lam, coroot=True)
 
 
 # -- characters of the fusion ring ----------------------------------------

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .bmwdual import FerrersDiagram, bar_map, gamma_set
+from .bmwdual import FerrersDiagram, bar_map, iter_gamma
 from .errors import DomainError
 from .fusion import AlcoveParams
 from .qchar import QuantumParams, admissible_z, qdim
@@ -145,17 +146,22 @@ def audit(k: int, ell: int) -> UnitarityReport:
     fails the rows are still produced but prove nothing.  A witness is an
     even-size diagram tau with qdim(Psi(tau)) < 0; the even sector avoids the
     involution twist, so the sign is meaningful on both sides of the duality.
+    The witness of each z is the first even-size tau of Gamma(k, ell), in
+    (size, rows) order, with qdim < -WITNESS_TOL.  The audit walks Gamma only
+    that far: the walked prefix, with bar already applied, is shared by every
+    z of the cell, and only a z with no witness walks all of Gamma.
     """
     conclusive = 2 * (2 * k + 1) < ell
     alcove = AlcoveParams(make_root_datum("B", k), ell)
-    even_sector = [(tau, bar_map(k, tau)) for tau in gamma_set(k, ell) if tau.size % 2 == 0]
+    even_sector = ((tau, bar_map(k, tau)) for tau in iter_gamma(k, ell) if tau.size % 2 == 0)
+    walked = []
     rows = []
     box = dim_box(k, ell)
     for z in admissible_z(ell):
         params = QuantumParams(alcove, z)
         hz = h(k, ell, z)
         witness, value = None, None
-        for tau, label in even_sector:
+        for tau, label in _replay(walked, even_sector):
             v = qdim(params, label)
             if v < -WITNESS_TOL:
                 witness, value = tau, v
@@ -165,6 +171,14 @@ def audit(k: int, ell: int) -> UnitarityReport:
                            distinct=abs(hz - box) > WITNESS_TOL,
                            negative_even_witness=witness, witness_value=value))
     return UnitarityReport(k, ell, conclusive, tuple(rows))
+
+
+def _replay(walked: list, source: Iterator) -> Iterator:
+    """Yield ``walked``, then move items from ``source`` onto it as they are asked for."""
+    yield from walked
+    for item in source:
+        walked.append(item)
+        yield item
 
 
 def audit_grid(max_ell: int = 25) -> list[UnitarityReport]:

@@ -3,14 +3,18 @@
 Everything here recomputes quantities along a different route than the
 package: weight multiplicities via the Kostant partition function instead of
 Freudenthal, tensor decompositions by multiplying formal characters and
-peeling highest weights, and the alcove by a plain box scan.  Keep these
-slow and obvious.
+peeling highest weights, the alcove by a plain box scan, Gamma(k, ell) by
+growing every diagram and sorting, and the q-Weyl product through exact
+Fraction pairings.  Keep these slow and obvious.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
+from bcfusion.bmwdual import FerrersDiagram, in_gamma
+from bcfusion.errors import ConfigurationError
 from bcfusion.rootdata import RootDatum, Weight, make_root_datum
 
 
@@ -204,3 +208,44 @@ def affine_reduce_bfs(family: str, rank: int, ell: int, xi_doubled: tuple[int, .
     assert len(candidates) == 1, candidates
     v, s = candidates[0]
     return tuple(a - b for a, b in zip(v, rho)), s
+
+
+def gamma_set_brute(k: int, ell: int) -> tuple[FerrersDiagram, ...]:
+    """All of Gamma(k, ell), ordered by (size, rows): every diagram grown one
+    row at a time until it leaves Gamma, then sorted."""
+    if ell <= 2 * k + 1:
+        raise ConfigurationError(f"need ell > 2k+1, got k={k}, ell={ell}")
+    width_cap = (ell - 2 * k - 1) // 2
+    out: list[FerrersDiagram] = []
+
+    def rec(rows: tuple[int, ...], top: int):
+        d = FerrersDiagram(rows)
+        if in_gamma(k, ell, d):
+            out.append(d)
+        else:
+            return
+        if len(rows) >= 2 * k + 1:
+            return
+        for part in range(1, top + 1):
+            rec(rows + (part,), part)
+
+    rec((), width_cap)
+    return tuple(sorted(out, key=lambda d: (d.size, d.rows)))
+
+
+def weyl_product_fraction(params, lam: Weight, coroot: bool) -> float:
+    """prod_{alpha > 0} [<lam+rho, alpha>] / [<rho, alpha>] (alpha_check with
+    ``coroot``), each pairing an exact Fraction from the datum's bilinear form
+    and [n] = sin(n x)/sin(x) at x = z pi/ell."""
+    datum = params.datum
+    pairing = datum.form_coroot if coroot else datum.form
+    x = math.pi * params.z / params.ell
+
+    def quantum_integer(n) -> float:
+        return math.sin(float(n) * x) / math.sin(x)
+
+    shifted = lam + datum.rho
+    val = 1.0
+    for a in datum.positive_roots:
+        val *= quantum_integer(pairing(shifted, a)) / quantum_integer(pairing(datum.rho, a))
+    return val

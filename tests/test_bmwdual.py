@@ -10,15 +10,17 @@ from bcfusion.bmwdual import (BOX, EMPTY, BmwParams, FerrersDiagram, bar_map,
                               box_neighbors, braiding_eig_sq,
                               diagram_as_c_weight, dim_from_eigs, duality_report,
                               eig_square_set_check, gamma_bratteli, gamma_set,
-                              generator_weight, in_gamma, markov_trace_g, psi, psi_table,
-                              ranklevel_check, trace_match, type_c_alcove,
+                              generator_weight, in_gamma, iter_gamma, markov_trace_g,
+                              psi, psi_table, ranklevel_check, trace_match, type_c_alcove,
                               verify_psi_fusion, vsq_summands, _graphs_isomorphic)
 from bcfusion.errors import ConfigurationError, DomainError, SingularParameterError
 from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, bratteli_endo_dim
 from bcfusion.qchar import QuantumParams, admissible_z, quantum_integer
 from bcfusion.rootdata import make_root_datum
+from bcfusion.unitarity import audit
 
 from conftest import w
+from oracles import gamma_set_brute
 
 
 def d(*rows):
@@ -54,8 +56,17 @@ def test_gamma_set_27_single_column():
 
 
 def test_gamma_set_rejects_tiny_ell():
-    with pytest.raises(ConfigurationError):
-        gamma_set(2, 5)
+    # the walk is lazy, but the check is not: each call raises before any iteration
+    for call in (gamma_set, iter_gamma, audit):
+        with pytest.raises(ConfigurationError, match=r"need ell > 2k\+1, got k=2, ell=5"):
+            call(2, 5)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_gamma_set_matches_brute_force(k):
+    # same diagrams in the same (size, rows) order as growing all of them and sorting
+    for ell in range(2 * k + 3, 32):
+        assert gamma_set(k, ell) == gamma_set_brute(k, ell), (k, ell)
 
 
 @pytest.mark.parametrize("k,ell", [(2, 7), (2, 9), (2, 11), (3, 13), (3, 15)])

@@ -91,6 +91,15 @@ def test_cli_chars_parses_back(capsys, fmt, delimiter):
     assert all(len(r) == 3 for r in rows)
 
 
+def test_cli_fuse_csv_parses_back(capsys):
+    assert main(["fuse", "--rank", "2", "--ell", "9", "--lhs", "1,0", "--rhs", "1,0",
+                 "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert "\r" not in out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows == [["nu", "coefficient"], ["0,0", "1"], ["1,1", "1"], ["2,0", "1"]]
+
+
 def test_cli_chars_bad_z():
     with pytest.raises(SystemExit) as err:
         main(["chars", "--rank", "2", "--ell", "9", "--z", "3"])

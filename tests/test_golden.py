@@ -5,7 +5,11 @@ digests and the (4,15) table before fuse became one batched numpy pass.
 
 Only integers, booleans and strings are hashed (the fusion tables, the verify
 check names/verdicts/details, and the decisions of the unitarity audit), so
-the digests do not depend on the platform's libm.
+those digests do not depend on the platform's libm.  The one exception is
+the full `unitarity --max-ell 25` JSON, floats included, recorded before the
+audit walked Gamma lazily and qdim paired in integers: it pins every float
+of the audit to the value math.sin gives for it on the platform it was
+recorded on (CPython 3.11 on x86-64 Linux).
 """
 import hashlib
 import json
@@ -50,6 +54,9 @@ VERIFY = {
 # [k, ell, conclusive, [[z, strict, distinct, witness], ...]] per cell, compact JSON
 UNITARITY_MAX_ELL_25 = "b6d37ce5698ace4be8ac90bd1989e4708843b7a2eafbb9aacc12f5f9dc89700c"
 
+# the whole `unitarity --max-ell 25 --format json` text, floats included
+UNITARITY_MAX_ELL_25_FULL = "753a0a62d952b9ee8ece1c6340d5162152740667881f6a96453ce33605b962f7"
+
 
 @pytest.mark.parametrize("family,rank,ell", sorted(MATRIX))
 def test_matrix_json_golden(capsys, family, rank, ell):
@@ -77,3 +84,8 @@ def test_unitarity_exact_fields_golden(capsys):
               [[r["z"], r["strict"], r["distinct"], r["witness"]] for r in c["per_z"]]]
              for c in cells]
     assert _sha(json.dumps(exact, separators=(",", ":"))) == UNITARITY_MAX_ELL_25
+
+
+def test_unitarity_full_json_golden(capsys):
+    assert main(["unitarity", "--max-ell", "25", "--format", "json"]) == 0
+    assert _sha(capsys.readouterr().out) == UNITARITY_MAX_ELL_25_FULL

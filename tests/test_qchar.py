@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bcfusion.errors import DomainError, SingularParameterError
-from bcfusion.fusion import alcove_enumerate, classical_tensor
+from bcfusion.fusion import AlcoveParams, alcove_enumerate, classical_tensor
 from bcfusion.qchar import (QuantumParams, admissible_z, alternating_sum,
                             character_law_defect, character_vector, chi, dim_mu_vector,
                             pf_certify_unique, positive_character, qdim, quantum_integer,
@@ -14,6 +14,7 @@ from bcfusion.qchar import (QuantumParams, admissible_z, alternating_sum,
 from bcfusion.rootdata import Weight, make_root_datum
 
 from conftest import w
+from oracles import weyl_product_fraction
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +157,20 @@ def test_spin_product_matches_weyl_sum(params29, params313):
             sums = dim_mu_vector(q, spin, labels)
             for lam, s in zip(labels, sums):
                 assert spin_character_product(q, lam) == pytest.approx(float(s), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("family,rank,ell", [("B", 2, 9), ("B", 3, 13), ("B", 4, 17),
+                                             ("C", 3, 11), ("C", 4, 15)])
+def test_weyl_products_equal_the_fraction_route(family, rank, ell):
+    # the integer pairings must give the very floats the Fraction pairings gave
+    alcove = AlcoveParams(make_root_datum(family, rank), ell)
+    for z in admissible_z(ell):
+        params = QuantumParams(alcove, z)
+        for lam in alcove_enumerate(alcove):
+            assert qdim(params, lam) == weyl_product_fraction(params, lam, coroot=False)
+            if family == "B":
+                assert spin_character_product(params, lam) == \
+                    weyl_product_fraction(params, lam, coroot=True)
 
 
 def test_positive_character(params29, table29):

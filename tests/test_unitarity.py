@@ -4,13 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from bcfusion.bmwdual import BOX, psi
+from bcfusion import bmwdual, unitarity
+from bcfusion.bmwdual import BOX, bar_map, psi
 from bcfusion.errors import DomainError
 from bcfusion.fusion import AlcoveParams
 from bcfusion.qchar import QuantumParams, positive_character, qdim
 from bcfusion.rootdata import make_root_datum
-from bcfusion.unitarity import audit, audit_grid, dim_box, h
+from bcfusion.unitarity import WITNESS_TOL, audit, audit_grid, dim_box, h
 
+from oracles import gamma_set_brute
 
 
 def test_h_values():
@@ -68,6 +70,47 @@ def test_audit_witnesses_are_even_and_negative():
         assert tau is not None and tau.size % 2 == 0
         value = qdim(QuantumParams(params, row.z), psi(2, 11, tau))
         assert value == pytest.approx(row.witness_value) and value < -1e-9
+
+
+# the conclusive cells to ell = 25, and the cells with a z that has no
+# witness, where the audit walks all of Gamma
+CONCLUSIVE_TO_25 = [(k, ell) for ell in range(11, 26, 2) for k in range(2, 6)
+                    if 2 * (2 * k + 1) < ell]
+NO_WITNESS_CELLS = [(2, 7), (3, 9), (4, 11), (5, 13)]
+
+
+@pytest.mark.parametrize("k,ell", CONCLUSIVE_TO_25 + NO_WITNESS_CELLS)
+def test_witness_is_first_negative_even_diagram(k, ell):
+    alcove = AlcoveParams(make_root_datum("B", k), ell)
+    even = [tau for tau in gamma_set_brute(k, ell) if tau.size % 2 == 0]
+    report = audit(k, ell)
+    for row in report.per_z:
+        params = QuantumParams(alcove, row.z)
+        values = ((tau, qdim(params, bar_map(k, tau))) for tau in even)
+        first = next(((tau, v) for tau, v in values if v < -WITNESS_TOL), (None, None))
+        assert (row.negative_even_witness, row.witness_value) == first, row.z
+    if (k, ell) in NO_WITNESS_CELLS:
+        assert not report.all_witnessed
+
+
+def test_audit_never_builds_all_of_gamma(monkeypatch):
+    def refuse(k, ell):
+        raise AssertionError("the audit built all of Gamma")
+
+    walked = []
+
+    def counted_walk(k, ell):
+        for tau in bmwdual.iter_gamma(k, ell):
+            walked.append(tau)
+            yield tau
+
+    monkeypatch.setattr(bmwdual, "gamma_set", refuse)
+    monkeypatch.setattr(unitarity, "gamma_set", refuse, raising=False)
+    monkeypatch.setattr(unitarity, "iter_gamma", counted_walk)
+    for k, ell in [(3, 15), (5, 23)]:
+        walked.clear()
+        assert audit(k, ell).passed
+        assert 0 < len(walked) < len(gamma_set_brute(k, ell))
 
 
 def test_audit_2_9_not_conclusive():
