@@ -8,19 +8,27 @@ pass: the Weyl images of the dominant weights are built as arrays and every
 row is reduced at once by ``_reduce_rows``, the one affine-reduction kernel.
 There is no reduce cache.  The two-stage variant (classical decomposition
 first, affine antisymmetrization second) is kept as an independent oracle.
+Its first stage, ``_classical_rows``, is its own exact integer numpy pass:
+the Weyl orbits from ``RootDatum.weyl_orbit`` are stacked, shifted and made
+dominant by a finite-Weyl sort with the sign read off the sorting
+permutation.  It never calls ``_weyl_arrays`` or ``_reduce_rows``, so a fault
+in ``fuse``'s kernel cannot hide in both sides of the comparison; only the
+second stage reduces the classical summands with ``_reduce_rows``.
 
 A whole table fuses only the generator rows: the fundamental weights
 e_1 + ... + e_i (i < k) and the spin weight for type B, e_1 + ... + e_i
 (i <= r) for type C, those inside the alcove.  Every other label nu is filled
 in alcove order from a generator g with nu - g dominant, by exact integer
 matrix algebra: N_nu = N_{nu-g} N_g - sum_{sigma != nu} N_{g,nu-g}^sigma N_sigma,
-where every sigma precedes nu.
+where every sigma precedes nu.  The product N_{nu-g} N_g runs in float64 and
+is cast back; the build asserts n (max N)^2 < 2**53, which makes it exact.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -159,34 +167,52 @@ def _reduce_rows(params: AlcoveParams, V: np.ndarray) -> tuple[np.ndarray, np.nd
     return signs, labels
 
 
-def _inversions(v: tuple[int, ...]) -> int:
-    """Inversion count of the permutation sorting |v| in descending order."""
-    a = [abs(x) for x in v]
-    return sum(1 for i in range(len(a)) for j in range(i + 1, len(a)) if a[i] < a[j])
+def _classical_rows(datum: RootDatum, lam: Weight, mu: Weight) -> tuple[np.ndarray, np.ndarray]:
+    """V_lam (x) V_mu classically as arrays: labels (m, k) in doubled coordinates, mults (m,).
 
-
-def classical_tensor(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
-    """Decompose V_lam (x) V_mu classically (Racah-Speiser over P(lam))."""
+    One exact int64 pass of Racah-Speiser over P(lam): every Weyl image of
+    every dominant weight (from ``datum.weyl_orbit``) is shifted by mu + rho
+    and made dominant by sorting |v| in descending order; rows on a wall
+    (a zero or a repeated |entry|) drop out, and the sign is the parity of
+    the negative entries plus that of the sorting permutation.  It shares no
+    code with ``fuse``, which it is an oracle for.
+    """
     for w in (lam, mu):
         if not w.is_dominant:
             raise DomainError(f"{w} is not dominant")
     if datum.weyl_dim(lam) > datum.weyl_dim(mu):
         lam, mu = mu, lam
-    rho = datum.rho.doubled
-    out: dict[tuple[int, ...], int] = {}
-    for dom, m in datum.dominant_weight_multiplicities(lam).items():
-        for kap in datum.weyl_orbit(dom):
-            v = tuple(a + b + c for a, b, c in zip(mu.doubled, kap, rho))
-            w = sorted((abs(x) for x in v), reverse=True)
-            if w[-1] == 0 or any(w[i] == w[i + 1] for i in range(len(w) - 1)):
-                continue
-            s = -1 if (sum(1 for x in v if x < 0) + _inversions(v)) % 2 else 1
-            lab = tuple(a - b for a, b in zip(w, rho))
-            out[lab] = out.get(lab, 0) + s * m
-    res = {Weight(lab): c for lab, c in out.items() if c}
-    if any(c < 0 for c in res.values()):
+    doms = datum.dominant_weight_multiplicities(lam)
+    orbits = [datum.weyl_orbit(d) for d in doms]
+    sizes = [len(orbit) for orbit in orbits]
+    images = np.fromiter(chain.from_iterable(chain.from_iterable(orbits)), dtype=np.int64,
+                         count=sum(sizes) * datum.rank).reshape(-1, datum.rank)
+    mult = np.repeat(np.fromiter(doms.values(), dtype=np.int64, count=len(doms)), sizes)
+    rho = np.array(datum.rho.doubled, dtype=np.int64)
+    v = images + (np.array(mu.doubled, dtype=np.int64) + rho)
+    a = np.abs(v)
+    order = np.argsort(-a, axis=1, kind="stable")
+    w = np.take_along_axis(a, order, axis=1)
+    live = (w[:, -1] > 0) & (w[:, :-1] > w[:, 1:]).all(axis=1)
+    i, j = np.triu_indices(datum.rank, 1)
+    odd = ((v < 0).sum(axis=1) + (order[:, i] > order[:, j]).sum(axis=1)) % 2
+    terms = np.where(odd, -mult, mult)[live]
+    labs = w[live] - rho
+    # labels are dominant, so the entries of every row lie in [0, labs[:, 0].max()]
+    dims = (int(labs[:, 0].max(initial=0)) + 1,) * datum.rank
+    keys, where = np.unique(np.ravel_multi_index(tuple(labs.T), dims), return_inverse=True)
+    totals = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(totals, where, terms)
+    if (totals < 0).any():
         raise AssertionError(f"negative classical multiplicity in {lam} (x) {mu}")
-    return res
+    nonzero = totals != 0
+    return np.stack(np.unravel_index(keys[nonzero], dims), axis=1), totals[nonzero]
+
+
+def classical_tensor(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
+    """Decompose V_lam (x) V_mu classically (Racah-Speiser over P(lam))."""
+    labels, mults = _classical_rows(datum, lam, mu)
+    return {Weight(tuple(lab)): c for lab, c in zip(labels.tolist(), mults.tolist())}
 
 
 def fuse(params: AlcoveParams, lam: Weight, mu: Weight,
@@ -241,11 +267,10 @@ def fuse(params: AlcoveParams, lam: Weight, mu: Weight,
 
 def fuse_two_stage(params: AlcoveParams, lam: Weight, mu: Weight) -> dict[Weight, int]:
     """Oracle path: classical decomposition, then affine antisymmetrization."""
-    classical = classical_tensor(params.datum, lam, mu)
-    shifted = np.array([nu.doubled for nu in classical], dtype=np.int64) + params.datum.rho.doubled
-    signs, labels = _reduce_rows(params, shifted)
+    classical, mults = _classical_rows(params.datum, lam, mu)
+    signs, labels = _reduce_rows(params, classical + np.array(params.datum.rho.doubled))
     out: dict[Weight, int] = {}
-    for m, s, lab in zip(classical.values(), signs.tolist(), labels.tolist()):
+    for m, s, lab in zip(mults.tolist(), signs.tolist(), labels.tolist()):
         if s:
             key = Weight(tuple(lab))
             out[key] = out.get(key, 0) + s * m
@@ -272,6 +297,13 @@ def _generators(datum: RootDatum) -> list[tuple[int, ...]]:
     if datum.family == "B":
         gens.append((1,) * k)
     return gens
+
+
+def _exact_float_bound(n: int, top: int, what: str) -> None:
+    """Raise unless n * top**2 < 2**53, so float64 products of n x n matrices
+    with nonnegative integer entries at most top are exact."""
+    if n * int(top) ** 2 >= 2 ** 53:
+        raise AssertionError(f"float64 fusion products inexact: n={n}, max N of {what} = {top}")
 
 
 @dataclass(frozen=True)
@@ -308,6 +340,11 @@ class FusionTable:
                 for nu, c in fuse(params, labels[g], lab).items():
                     coeffs[g, mu, index[nu.doubled]] = c
             filled[g] = True
+        # coeffs[rest] @ coeffs[g] runs in float64 (numpy has no BLAS route for
+        # int64): exact while n (max N)^2 < 2**53, which the check after the
+        # loop confirms for every product it ran
+        _exact_float_bound(n, coeffs[gens].max(initial=0), "the generator rows")
+        fcoeffs = {g: coeffs[g].astype(np.float64) for g in gens}
         for v in range(n):
             if filled[v]:
                 continue
@@ -320,10 +357,12 @@ class FusionTable:
             terms = np.flatnonzero(row)
             if coeffs[g, rest, v] != 1 or not filled[rest] or not filled[terms].all():
                 raise AssertionError(f"generator recursion breaks at nu={labels[v]}, g={labels[g]}")
-            coeffs[v] = coeffs[rest] @ coeffs[g] - np.tensordot(row[terms], coeffs[terms], axes=1)
+            product = (coeffs[rest].astype(np.float64) @ fcoeffs[g]).astype(np.int64)
+            coeffs[v] = product - np.tensordot(row[terms], coeffs[terms], axes=1)
             if (coeffs[v] < 0).any():
                 raise AssertionError(f"negative fusion coefficient at nu={labels[v]}, g={labels[g]}")
             filled[v] = True
+        _exact_float_bound(n, coeffs.max(initial=0), "the table")
         coeffs.setflags(write=False)
         return cls(params, labels, coeffs)
 

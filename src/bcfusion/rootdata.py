@@ -367,16 +367,31 @@ def _freudenthal(family: str, rank: int, lam: tuple[int, ...]) -> dict[tuple[int
 
 
 def _dominant_below(datum: RootDatum, lam: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Dominant weights mu <= lam in the root order (candidates for P(lam))."""
-    par = lam[0] % 2
-    rng = range(par, lam[0] + 1, 2)
+    """Dominant weights mu <= lam in the root order (candidates for P(lam)), in lex order.
+
+    mu <= lam when every partial sum of lam - mu is nonnegative and even, the
+    last one divisible by 4 for type C (see ``root_coordinates``).  Entries
+    are chosen left to right, each at most the one before, in increasing
+    order, so the tuples come out lexicographically sorted.
+    """
+    k = datum.rank
+    last_div = 4 if datum.family == "C" else 2
     out = []
-    for tup in itertools.product(rng, repeat=datum.rank):
-        if any(tup[i] < tup[i + 1] for i in range(datum.rank - 1)):
-            continue
-        coords = datum.root_coordinates(Weight(lam) - Weight(tup))
-        if coords is not None and all(c >= 0 for c in coords):
-            out.append(tup)
+
+    def rec(prefix: tuple[int, ...], top: int, ps: int):
+        j = len(prefix)
+        for x in range(lam[0] % 2, top + 1, 2):
+            s = ps + lam[j] - x
+            if s < 0:
+                break
+            if s % (last_div if j == k - 1 else 2):
+                continue
+            if j == k - 1:
+                out.append(prefix + (x,))
+            else:
+                rec(prefix + (x,), x, s)
+
+    rec((), lam[0], 0)
     return out
 
 

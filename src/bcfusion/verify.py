@@ -94,12 +94,16 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
     data = InvolutionData.build(params)
     add("simple_current", verify_simple_current(table, data))
 
-    # multiplying by the current: N_phi(lam) = N_gamma N_lam, and conjugation fixes N_lam
-    N_gamma = table.fusion_matrix(data.gamma)
-    ok = all(
-        np.array_equal(table.fusion_matrix(data.phi(lam)), N_gamma @ table.fusion_matrix(lam))
-        and np.array_equal(N_gamma @ table.fusion_matrix(lam) @ N_gamma, table.fusion_matrix(lam))
-        for lam in labels)
+    # multiplying by the current: N_phi(lam) = N_gamma N_lam, and conjugation fixes N_lam.
+    # Once N_gamma is phi's permutation matrix, (N_gamma A)[nu] = A[phi^-1(nu)] and
+    # (A N_gamma)[:, mu] = A[:, phi(mu)], so both identities are index permutations
+    # of coeffs[i] = N_lam^T.
+    perm = np.array(data.perm)
+    inv = np.argsort(perm)
+    N = table.coeffs
+    ok = np.array_equal(table.fusion_matrix(data.gamma), data.permutation_matrix()) and all(
+        np.array_equal(N[perm[i]], N[i][:, inv]) and np.array_equal(N[i][np.ix_(perm, inv)], N[i])
+        for i in range(table.size))
     add("current_multiplication", ok)
 
     dim_vec = positive_character(params)

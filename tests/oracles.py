@@ -3,9 +3,11 @@
 Everything here recomputes quantities along a different route than the
 package: weight multiplicities via the Kostant partition function instead of
 Freudenthal, tensor decompositions by multiplying formal characters and
-peeling highest weights, the alcove by a plain box scan, Gamma(k, ell) by
-growing every diagram and sorting, and the q-Weyl product through exact
-Fraction pairings.  Keep these slow and obvious.
+peeling highest weights, the classical Racah-Speiser sum one Weyl image at a
+time, the dominant weights below a highest weight by a box scan, the alcove
+by a plain box scan, Gamma(k, ell) by growing every diagram and sorting, and
+the q-Weyl product through exact Fraction pairings.  Keep these slow and
+obvious.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import math
 from functools import lru_cache
 
 from bcfusion.bmwdual import FerrersDiagram, in_gamma
-from bcfusion.errors import ConfigurationError
+from bcfusion.errors import ConfigurationError, DomainError
 from bcfusion.rootdata import RootDatum, Weight, make_root_datum
 
 
@@ -249,3 +251,48 @@ def weyl_product_fraction(params, lam: Weight, coroot: bool) -> float:
     for a in datum.positive_roots:
         val *= quantum_integer(pairing(shifted, a)) / quantum_integer(pairing(datum.rho, a))
     return val
+
+
+def _inversions(v: tuple[int, ...]) -> int:
+    """Inversion count of the permutation sorting |v| in descending order."""
+    a = [abs(x) for x in v]
+    return sum(1 for i in range(len(a)) for j in range(i + 1, len(a)) if a[i] < a[j])
+
+
+def classical_tensor_scalar(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
+    """Decompose V_lam (x) V_mu classically, one Weyl image of P(lam) at a time."""
+    for w in (lam, mu):
+        if not w.is_dominant:
+            raise DomainError(f"{w} is not dominant")
+    if datum.weyl_dim(lam) > datum.weyl_dim(mu):
+        lam, mu = mu, lam
+    rho = datum.rho.doubled
+    out: dict[tuple[int, ...], int] = {}
+    for dom, m in datum.dominant_weight_multiplicities(lam).items():
+        for kap in datum.weyl_orbit(dom):
+            v = tuple(a + b + c for a, b, c in zip(mu.doubled, kap, rho))
+            w = sorted((abs(x) for x in v), reverse=True)
+            if w[-1] == 0 or any(w[i] == w[i + 1] for i in range(len(w) - 1)):
+                continue
+            s = -1 if (sum(1 for x in v if x < 0) + _inversions(v)) % 2 else 1
+            lab = tuple(a - b for a, b in zip(w, rho))
+            out[lab] = out.get(lab, 0) + s * m
+    res = {Weight(lab): c for lab, c in out.items() if c}
+    if any(c < 0 for c in res.values()):
+        raise AssertionError(f"negative classical multiplicity in {lam} (x) {mu}")
+    return res
+
+
+def dominant_below_scan(datum: RootDatum, lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Dominant weights mu <= lam in the root order, by scanning every tuple of
+    range(par, lam_1 + 1, 2)^k in lexicographic order."""
+    par = lam[0] % 2
+    rng = range(par, lam[0] + 1, 2)
+    out = []
+    for tup in itertools.product(rng, repeat=datum.rank):
+        if any(tup[i] < tup[i + 1] for i in range(datum.rank - 1)):
+            continue
+        coords = datum.root_coordinates(Weight(lam) - Weight(tup))
+        if coords is not None and all(c >= 0 for c in coords):
+            out.append(tup)
+    return out

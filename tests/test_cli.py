@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bcfusion import cli
 from bcfusion.cli import main, parse_weight
 from bcfusion.errors import CertificationError, SingularParameterError, WeightParseError
 from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate
@@ -163,6 +164,25 @@ def test_cli_internal_error_exit_3(exc, monkeypatch, capsys):
     assert main(["verify", "--rank", "2", "--ell", "9"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == [f"internal error: {exc.__name__}: broken invariant"] * 2
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_cli_unexpected_error_exit_3(exc, monkeypatch, capsys):
+    def broken(k, ell, seed=0):
+        raise exc("out of resources")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    assert main(["verify", "--rank", "2", "--ell", "9"]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"internal error: {exc.__name__}: out of resources"]
+
+
+def test_cli_keyboard_interrupt_propagates(monkeypatch):
+    def interrupted(k, ell, seed=0):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_suite", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "--rank", "2", "--ell", "9"])
 
 
 def test_cli_verify_single_cell(capsys):

@@ -12,7 +12,8 @@ from bcfusion.fusion import (AlcoveParams, FusionTable, affine_reduce, alcove_en
 from bcfusion.rootdata import Weight, make_root_datum
 
 from conftest import w
-from oracles import alcove_box_scan, char_product_decompose, dominant_weights_up_to
+from oracles import (alcove_box_scan, char_product_decompose, classical_tensor_scalar,
+                     dominant_weights_up_to)
 
 
 def test_alcove_b2_ell9(params29):
@@ -131,6 +132,43 @@ def test_classical_tensor_against_character_product(rank):
     for i, lam in enumerate(weights):
         for mu in weights[i:]:
             assert classical_tensor(datum, lam, mu) == char_product_decompose(datum, lam, mu)
+
+
+CLASSICAL_CELLS = [("B", 2, 9), ("B", 3, 13), ("B", 4, 15), ("B", 5, 13), ("C", 3, 11), ("C", 4, 11)]
+
+
+@pytest.mark.parametrize("family,rank,ell", CLASSICAL_CELLS)
+def test_classical_tensor_matches_scalar_loop(family, rank, ell):
+    params = AlcoveParams(make_root_datum(family, rank), ell)
+    labels = alcove_enumerate(params)
+    rng = random.Random(f"{family}{rank},{ell}")
+    for _ in range(25):
+        lam, mu = rng.choice(labels), rng.choice(labels)
+        assert classical_tensor(params.datum, lam, mu) == classical_tensor_scalar(params.datum, lam, mu)
+
+
+def test_classical_tensor_matches_scalar_loop_on_squares(params313):
+    for lam in alcove_enumerate(params313):
+        assert (classical_tensor(params313.datum, lam, lam)
+                == classical_tensor_scalar(params313.datum, lam, lam))
+
+
+def test_classical_tensor_shares_no_kernel_with_fuse(monkeypatch, params313):
+    """The oracle's first stage must not lean on the code it checks."""
+    from bcfusion import fusion
+
+    def forbidden(*args):
+        raise AssertionError("classical_tensor called a fuse kernel")
+
+    labels = alcove_enumerate(params313)
+    expected = {(lam, mu): classical_tensor_scalar(params313.datum, lam, mu)
+                for lam, mu in zip(labels, reversed(labels))}
+    monkeypatch.setattr(fusion, "_reduce_rows", forbidden)
+    monkeypatch.setattr(fusion, "_weyl_arrays", forbidden)
+    for (lam, mu), decomposition in expected.items():
+        assert classical_tensor(params313.datum, lam, mu) == decomposition
+    assert classical_tensor(params313.datum, w(1, 0, 0), w(1, 0, 0)) == {
+        w(2, 0, 0): 1, w(1, 1, 0): 1, w(0, 0, 0): 1}
 
 
 def test_classical_tensor_support_in_ball(b2):

@@ -3,10 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bcfusion.errors import DimensionMismatchError, DomainError, InvalidRankError
-from bcfusion.rootdata import RootDatum, Weight, WeylElement, make_root_datum
+from bcfusion.fusion import AlcoveParams, alcove_enumerate
+from bcfusion.rootdata import RootDatum, Weight, WeylElement, _dominant_below, make_root_datum
 
 from conftest import w
-from oracles import character_multiset, kostant_mult
+from oracles import character_multiset, dominant_below_scan, kostant_mult
 
 
 def test_b2_positive_roots():
@@ -189,3 +190,11 @@ def test_adjoint_dimensions():
     for r in (2, 3):
         datum = make_root_datum("C", r)
         assert datum.weyl_dim(Weight((4,) + (0,) * (r - 1))) == r * (2 * r + 1)
+
+
+@pytest.mark.parametrize("family,rank,ell", [("B", 2, 11), ("B", 3, 13), ("B", 4, 17), ("C", 3, 11), ("C", 4, 15)])
+def test_dominant_below_matches_box_scan(family, rank, ell):
+    """Same weights in the same (lexicographic) order, which Freudenthal's stable sort keeps."""
+    datum = make_root_datum(family, rank)
+    for lam in alcove_enumerate(AlcoveParams(datum, ell)):
+        assert _dominant_below(datum, lam.doubled) == dominant_below_scan(datum, lam.doubled)
