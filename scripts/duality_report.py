@@ -7,7 +7,7 @@ Usage:
 import json
 import sys
 
-from bcfusion.bmwdual import duality_report
+from bcfusion.bmwdual import duality_passed, duality_report
 
 
 def main(argv) -> int:
@@ -15,7 +15,7 @@ def main(argv) -> int:
     reports = [duality_report(k, ell) for (k, ell) in cells]
     json.dump(reports, sys.stdout, sort_keys=True, indent=1)
     print()
-    return 0 if all(r["homeq_ok"] for r in reports) else 1
+    return 0 if all(duality_passed(r) for r in reports) else 1
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from .bmwdual import duality_report
+from .bmwdual import duality_passed, duality_report
 from .errors import WeightParseError
 from .fusion import AlcoveParams, FusionTable, alcove_enumerate, fuse
 from .qchar import QuantumParams, character_vector, positive_character
@@ -101,9 +101,9 @@ def cmd_matrix(args) -> int:
     lam = parse_weight(args.lhs)
     M = table.fusion_matrix(lam)
     if args.format == "json":
-        payload = table.to_json_dict()
-        payload = {"family": payload["family"], "rank": payload["rank"], "ell": payload["ell"],
-                   "labels": payload["labels"], "lambda": list(lam.doubled), "N": M.tolist()}
+        payload = {"family": args.family, "rank": args.rank, "ell": args.ell,
+                   "labels": [list(w.doubled) for w in table.labels],
+                   "lambda": list(lam.doubled), "N": M.tolist()}
         _emit(json.dumps(payload, sort_keys=True), args.output)
     else:
         rows = [" ".join(f"{int(x):2d}" for x in row) for row in M]
@@ -165,7 +165,7 @@ def cmd_duality(args) -> int:
                  f"  box graph == fusion graph under Psi: {report['homeq_ok']}",
                  f"  ranklevel: {report['ranklevel']}"]
         _emit("\n".join(lines), args.output)
-    return 0 if report["homeq_ok"] else 1
+    return 0 if duality_passed(report) else 1
 
 
 def cmd_unitarity(args) -> int:

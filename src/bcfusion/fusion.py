@@ -4,16 +4,20 @@ The truncated tensor product at an odd root of unity is computed by
 Racah-Speiser summation over the weight multiset P(lambda) with each shifted
 weight reduced into the alcove under the rho-shifted dot action of the
 affine Weyl group.  ``fuse`` does this as one batched, exact integer numpy
-pass: the Weyl images of the dominant weights are built as arrays and every
-row is reduced at once by ``_reduce_rows``, the one affine-reduction kernel.
-There is no reduce cache.  The two-stage variant (classical decomposition
-first, affine antisymmetrization second) is kept as an independent oracle.
-Its first stage, ``_classical_rows``, is its own exact integer numpy pass:
-the Weyl orbits from ``RootDatum.weyl_orbit`` are stacked, shifted and made
-dominant by a finite-Weyl sort with the sign read off the sorting
-permutation.  It never calls ``_weyl_arrays`` or ``_reduce_rows``, so a fault
-in ``fuse``'s kernel cannot hide in both sides of the comparison; only the
-second stage reduces the classical summands with ``_reduce_rows``.
+pass: ``_orbit_blocks`` lays out the distinct Weyl images of the dominant
+weights, each orbit the distinct signed permutations of its weight, from a
+template cached per pattern of equal and zero entries, never the whole Weyl
+group; whole orbits are reduced at once by ``_reduce_rows``, the one
+affine-reduction kernel.  There is no reduce cache.  The two-stage variant
+(classical decomposition first, affine antisymmetrization second) is kept as
+an independent oracle.  Its first stage, ``_classical_rows``, is its own
+exact integer numpy pass: the Weyl orbits from ``RootDatum.weyl_orbit`` are
+stacked, shifted and made dominant by a finite-Weyl sort with the sign read
+off the sorting permutation.  It never calls ``_orbit_blocks`` or
+``_reduce_rows``, and ``fuse`` never calls ``weyl_orbit``, so a fault in
+either enumeration or in ``fuse``'s kernel cannot hide in both sides of the
+comparison; only the second stage reduces the classical summands with
+``_reduce_rows``.
 
 A whole table fuses only the generator rows: the fundamental weights
 e_1 + ... + e_i (i < k) and the spin weight for type B, e_1 + ... + e_i
@@ -28,16 +32,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain, groupby
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .rootdata import RootDatum, Weight, make_root_datum
 
-# rows of Weyl images reduced at once by fuse: (rows, rank) int64 temporaries
-# of at most a few MiB
-_CHUNK_ROWS = 1 << 15
+# distinct Weyl images reduced at once by fuse; its temporaries are a few
+# (rows, rank) int64 arrays, and 1 << 15 rows already raised the peak RSS of
+# 100 B(4,21) queries by about a tenth over 1 << 13
+_CHUNK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -219,10 +224,11 @@ def fuse(params: AlcoveParams, lam: Weight, mu: Weight,
          _cache: None = None) -> dict[Weight, int]:
     """Fusion coefficients N_{lam,mu}^: one batched Racah-Speiser pass with affine reduction.
 
-    Every Weyl image of every dominant weight of the smaller factor is
-    shifted by the other's highest weight plus rho and reduced by exact
-    integer numpy array operations, in chunks of about _CHUNK_ROWS images.
-    Nothing is cached between calls; ``_cache`` must stay None.
+    The distinct Weyl images of every dominant weight of the smaller factor
+    are shifted by the other's highest weight plus rho and reduced by exact
+    integer numpy array operations, whole orbits at a time, in chunks of at
+    most _CHUNK_ROWS images unless one orbit is larger.  Nothing is cached
+    between calls; ``_cache`` must stay None.
     """
     if _cache is not None:
         raise TypeError("fuse has no reduce cache")
@@ -232,27 +238,14 @@ def fuse(params: AlcoveParams, lam: Weight, mu: Weight,
     datum = params.datum
     if datum.weyl_dim(lam) > datum.weyl_dim(mu):
         lam, mu = mu, lam
-    perm, flips = _weyl_arrays(datum)
-    order = len(perm)
-    doms = datum.dominant_weight_multiplicities(lam)
-    dom = np.array([d.doubled for d in doms], dtype=np.int64)
-    mult = np.fromiter(doms.values(), dtype=np.int64, count=len(doms))
     shift = np.array((mu + datum.rho).doubled, dtype=np.int64)
-    # every weight of V_lam has entries in [-top, top]; alcove labels in [0, 2 ell)
-    top = lam.doubled[0]
-    image_dims = (2 * top + 1,) * params.rank
+    # alcove labels have entries in [0, 2 ell)
     label_dims = (2 * params.ell,) * params.rank
-    step = max(1, _CHUNK_ROWS // order)
     out: dict[tuple[int, ...], int] = {}
-    for lo in range(0, len(dom), step):
-        images = (dom[lo:lo + step][:, perm] * flips).reshape(-1, params.rank)
-        # Weyl orbits of distinct dominant weights are disjoint: only a
-        # weight's own stabilizer repeats an image
-        _, first = np.unique(np.ravel_multi_index(tuple((images + top).T), image_dims),
-                             return_index=True)
-        signs, labels = _reduce_rows(params, images[first] + shift)
+    for images, mult in _orbit_blocks(datum.dominant_weight_multiplicities(lam)):
+        signs, labels = _reduce_rows(params, images + shift)
         live = signs != 0
-        labels, terms = labels[live], signs[live] * mult[lo + first[live] // order]
+        labels, terms = labels[live], signs[live] * mult[live]
         _, rep, where = np.unique(np.ravel_multi_index(tuple(labels.T), label_dims),
                                   return_index=True, return_inverse=True)
         totals = np.zeros(len(rep), dtype=np.int64)
@@ -265,6 +258,66 @@ def fuse(params: AlcoveParams, lam: Weight, mu: Weight,
     return res
 
 
+def _orbit_blocks(doms: dict[Weight, int]):
+    """Yield (images, mults): the distinct Weyl images of the dominant weights
+    in doms, in doubled coordinates, each with its weight's multiplicity.
+
+    Weights with the same runs of equal entries share one orbit template.  A
+    block holds whole orbits, at most _CHUNK_ROWS images unless one orbit is
+    larger.
+    """
+    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for d, m in doms.items():
+        key = (*(len(list(run)) for x, run in groupby(d.doubled) if x), d.doubled.count(0))
+        groups.setdefault(key, []).append((d.doubled, m))
+    block, rows = [], 0
+    for key, group in groups.items():
+        pos, sgn = _orbit_template(key)
+        step = max(1, _CHUNK_ROWS // len(pos))
+        for lo in range(0, len(group), step):
+            part = group[lo:lo + step]
+            if block and rows + len(part) * len(pos) > _CHUNK_ROWS:
+                yield tuple(map(np.concatenate, zip(*block)))
+                block, rows = [], 0
+            dom = np.array([d for d, _ in part], dtype=np.int64)
+            mult = np.array([m for _, m in part], dtype=np.int64)
+            block.append(((dom[:, pos] * sgn).reshape(-1, dom.shape[1]), np.repeat(mult, len(pos))))
+            rows += len(part) * len(pos)
+    yield tuple(map(np.concatenate, zip(*block)))
+
+
+@lru_cache(maxsize=None)
+def _orbit_template(runs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, sgn) with d[pos] * sgn the Weyl orbit of d, each image once.
+
+    runs lists the lengths of the runs of equal nonzero entries of the
+    dominant doubled tuple d, left to right, then its number of zeros.  The
+    orbit is every arrangement of the runs' values with every sign on the
+    nonzero entries: pos picks the first entry of a run, sgn the sign.
+    """
+    *nonzero, zeros = runs
+    starts = list(accumulate((0, *nonzero)))
+    choices = [((starts[c], 1), (starts[c], -1)) for c in range(len(nonzero))]
+    choices.append(((starts[-1], 1),))
+    left = [*nonzero, zeros]
+    rows = []
+
+    def extend(prefix: tuple[tuple[int, int], ...]) -> None:
+        if not any(left):
+            rows.append(prefix)
+        for c, n in enumerate(left):
+            if n:
+                left[c] -= 1
+                for choice in choices[c]:
+                    extend(prefix + (choice,))
+                left[c] += 1
+
+    extend(())
+    table = np.array(rows, dtype=np.int64)
+    table.setflags(write=False)
+    return table[..., 0], table[..., 1]
+
+
 def fuse_two_stage(params: AlcoveParams, lam: Weight, mu: Weight) -> dict[Weight, int]:
     """Oracle path: classical decomposition, then affine antisymmetrization."""
     classical, mults = _classical_rows(params.datum, lam, mu)
@@ -275,17 +328,6 @@ def fuse_two_stage(params: AlcoveParams, lam: Weight, mu: Weight) -> dict[Weight
             key = Weight(tuple(lab))
             out[key] = out.get(key, 0) + s * m
     return {lab: c for lab, c in out.items() if c}
-
-
-@lru_cache(maxsize=None)
-def _weyl_arrays(datum: RootDatum) -> tuple[np.ndarray, np.ndarray]:
-    """The Weyl group as arrays: image w of v is flips[w] * v[perm[w]]."""
-    elems = datum.weyl_elements()
-    perm = np.array([e.perm for e in elems], dtype=np.intp)
-    flips = np.array([e.signs for e in elems], dtype=np.int64)
-    perm.setflags(write=False)
-    flips.setflags(write=False)
-    return perm, flips
 
 
 def _generators(datum: RootDatum) -> list[tuple[int, ...]]:
@@ -383,17 +425,22 @@ class FusionTable:
         """N_lam with rows indexed by the output label: (N_lam)[nu, mu] = N_{lam,mu}^{nu}."""
         return self.coeffs[self.index(lam)].T.copy()
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        """The table as compact JSON with sorted keys.
+
+        N is serialized one first-axis slice at a time, so the n^3 table never
+        exists as nested Python lists; the text is what json.dumps of the
+        whole dict gives with separators=(",", ":") and sort_keys=True.
+        """
+        meta = {
             "family": self.params.datum.family,
             "rank": self.params.datum.rank,
             "ell": self.params.ell,
             "labels": [list(w.doubled) for w in self.labels],
-            "N": self.coeffs.tolist(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True)
+        rows = ",".join(json.dumps(s.tolist(), separators=(",", ":")) for s in self.coeffs)
+        # "N" sorts before every lowercase key
+        return "".join(('{"N":[', rows, "],", json.dumps(meta, separators=(",", ":"), sort_keys=True)[1:]))
 
     # -- ring invariants (exact) ---------------------------------------------
 

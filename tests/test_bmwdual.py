@@ -1,7 +1,9 @@
 import cmath
+import importlib.util
+import json
 import math
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,9 @@ from bcfusion.bmwdual import (BOX, EMPTY, BmwParams, FerrersDiagram, bar_map,
                               eig_square_set_check, gamma_bratteli, gamma_set,
                               generator_weight, in_gamma, iter_gamma, markov_trace_g,
                               psi, psi_table, ranklevel_check, trace_match, type_c_alcove,
-                              verify_psi_fusion, vsq_summands, _graphs_isomorphic)
+                              verify_psi_fusion, vsq_summands)
+from bcfusion import bmwdual
+from bcfusion.cli import main
 from bcfusion.errors import ConfigurationError, DomainError, SingularParameterError
 from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, bratteli_endo_dim
 from bcfusion.qchar import QuantumParams, admissible_z, quantum_integer
@@ -266,7 +270,10 @@ def test_parameter_change_identity(params29):
         assert abs(lhs.imag) < 1e-9
 
 
-@pytest.mark.parametrize("k,ell,expected_size", [(2, 9, 12), (2, 11, 20), (3, 11, 20), (3, 13, 40)])
+# dual ranks 2, 3, 2, 3, then 8, 9 and 10, where the whole C_r Weyl group would
+# have 10321920, 185794560 and 3715891200 elements
+@pytest.mark.parametrize("k,ell,expected_size", [(2, 9, 12), (2, 11, 20), (3, 11, 20), (3, 13, 40),
+                                                 (2, 21, 90), (3, 25, 440), (2, 25, 132)])
 def test_ranklevel(k, ell, expected_size):
     report = ranklevel_check(k, ell)
     assert report["gamma_size"] == report["c_alcove_size"] == expected_size
@@ -296,19 +303,6 @@ def test_transpose_lands_in_c_alcove():
         assert cw is not None and cw in labels
 
 
-def test_graph_iso_fallback_helper():
-    # path with relabeled vertices is isomorphic, star vs path is not
-    A = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    perm = [2, 0, 1]
-    B = A[np.ix_(perm, perm)]
-    assert _graphs_isomorphic(A, B)
-    star = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
-    assert _graphs_isomorphic(A, star)  # the 3-path and the 3-star coincide
-    path4 = np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
-    star4 = np.array([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
-    assert not _graphs_isomorphic(path4, star4)
-
-
 def test_duality_report(table29):
     report = duality_report(2, 9, table29)
     assert report["k"] == 2 and report["ell"] == 9 and report["r"] == 2
@@ -318,3 +312,35 @@ def test_duality_report(table29):
     assert len(report["psi"]) == 12
     rows, doubled = report["psi"][1]
     assert rows == [1] and doubled == [5, 3]
+
+
+def test_cli_duality_at_dual_rank_10(capsys):
+    assert main(["duality", "--rank", "2", "--ell", "25", "--format", "json"]) == 0
+    ranklevel = json.loads(capsys.readouterr().out)["ranklevel"]
+    assert ranklevel["rank_c"] == 10 and ranklevel["graph_isomorphic"]
+
+
+def _duality_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "duality_report.py"
+    spec = importlib.util.spec_from_file_location("duality_report", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("failure", [{"cardinalities_equal": False, "graph_isomorphic": False},
+                                     {"cardinalities_equal": True, "graph_isomorphic": False}],
+                         ids=["cardinalities", "transposition"])
+def test_failed_ranklevel_check_fails_duality(monkeypatch, failure):
+    report = {"k": 2, "ell": 9, "rank_c": 2, "gamma_size": 12, "c_alcove_size": 12,
+              "transpose_is_graph_iso": False, **failure}
+    monkeypatch.setattr(bmwdual, "ranklevel_check", lambda k, ell: report)
+    assert main(["duality", "--rank", "2", "--ell", "9"]) == 1
+    assert _duality_script().main(["2,9"]) == 1
+
+
+def test_skipped_ranklevel_check_passes_duality(capsys):
+    # ell = 7 leaves dual rank 1, so the rank-level check is skipped
+    assert main(["duality", "--rank", "2", "--ell", "7", "--format", "json"]) == 0
+    assert "skipped" in json.loads(capsys.readouterr().out)["ranklevel"]
+    assert _duality_script().main(["2,7"]) == 0

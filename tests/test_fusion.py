@@ -164,11 +164,53 @@ def test_classical_tensor_shares_no_kernel_with_fuse(monkeypatch, params313):
     expected = {(lam, mu): classical_tensor_scalar(params313.datum, lam, mu)
                 for lam, mu in zip(labels, reversed(labels))}
     monkeypatch.setattr(fusion, "_reduce_rows", forbidden)
-    monkeypatch.setattr(fusion, "_weyl_arrays", forbidden)
+    monkeypatch.setattr(fusion, "_orbit_blocks", forbidden)
+    monkeypatch.setattr(fusion, "_orbit_template", forbidden)
     for (lam, mu), decomposition in expected.items():
         assert classical_tensor(params313.datum, lam, mu) == decomposition
     assert classical_tensor(params313.datum, w(1, 0, 0), w(1, 0, 0)) == {
         w(2, 0, 0): 1, w(1, 1, 0): 1, w(0, 0, 0): 1}
+
+
+def test_fuse_shares_no_orbit_code_with_classical_tensor(monkeypatch, params313):
+    """fuse enumerates Weyl orbits by itself, not through what the oracle uses."""
+    from bcfusion import rootdata
+
+    def forbidden(*args):
+        raise AssertionError("fuse called an oracle's Weyl orbit code")
+
+    labels = alcove_enumerate(params313)
+    pairs = list(zip(labels, reversed(labels)))
+    expected = [fuse_two_stage(params313, lam, mu) for lam, mu in pairs]
+    monkeypatch.setattr(rootdata.RootDatum, "weyl_orbit", forbidden)
+    monkeypatch.setattr(rootdata.RootDatum, "weyl_elements", forbidden)
+    monkeypatch.setattr(rootdata, "_orbit", forbidden)
+    monkeypatch.setattr(rootdata, "_weyl_elements", forbidden)
+    assert [fuse(params313, lam, mu) for lam, mu in pairs] == expected
+
+
+def _orbit_rows(dom: Weight) -> list[tuple[int, ...]]:
+    from bcfusion.fusion import _orbit_blocks
+
+    return [tuple(row) for images, _ in _orbit_blocks({dom: 1}) for row in images.tolist()]
+
+
+@pytest.mark.parametrize("family,rank,ell", [("B", 3, 13), ("B", 4, 15), ("C", 3, 11), ("C", 4, 11)])
+def test_orbit_rows_are_the_weyl_orbit(family, rank, ell):
+    params = AlcoveParams(make_root_datum(family, rank), ell)
+    doms = {d for lam in alcove_enumerate(params)
+            for d in params.datum.dominant_weight_multiplicities(lam)}
+    for d in doms:
+        rows = _orbit_rows(d)
+        assert len(rows) == len(set(rows))
+        assert set(rows) == params.datum.weyl_orbit(d)
+
+
+def test_orbit_rows_of_the_c10_vector():
+    datum = make_root_datum("C", 10)
+    rows = _orbit_rows(datum.fundamental_weight_1)
+    assert len(rows) == len(set(rows)) == 20
+    assert set(rows) == datum.weyl_orbit(datum.fundamental_weight_1)
 
 
 def test_classical_tensor_support_in_ball(b2):
