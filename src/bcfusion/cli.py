@@ -15,6 +15,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .bmwdual import duality_passed, duality_report
 from .errors import WeightParseError
 from .fusion import AlcoveParams, FusionTable, alcove_enumerate, fuse
@@ -93,16 +95,21 @@ def cmd_fuse(args) -> int:
 
 def cmd_matrix(args) -> int:
     params = _alcove_params(args)
-    table = FusionTable.build(params)
     if args.lhs is None:
         # whole table, in the byte-stable canonical serialization
-        _emit(table.to_json(), args.output)
+        _emit(FusionTable.build(params).to_json(), args.output)
         return 0
     lam = parse_weight(args.lhs)
-    M = table.fusion_matrix(lam)
+    labels = alcove_enumerate(params)
+    index = {w: i for i, w in enumerate(labels)}
+    # one fuse per column: (N_lam)[nu, mu] = N_{lam,mu}^{nu}
+    M = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    for j, mu in enumerate(labels):
+        for nu, c in fuse(params, lam, mu).items():
+            M[index[nu], j] = c
     if args.format == "json":
         payload = {"family": args.family, "rank": args.rank, "ell": args.ell,
-                   "labels": [list(w.doubled) for w in table.labels],
+                   "labels": [list(w.doubled) for w in labels],
                    "lambda": list(lam.doubled), "N": M.tolist()}
         _emit(json.dumps(payload, sort_keys=True), args.output)
     else:

@@ -26,6 +26,15 @@ in alcove order from a generator g with nu - g dominant, by exact integer
 matrix algebra: N_nu = N_{nu-g} N_g - sum_{sigma != nu} N_{g,nu-g}^sigma N_sigma,
 where every sigma precedes nu.  The product N_{nu-g} N_g runs in float64 and
 is cast back; the build asserts n (max N)^2 < 2**53, which makes it exact.
+
+``FusionTable.check_associativity`` needs only the same generator rows: the
+unit row, the recursion's reachability (every label is N_{g,nu-g}^nu = 1
+times nu plus earlier labels), and L_g L_b = sum_sigma N_{g,b}^sigma L_sigma
+for every generator g and label b imply associativity by induction.  It
+costs O(|G| n^4) flops through BLAS on blocks of the middle index, not the
+O(n^5) of contracting every pair, and never copies the n^3 table.  The
+whole-table readers ``check_sector_grading`` and ``to_json`` walk the first
+axis.
 """
 from __future__ import annotations
 
@@ -43,6 +52,11 @@ from .rootdata import RootDatum, Weight, make_root_datum
 # (rows, rank) int64 arrays, and 1 << 15 rows already raised the peak RSS of
 # 100 B(4,21) queries by about a tenth over 1 << 13
 _CHUNK_ROWS = 1 << 13
+
+# bytes of the float64 slab coeffs[:, xs, :] that check_associativity casts
+# per block; its two products are the same size.  At B(4,21), 1 << 23 adds
+# 12 MiB to the peak RSS and 1 << 25 adds 140 MiB, for a 8% faster check
+_ASSOC_BLOCK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -455,25 +469,79 @@ class FusionTable:
         return all(np.array_equal(N, N.transpose(p)) for p in ((1, 0, 2), (0, 2, 1), (2, 1, 0)))
 
     def check_associativity(self) -> bool:
-        """N_lam N_mu = sum_sigma N_{lam,mu}^{sigma} N_sigma for all lam, mu.
+        """(a b) c = a (b c) for all labels, decided exactly from the generator rows.
 
-        Matrix entries stay far below 2**53, so float64 contractions are exact.
+        With (L_a)_{c,b} = N_{a,b}^c, L_a is left multiplication by a, so the
+        ring is associative iff L_{a y} = L_a L_y for all labels a and all
+        vectors y (L extended linearly).  Three parts are checked, G being the
+        generators (``_generators``) that lie in the alcove:
+
+        1. unit: N_0 = I, so L_0 = I;
+        2. reachability: every label nu other than 0 and G has some g in G
+           with nu - g a label before nu, N_{g,nu-g}^nu = 1, and every other
+           sigma with N_{g,nu-g}^sigma != 0 before nu in label order;
+        3. generator identity: L_g L_b = sum_sigma N_{g,b}^sigma L_sigma for
+           every g in G and every label b, checked as
+           coeffs[b] @ coeffs[g] == sum_sigma N_{g,b}^sigma coeffs[sigma].
+
+        Proof that they suffice: the matrices M with L_{M y} = M L_y for all y
+        form an algebra T.  I is in T, and by 3 (linear in b) so is every L_g;
+        so T holds the algebra A generated by the L_g.  By 1, L_0 = I is in
+        A.  By 2 and 3, L_nu = L_g L_{nu-g} - sum_{sigma != nu} N_{g,nu-g}^sigma
+        L_sigma, so by induction in label order every L_nu is a polynomial in
+        the L_g and lies in A, hence in T: L_{a y} = L_a L_y for all a, y.
+
+        Part 3 reads, entry by entry, sum_y N_{b,x}^y N_{g,y}^c =
+        sum_sigma N_{g,b}^sigma N_{sigma,x}^c.  It walks the middle index x
+        in blocks of _ASSOC_BLOCK_BYTES // (8 n^2) labels: with X the float64
+        slab coeffs[:, xs, :] and F = coeffs[g], the two sides are X @ F and
+        F @ X, one BLAS product each, and X serves every generator.  So no
+        temporary is larger than the block, and no product is inexact under
+        ``_exact_float_bound`` on this table's largest |entry|.
         """
-        N = self.coeffs.astype(np.float64)
-        T = N.transpose(0, 2, 1)  # T[m] = fusion matrix of label m
-        for i in range(self.size):
-            # lhs[a, m, c] = (T_i T_m)[a, c];  rhs[m, a, c] = sum_s N_{i,m}^s T_s[a, c]
-            lhs = np.tensordot(T[i], T, axes=([1], [1]))
-            rhs = np.tensordot(N[i], T, axes=([1], [0]))
-            if not np.array_equal(lhs.transpose(1, 0, 2), rhs):
+        N, n = self.coeffs, self.size
+        if not self.check_unit():
+            return False
+        gens = [self._index[g] for g in map(Weight, _generators(self.params.datum))
+                if g in self._index]
+        if not self._generators_reach(gens):
+            return False
+        _exact_float_bound(n, max(int(N.max()), -int(N.min())), "the table")
+        F = [N[g].astype(np.float64) for g in gens]
+        block = max(1, _ASSOC_BLOCK_BYTES // (8 * n * n))
+        for lo in range(0, n, block):
+            X = N[:, lo:lo + block].astype(np.float64)
+            for f in F:
+                if not np.array_equal((X.reshape(-1, n) @ f).ravel(), (f @ X.reshape(n, -1)).ravel()):
+                    return False
+        return True
+
+    def _generators_reach(self, gens: list[int]) -> bool:
+        """Part 2 of ``check_associativity``: every label nu but the unit and
+        the generators has a g with g (nu - g) = nu + (labels before nu)."""
+        N = self.coeffs
+        unit = self.index(Weight.zero(self.params.rank))
+        for v, nu in enumerate(self.labels):
+            if v == unit or v in gens:
+                continue
+            for g in gens:
+                rest = self._index.get(nu - self.labels[g])
+                if rest is None or rest > v or N[g, rest, v] != 1:
+                    continue
+                if (np.flatnonzero(N[g, rest]) <= v).all():
+                    break
+            else:
                 return False
         return True
 
     def check_sector_grading(self) -> bool:
-        """N_{lam,mu}^{nu} = 0 unless p(nu) = p(lam) p(mu)."""
+        """N_{lam,mu}^{nu} = 0 unless p(nu) = p(lam) p(mu).
+
+        Walks the first axis, so no temporary is larger than one n x n slice.
+        """
         pars = np.array([w.parity for w in self.labels])
-        bad = self.coeffs * (pars[:, None, None] * pars[None, :, None] != pars[None, None, :])
-        return not bad.any()
+        wrong = {p: p * pars[:, None] != pars[None, :] for p in (1, -1)}
+        return not any(s[wrong[p]].any() for s, p in zip(self.coeffs, pars.tolist()))
 
 
 def bratteli_endo_dim(table: FusionTable, generator: Weight, n: int) -> tuple[dict[Weight, int], int]:

@@ -314,14 +314,25 @@ def _weyl_elements(rank: int) -> tuple[WeylElement, ...]:
 
 @lru_cache(maxsize=None)
 def _orbit(doubled: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    images = set()
-    for p in set(itertools.permutations(doubled)):
-        nz = [i for i, x in enumerate(p) if x]
-        for signs in itertools.product((1, -1), repeat=len(nz)):
-            v = list(p)
-            for i, s in zip(nz, signs):
-                v[i] = s * v[i]
-            images.add(tuple(v))
+    """Every distinct arrangement of the multiset of |entries|, with every
+    sign on its nonzero entries: |W| / |Stab| images, not the k! 2^k of W."""
+    left: dict[int, int] = {}
+    for x in doubled:
+        left[abs(x)] = left.get(abs(x), 0) + 1
+    images = []
+
+    def arrange(prefix: tuple[int, ...]) -> None:
+        if len(prefix) == len(doubled):
+            images.append(prefix)
+            return
+        for x, count in left.items():
+            if count:
+                left[x] -= 1
+                for v in ((x, -x) if x else (0,)):
+                    arrange(prefix + (v,))
+                left[x] += 1
+
+    arrange(())
     return frozenset(images)
 
 

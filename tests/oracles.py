@@ -5,7 +5,8 @@ package: weight multiplicities via the Kostant partition function instead of
 Freudenthal, tensor decompositions by multiplying formal characters and
 peeling highest weights, the classical Racah-Speiser sum one Weyl image at a
 time, the dominant weights below a highest weight by a box scan, the alcove
-by a plain box scan, Gamma(k, ell) by growing every diagram and sorting, and
+by a plain box scan, associativity by contracting every pair of fusion
+matrices, Gamma(k, ell) by growing every diagram and sorting, and
 the q-Weyl product through exact Fraction pairings.  Keep these slow and
 obvious.
 """
@@ -14,6 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+
+import numpy as np
 
 from bcfusion.bmwdual import FerrersDiagram, in_gamma
 from bcfusion.errors import ConfigurationError, DomainError
@@ -296,3 +299,19 @@ def dominant_below_scan(datum: RootDatum, lam: tuple[int, ...]) -> list[tuple[in
         if coords is not None and all(c >= 0 for c in coords):
             out.append(tup)
     return out
+
+
+def associativity_full(table) -> bool:
+    """N_lam N_mu = sum_sigma N_{lam,mu}^{sigma} N_sigma for all lam, mu.
+
+    Matrix entries stay far below 2**53, so float64 contractions are exact.
+    """
+    N = table.coeffs.astype(np.float64)
+    T = N.transpose(0, 2, 1)  # T[m] = fusion matrix of label m
+    for i in range(table.size):
+        # lhs[a, m, c] = (T_i T_m)[a, c];  rhs[m, a, c] = sum_s N_{i,m}^s T_s[a, c]
+        lhs = np.tensordot(T[i], T, axes=([1], [1]))
+        rhs = np.tensordot(N[i], T, axes=([1], [0]))
+        if not np.array_equal(lhs.transpose(1, 0, 2), rhs):
+            return False
+    return True

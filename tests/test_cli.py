@@ -60,6 +60,18 @@ def test_cli_matrix(capsys):
     assert len(out) == 12  # identity matrix rows
 
 
+def test_cli_matrix_lhs_is_the_table_row(table313, capsys):
+    """--lhs fuses one column per label; it must print the table's fusion matrix."""
+    for lam in table313.labels:
+        assert main(["matrix", "--rank", "3", "--ell", "13", "--lhs", str(lam)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["N"] == table313.fusion_matrix(lam).tolist()
+        assert payload["labels"] == [list(w.doubled) for w in table313.labels]
+    for bad in ("9,0,0", "1,0"):
+        assert main(["matrix", "--rank", "3", "--ell", "13", "--lhs", bad]) == 2
+        assert "error" in capsys.readouterr().err
+
+
 def test_cli_full_table_is_byte_stable(capsys):
     assert main(["matrix", "--rank", "2", "--ell", "9"]) == 0
     first = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 from bcfusion.errors import ConfigurationError, DomainError
 from bcfusion.fusion import (AlcoveParams, FusionTable, affine_reduce, alcove_enumerate,
-                             bratteli_endo_dim, classical_tensor, fuse, fuse_two_stage)
+                             _generators, bratteli_endo_dim, classical_tensor, fuse,
+                             fuse_two_stage)
 from bcfusion.rootdata import Weight, make_root_datum
+from bcfusion.verify import DEFAULT_GRID
 
 from conftest import w
-from oracles import (alcove_box_scan, char_product_decompose, classical_tensor_scalar,
-                     dominant_weights_up_to)
+from oracles import (alcove_box_scan, associativity_full, char_product_decompose,
+                     classical_tensor_scalar, dominant_weights_up_to)
 
 
 def test_alcove_b2_ell9(params29):
@@ -297,6 +300,120 @@ def test_table_invariants(table29, table211, table313):
         assert table.check_total_symmetry()
         assert table.check_associativity()
         assert table.check_sector_grading()
+
+
+def _table(family, rank, ell):
+    return FusionTable.build(AlcoveParams(make_root_datum(family, rank), ell))
+
+
+def _perturbed(table, edit):
+    coeffs = table.coeffs.copy()
+    edit(coeffs)
+    return FusionTable(table.params, table.labels, coeffs)
+
+
+@pytest.mark.parametrize("family,rank,ell", [
+    *(("B", k, ell) for k, ell in DEFAULT_GRID if (k, ell) != (4, 17)), ("C", 3, 11), ("C", 4, 11)])
+def test_associativity_agrees_with_full_oracle(family, rank, ell):
+    table = _table(family, rank, ell)
+    assert table.check_associativity() is associativity_full(table) is True
+
+
+@pytest.mark.parametrize("rank,ell,trials", [(2, 9, 40), (3, 13, 40), (4, 15, 40)])
+def test_symmetric_perturbations_fail_associativity(rank, ell, trials):
+    """A +1 on every permutation of one (a, b, c) keeps total symmetry, not associativity."""
+    table = _table("B", rank, ell)
+    rng = random.Random(rank * 100 + ell)
+    for _ in range(trials):
+        abc = [rng.randrange(table.size) for _ in range(3)]
+
+        def bump(coeffs):
+            for p in set(itertools.permutations(abc)):
+                coeffs[p] += 1
+
+        bad = _perturbed(table, bump)
+        assert bad.check_total_symmetry()
+        assert not bad.check_associativity(), abc
+        assert not (associativity_full(bad) and bad.check_unit()), abc
+
+
+def _reach_rows(table, v):
+    """The generators, and (g, nu - g) for each g with nu - g a label, nu = labels[v]."""
+    gens = [table.index(g) for g in map(Weight, _generators(table.params.datum))
+            if g in table.labels]
+    nu = table.labels[v]
+    return gens, [(g, table.index(nu - table.labels[g])) for g in gens
+                  if nu - table.labels[g] in table.labels]
+
+
+@pytest.mark.parametrize("edit", ["bumped", "later_sigma"])
+def test_reachability_rejects_a_bad_generator_product(table313, edit):
+    v = table313.size // 2
+    gens, rests = _reach_rows(table313, v)
+    assert v not in gens and rests
+    assert table313._generators_reach(gens)
+
+    def spoil(coeffs):
+        for g, rest in rests:
+            if edit == "bumped":
+                coeffs[g, rest, v] = 2
+            else:
+                coeffs[g, rest, v + 1:] = np.maximum(coeffs[g, rest, v + 1:], 1)
+
+    bad = _perturbed(table313, spoil)
+    assert not bad._generators_reach(gens)
+    assert not bad.check_associativity()
+
+
+def test_relabelled_ring_fails_reachability(table313):
+    """The check is sufficient, not necessary: swapping two labels that are
+    not generators gives an isomorphic, still associative ring whose
+    generator products no longer reach the labels in order."""
+    v = table313.size // 2
+    gens, _ = _reach_rows(table313, v)
+    assert not {v, v + 1} & set(gens)
+    perm = np.arange(table313.size)
+    perm[[v, v + 1]] = perm[[v + 1, v]]
+
+    def relabel(coeffs):
+        coeffs[...] = coeffs[np.ix_(perm, perm, perm)]
+
+    relabelled = _perturbed(table313, relabel)
+    assert associativity_full(relabelled) and relabelled.check_unit()
+    assert not relabelled._generators_reach(gens)
+    assert not relabelled.check_associativity()
+
+
+def test_associativity_runs_the_unit_check(table313, monkeypatch):
+    unit = table313.index(Weight.zero(3))
+
+    def swap(coeffs):
+        coeffs[unit, [1, 2]] = coeffs[unit, [2, 1]]
+
+    assert not _perturbed(table313, swap).check_associativity()
+    monkeypatch.setattr(FusionTable, "check_unit", lambda self: False)
+    assert not table313.check_associativity()
+
+
+def test_associativity_asserts_its_float_bound(table29):
+    last = table29.size - 1
+
+    def huge(coeffs):
+        coeffs[last, last, last] = 2 ** 30
+
+    with pytest.raises(AssertionError, match="inexact"):
+        _perturbed(table29, huge).check_associativity()
+
+
+def test_sector_grading_rejects_a_wrong_parity_entry(table29):
+    pars = [lab.parity for lab in table29.labels]
+    a, b, c = 0, 0, pars.index(-1)
+
+    def stray(coeffs):
+        coeffs[a, b, c] = 1
+
+    assert table29.check_sector_grading()
+    assert not _perturbed(table29, stray).check_sector_grading()
 
 
 def test_fusion_matrix_unit_and_rows(table29):

@@ -4,10 +4,11 @@ from hypothesis import strategies as st
 
 from bcfusion.errors import DimensionMismatchError, DomainError, InvalidRankError
 from bcfusion.fusion import AlcoveParams, alcove_enumerate
-from bcfusion.rootdata import RootDatum, Weight, WeylElement, _dominant_below, make_root_datum
+from bcfusion.rootdata import (RootDatum, Weight, WeylElement, _dominant_below, _orbit,
+                               make_root_datum)
 
 from conftest import w
-from oracles import character_multiset, dominant_below_scan, kostant_mult
+from oracles import character_multiset, dominant_below_scan, kostant_mult, orbit_brute
 
 
 def test_b2_positive_roots():
@@ -179,6 +180,19 @@ def test_weyl_orbit_invariance(b3):
     for welt in b3.weyl_elements()[:48:7]:
         for mu, c in mult.items():
             assert mult[welt.apply(mu)] == c
+
+
+@pytest.mark.parametrize("family,rank,ell", [("B", 4, 17), ("C", 4, 15)])
+def test_orbit_matches_brute_force_on_alcove_labels(family, rank, ell):
+    for lab in alcove_enumerate(AlcoveParams(make_root_datum(family, rank), ell)):
+        assert _orbit(lab.doubled) == orbit_brute(lab.doubled)
+
+
+def test_orbit_of_the_c10_vector():
+    # orbit_brute would walk all 10! 2^10 signed permutations here
+    vector = make_root_datum("C", 10).fundamental_weight_1
+    assert _orbit(vector.doubled) == {tuple(s * 2 * (j == i) for j in range(10))
+                                      for i in range(10) for s in (1, -1)}
 
 
 def test_adjoint_dimensions():
