@@ -3,15 +3,19 @@
 
 Usage:
     python scripts/duality_report.py 2,9 2,11 3,13 > reports.json
+
+Exit codes as for the CLI: 0 every report passes, 1 one fails, 2 a
+malformed or inadmissible cell, 3 an internal error.
 """
 import json
 import sys
 
 from bcfusion.bmwdual import duality_passed, duality_report
+from bcfusion.cli import parse_cell, run_checked
 
 
 def main(argv) -> int:
-    cells = [tuple(int(x) for x in arg.split(",")) for arg in argv] or [(2, 9), (2, 11), (3, 13)]
+    cells = [parse_cell(arg) for arg in argv] or [(2, 9), (2, 11), (3, 13)]
     reports = [duality_report(k, ell) for (k, ell) in cells]
     json.dump(reports, sys.stdout, sort_keys=True, indent=1)
     print()
@@ -19,4 +23,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(run_checked(main, sys.argv[1:]))

@@ -4,15 +4,19 @@
 Usage:
     python scripts/run_verify_grid.py                 # default desk-scale grid
     python scripts/run_verify_grid.py 2,9 3,13 4,17   # explicit cells
+
+Exit codes as for the CLI: 0 every check passes, 1 a check fails, 2 a
+malformed or inadmissible cell, 3 an internal error.
 """
 import sys
 import time
 
+from bcfusion.cli import parse_cell, run_checked
 from bcfusion.verify import DEFAULT_GRID, format_results, run_suite
 
 
 def main(argv) -> int:
-    cells = [tuple(int(x) for x in arg.split(",")) for arg in argv] or list(DEFAULT_GRID)
+    cells = [parse_cell(arg) for arg in argv] or list(DEFAULT_GRID)
     failures = 0
     for (k, ell) in cells:
         start = time.perf_counter()
@@ -26,4 +30,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(run_checked(main, sys.argv[1:]))

@@ -15,11 +15,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .bmwdual import duality_passed, duality_report
 from .errors import WeightParseError
-from .fusion import AlcoveParams, FusionTable, alcove_enumerate, fuse
+from .fusion import AlcoveParams, FusionTable, alcove_enumerate, fuse, fuse_matrix
 from .qchar import QuantumParams, character_vector, positive_character
 from .rootdata import Weight, make_root_datum
 from .unitarity import audit, audit_grid
@@ -47,6 +45,15 @@ def parse_weight(text: str) -> Weight:
     if not w.has_uniform_parity:
         raise WeightParseError(f"{text!r} mixes integral and half-integral entries")
     return w
+
+
+def parse_cell(text: str) -> tuple[int, int]:
+    """Parse 'rank,ell' into a pair of integers."""
+    try:
+        rank, ell = map(int, text.split(","))
+    except ValueError:
+        raise ValueError(f"malformed cell {text!r}; expected rank,ell") from None
+    return rank, ell
 
 
 def _fmt(x: float) -> str:
@@ -101,12 +108,7 @@ def cmd_matrix(args) -> int:
         return 0
     lam = parse_weight(args.lhs)
     labels = alcove_enumerate(params)
-    index = {w: i for i, w in enumerate(labels)}
-    # one fuse per column: (N_lam)[nu, mu] = N_{lam,mu}^{nu}
-    M = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for j, mu in enumerate(labels):
-        for nu, c in fuse(params, lam, mu).items():
-            M[index[nu], j] = c
+    M = fuse_matrix(params, lam)
     if args.format == "json":
         payload = {"family": args.family, "rank": args.rank, "ell": args.ell,
                    "labels": [list(w.doubled) for w in labels],
@@ -260,9 +262,15 @@ def main(argv=None) -> int:
         # the first conclusive cell, 2(2k+1) < ell at k = 2, is ell = 11
         if args.max_ell < 11:
             parser.error(f"--max-ell {args.max_ell} selects no conclusive cell; it must be >= 11")
+    return run_checked(args.func, args)
+
+
+def run_checked(func, *args) -> int:
+    """func(*args) as an exit code: a usage or domain error (any ValueError)
+    prints one line and gives 2, any other exception gives 3."""
     try:
-        return args.func(args)
-    except (WeightParseError, ValueError) as exc:
+        return func(*args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # never exit 1, which means "verification failed"

@@ -19,10 +19,10 @@ either enumeration or in ``fuse``'s kernel cannot hide in both sides of the
 comparison; only the second stage reduces the classical summands with
 ``_reduce_rows``.
 
-A whole table fuses only the generator rows: the fundamental weights
-e_1 + ... + e_i (i < k) and the spin weight for type B, e_1 + ... + e_i
-(i <= r) for type C, those inside the alcove.  Every other label nu is filled
-in alcove order from a generator g with nu - g dominant, by exact integer
+A whole table fuses only the generator rows, one ``fuse_matrix`` each: the
+fundamental weights e_1 + ... + e_i (i < k) and the spin weight for type B,
+e_1 + ... + e_i (i <= r) for type C, those inside the alcove.  Every other
+label nu is filled in alcove order from a generator g with nu - g dominant, by exact integer
 matrix algebra: N_nu = N_{nu-g} N_g - sum_{sigma != nu} N_{g,nu-g}^sigma N_sigma,
 where every sigma precedes nu.  The product N_{nu-g} N_g runs in float64 and
 is cast back; the build asserts n (max N)^2 < 2**53, which makes it exact.
@@ -272,6 +272,18 @@ def fuse(params: AlcoveParams, lam: Weight, mu: Weight,
     return res
 
 
+def fuse_matrix(params: AlcoveParams, lam: Weight) -> np.ndarray:
+    """(N_lam)[nu, mu] = N_{lam,mu}^nu over ``alcove_enumerate(params)``, one
+    ``fuse`` per column: the one place that turns fuse calls into a matrix."""
+    labels = alcove_enumerate(params)
+    index = {w: i for i, w in enumerate(labels)}
+    M = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    for j, mu in enumerate(labels):
+        for nu, c in fuse(params, lam, mu).items():
+            M[index[nu], j] = c
+    return M
+
+
 def _orbit_blocks(doms: dict[Weight, int]):
     """Yield (images, mults): the distinct Weyl images of the dominant weights
     in doms, in doubled coordinates, each with its weight's multiplicity.
@@ -392,9 +404,7 @@ class FusionTable:
         gens = sorted((index[g] for g in _generators(params.datum) if g in index),
                       key=lambda i: params.datum.weyl_dim(labels[i]))
         for g in gens:
-            for mu, lab in enumerate(labels):
-                for nu, c in fuse(params, labels[g], lab).items():
-                    coeffs[g, mu, index[nu.doubled]] = c
+            coeffs[g] = fuse_matrix(params, labels[g]).T
             filled[g] = True
         # coeffs[rest] @ coeffs[g] runs in float64 (numpy has no BLAS route for
         # int64): exact while n (max N)^2 < 2**53, which the check after the
@@ -550,12 +560,17 @@ def bratteli_endo_dim(table: FusionTable, generator: Weight, n: int) -> tuple[di
     Returns (counts, total) with total = sum of squared counts, the dimension
     of the centralizer algebra End(generator^(x) n).
     """
+    return _path_counts(table.fusion_matrix(generator), table.labels,
+                        table.index(Weight.zero(table.params.rank)), n)
+
+
+def _path_counts(A: np.ndarray, labels: tuple, start: int, n: int) -> tuple[dict, int]:
+    """Counts of the n-step paths from labels[start] in the graph A, keyed by
+    label where nonzero, and their sum of squares: the one Bratteli walk."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    M = table.fusion_matrix(generator)
-    vec = np.zeros(table.size, dtype=np.int64)
-    vec[table.index(Weight.zero(table.params.rank))] = 1
+    vec = np.zeros(len(labels), dtype=np.int64)
+    vec[start] = 1
     for _ in range(n):
-        vec = M @ vec
-    counts = {w: int(c) for w, c in zip(table.labels, vec) if c}
-    return counts, int((vec * vec).sum())
+        vec = A @ vec
+    return {w: int(c) for w, c in zip(labels, vec) if c}, int((vec * vec).sum())

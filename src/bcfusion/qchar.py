@@ -242,7 +242,7 @@ def character_law_defect(vec: CharacterVector, table: FusionTable) -> float:
     """max over label pairs of |f(lam)f(mu) - sum_nu N f(nu)| / (1 + |f(lam)f(mu)|)."""
     f = vec.as_array()
     lhs = np.outer(f, f)
-    rhs = np.tensordot(table.coeffs.astype(np.float64), f, axes=([2], [0]))
+    rhs = np.array([s @ f for s in table.coeffs])  # one n x n slice at a time, never n^3
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
 
 

@@ -50,44 +50,31 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
     def add(name: str, ok: bool, detail: str = ""):
         results.append(CheckResult(name, bool(ok), detail))
 
+    def table_product(a: Weight, b: Weight) -> dict[Weight, int]:  # fuse's dict, from the table
+        row = table.coeffs[table.index(a), table.index(b)]
+        return {labels[c]: int(row[c]) for c in np.flatnonzero(row)}
+
     add("unit", table.check_unit())
     add("total_symmetry", table.check_total_symmetry())
     add("associativity", table.check_associativity())
     add("sector_grading", table.check_sector_grading())
 
-    # decomposition rule for the spin generator
-    spin = datum.spin_weight
-    ok = True
-    for lam in labels:
-        expected = {Weight(tuple(a + b for a, b in zip(lam.doubled, img)))
-                    for img in datum.weyl_orbit(spin)}
-        expected = {nu: 1 for nu in expected if params.contains(nu)}
-        if fuse(params, spin, lam) != expected:
-            ok = False
-            break
-    add("spin_rule", ok)
+    # decomposition rules for the spin and vector generators, read from their
+    # table rows, which are fuse's output verbatim (FusionTable.build)
+    def rule_holds(g: Weight, lam: Weight, with_lam: bool) -> bool:
+        """g (x) lam = the labels among lam + (Weyl orbit of g), each once, plus lam if with_lam."""
+        expected = {nu: 1 for nu in (lam + Weight(img) for img in datum.weyl_orbit(g))
+                    if params.contains(nu)}
+        if with_lam:
+            expected[lam] = 1
+        return table_product(g, lam) == expected
 
-    # decomposition rule for the vector representation on the integer sector
-    vec = datum.fundamental_weight_1
+    spin, vec = datum.spin_weight, datum.fundamental_weight_1
+    add("spin_rule", all(rule_holds(spin, lam, False) for lam in labels))
     if params.contains(vec):
-        ok = True
-        for mu in labels:
-            if mu.parity != 1:
-                continue
-            expected: dict[Weight, int] = {}
-            for i in range(k):
-                for s in (2, -2):
-                    cand = list(mu.doubled)
-                    cand[i] += s
-                    nu = Weight(tuple(cand))
-                    if params.contains(nu):
-                        expected[nu] = 1
-            if mu.doubled[k - 1] > 0:
-                expected[mu] = 1
-            if fuse(params, vec, mu) != expected:
-                ok = False
-                break
-        add("vector_rule", ok)
+        # on the integer sector, where V_vec's zero weight survives iff mu_k > 0
+        add("vector_rule", all(rule_holds(vec, mu, mu.doubled[k - 1] > 0)
+                               for mu in labels if mu.parity == 1))
     else:
         add("vector_rule", True, "skipped: the vector weight leaves the alcove at this ell")
 
@@ -139,10 +126,8 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
     for z in admissible_z(ell):
         pz = QuantumParams(params, z)
         sign = phi_sign(k, pz.q_ell_sign)
-        for i, lam in enumerate(labels):
-            lhs = qdim(pz, labels[data.perm[i]])
-            if not _rel_close(lhs, sign * qdim(pz, lam)):
-                ok = False
+        dims = [qdim(pz, lam) for lam in labels]
+        ok = all(_rel_close(dims[data.perm[i]], sign * dims[i]) for i in range(len(labels))) and ok
     add("phi_sign_table", ok)
 
     diagrams_defined = ell > 2 * k + 1
@@ -210,9 +195,7 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
 
     def oracle_agrees(a: Weight, b: Weight) -> bool:
         expected = fuse_two_stage(params, a, b)
-        row = table.coeffs[table.index(a), table.index(b)]
-        return (fuse(params, a, b) == expected
-                and {labels[c]: int(row[c]) for c in np.flatnonzero(row)} == expected)
+        return fuse(params, a, b) == expected and table_product(a, b) == expected
 
     ok = all(oracle_agrees(a, b) for a, b in pairs)
     add("two_stage_oracle", ok, f"{len(pairs)} pairs")

@@ -6,8 +6,9 @@ Freudenthal, tensor decompositions by multiplying formal characters and
 peeling highest weights, the classical Racah-Speiser sum one Weyl image at a
 time, the dominant weights below a highest weight by a box scan, the alcove
 by a plain box scan, associativity by contracting every pair of fusion
-matrices, Gamma(k, ell) by growing every diagram and sorting, and
-the q-Weyl product through exact Fraction pairings.  Keep these slow and
+matrices, Gamma(k, ell) by growing every diagram and sorting, the Psi
+graph by walking every pair of diagrams, and the q-Weyl product through
+exact Fraction pairings.  Keep these slow and
 obvious.
 """
 from __future__ import annotations
@@ -18,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from bcfusion.bmwdual import FerrersDiagram, in_gamma
+from bcfusion.bmwdual import (FerrersDiagram, box_neighbors, gamma_set, generator_weight, in_gamma,
+                              psi_table)
 from bcfusion.errors import ConfigurationError, DomainError
 from bcfusion.rootdata import RootDatum, Weight, make_root_datum
 
@@ -314,4 +316,22 @@ def associativity_full(table) -> bool:
         rhs = np.tensordot(N[i], T, axes=([1], [0]))
         if not np.array_equal(lhs.transpose(1, 0, 2), rhs):
             return False
+    return True
+
+
+def psi_fusion_pairs(table) -> bool:
+    """mu ~ lam in the box rule iff N_{V,Psi(lam)}^{Psi(mu)} = 1, with every
+    entry of N_V in {0, 1}, one pair of diagrams at a time."""
+    k, ell = table.params.datum.rank, table.params.ell
+    mapping = psi_table(k, ell)
+    M = table.fusion_matrix(generator_weight(k, ell))
+    if not set(np.unique(M)) <= {0, 1}:
+        return False
+    diagrams = gamma_set(k, ell)
+    for lam in diagrams:
+        nbrs = set(box_neighbors(k, ell, lam))
+        j = table.index(mapping[lam])
+        for mu in diagrams:
+            if int(M[table.index(mapping[mu]), j]) != (1 if mu in nbrs else 0):
+                return False
     return True

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bcfusion.bmwdual import (BOX, EMPTY, BmwParams, FerrersDiagram, bar_map,
-                              box_neighbors, braiding_eig_sq,
+                              box_graph, box_neighbors, braiding_eig_sq,
                               diagram_as_c_weight, dim_from_eigs, duality_report,
                               eig_square_set_check, gamma_bratteli, gamma_set,
                               generator_weight, in_gamma, iter_gamma, markov_trace_g,
@@ -24,7 +24,7 @@ from bcfusion.rootdata import make_root_datum
 from bcfusion.unitarity import audit
 
 from conftest import w
-from oracles import gamma_set_brute
+from oracles import gamma_set_brute, psi_fusion_pairs
 
 
 def d(*rows):
@@ -116,7 +116,52 @@ def test_box_neighbors():
 @pytest.mark.parametrize("k,ell", [(2, 7), (2, 9), (2, 11), (3, 13)])
 def test_psi_fusion_graph(k, ell):
     table = FusionTable.build(AlcoveParams(make_root_datum("B", k), ell))
-    assert verify_psi_fusion(table)
+    assert verify_psi_fusion(table) and psi_fusion_pairs(table)
+
+
+def _with_v_row(table, edit):
+    """The table with edit applied to V's row coeffs[V] = N_V^T (only that row)."""
+    coeffs = table.coeffs.copy()
+    edit(coeffs[table.index(generator_weight(2, 9))])
+    return FusionTable(table.params, table.labels, coeffs)
+
+
+def test_psi_fusion_graph_rejects_swapped_columns(table29):
+    # columns of N_V are rows of coeffs[V]; the unit's column is e_V, the spin's is not
+    spin = table29.index(w("1/2", "1/2"))
+
+    def swap(row):
+        row[[0, spin]] = row[[spin, 0]]
+
+    swapped = _with_v_row(table29, swap)
+    assert not verify_psi_fusion(swapped) and not psi_fusion_pairs(swapped)
+
+
+def test_psi_fusion_graph_rejects_a_raised_entry(table29):
+    V = table29.index(generator_weight(2, 9))
+
+    def raise_one(row):
+        assert row[0, V] == 1  # V (x) 1 = V
+        row[0, V] = 2
+
+    raised = _with_v_row(table29, raise_one)
+    assert not verify_psi_fusion(raised) and not psi_fusion_pairs(raised)
+
+
+def test_box_graph_is_built_once_and_read_only():
+    diagrams, A = box_graph(2, 9)
+    assert box_graph(2, 9)[1] is A and diagrams == gamma_set(2, 9)
+    assert not A.flags.writeable
+    with pytest.raises(ValueError):
+        A[0, 0] = 1
+
+
+def test_bratteli_walks_reject_negative_n(table29):
+    # both walks share one path count, so both raise; gamma_bratteli once returned n = 0's counts
+    with pytest.raises(DomainError):
+        gamma_bratteli(2, 9, -1)
+    with pytest.raises(DomainError):
+        bratteli_endo_dim(table29, generator_weight(2, 9), -1)
 
 
 def test_bratteli_equality(table29):

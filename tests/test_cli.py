@@ -1,11 +1,16 @@
 import csv
+import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bcfusion import cli
-from bcfusion.cli import main, parse_weight
+from bcfusion.cli import main, parse_cell, parse_weight, run_checked
 from bcfusion.errors import CertificationError, SingularParameterError, WeightParseError
 from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate
 from bcfusion.rootdata import make_root_datum
@@ -241,3 +246,47 @@ def test_cli_output_file(tmp_path, capsys):
     assert main(["alcove", "--rank", "2", "--ell", "9", "--output", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert len(json.loads(path.read_text())["labels"]) == 12
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parse_cell():
+    assert parse_cell("2,9") == (2, 9)
+    for bad in ("2,9,1", "2", "two,9", ""):
+        with pytest.raises(ValueError, match="malformed cell"):
+            parse_cell(bad)
+
+
+@pytest.mark.parametrize("script,cell", [
+    ("run_verify_grid", "2,8"), ("run_verify_grid", "2,9,1"),
+    ("duality_report", "2,8"), ("duality_report", "2,9,1")])
+def test_script_rejects_a_bad_cell_with_exit_2(script, cell):
+    """A malformed or inadmissible cell is a usage error, not a failed verification."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{script}.py"), cell],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("script,target", [("run_verify_grid", "run_suite"),
+                                           ("duality_report", "duality_report")])
+def test_script_internal_error_exits_3(monkeypatch, capsys, script, target):
+    module = _script(script)
+
+    def broken(*args):
+        raise AssertionError("broken invariant")
+
+    monkeypatch.setattr(module, target, broken)
+    assert run_checked(module.main, ["2,9"]) == 3
+    assert capsys.readouterr().err == "internal error: AssertionError: broken invariant\n"

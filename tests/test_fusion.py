@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bcfusion.errors import ConfigurationError, DomainError
 from bcfusion.fusion import (AlcoveParams, FusionTable, affine_reduce, alcove_enumerate,
                              _generators, bratteli_endo_dim, classical_tensor, fuse,
-                             fuse_two_stage)
+                             fuse_matrix, fuse_two_stage)
 from bcfusion.rootdata import Weight, make_root_datum
 from bcfusion.verify import DEFAULT_GRID
 
@@ -423,6 +423,25 @@ def test_fusion_matrix_unit_and_rows(table29):
     M = table29.fusion_matrix(spin)
     row = {table29.labels[i] for i in np.flatnonzero(M[:, table29.index(spin)])}
     assert row == {w(0, 0), w(1, 0), w(1, 1)}
+
+
+def test_fuse_matrix_is_every_generator_row(params313, table313):
+    gens = [g for g in map(Weight, _generators(params313.datum)) if params313.contains(g)]
+    assert len(gens) == 3
+    for g in gens:
+        assert np.array_equal(fuse_matrix(params313, g).T, table313.coeffs[table313.index(g)])
+
+
+def test_fuse_matrix_is_the_column_loop_for_the_c10_vector():
+    params = AlcoveParams(make_root_datum("C", 10), 25)
+    labels = alcove_enumerate(params)
+    index = {lab: i for i, lab in enumerate(labels)}
+    vec = params.datum.fundamental_weight_1
+    expected = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    for j, mu in enumerate(labels):
+        for nu, c in fuse(params, vec, mu).items():
+            expected[index[nu], j] = c
+    assert np.array_equal(fuse_matrix(params, vec), expected)
 
 
 def test_spin_generates_alcove(table29):

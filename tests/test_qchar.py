@@ -178,6 +178,12 @@ def test_positive_character(params29, table29):
     assert vec[Weight.zero(2)] == pytest.approx(1.0)
     assert all(v > 0 for v in vec.values.values())
     assert character_law_defect(vec, table29) < 1e-7
+    # the whole-table contraction it replaced, to rounding
+    f = vec.as_array()
+    whole = np.tensordot(table29.coeffs.astype(np.float64), f, axes=([2], [0]))
+    lhs = np.outer(f, f)
+    assert character_law_defect(vec, table29) == pytest.approx(
+        np.max(np.abs(lhs - whole) / (1.0 + np.abs(lhs))), abs=1e-14)
     # direct sin-product over the four positive coroots at (1, 0)
     ell = 9.0
     shifted = [2.5, 0.5]  # (1,0) + rho

@@ -1,5 +1,8 @@
 import pytest
 
+from bcfusion.bmwdual import box_graph
+from bcfusion.fusion import FusionTable
+from bcfusion.rootdata import Weight
 from bcfusion.verify import DEFAULT_GRID, CheckResult, format_results, run_suite
 
 EXPECTED_CHECKS = {
@@ -16,6 +19,29 @@ def test_suite_covers_all_checks_and_passes():
     results = run_suite(2, 9)
     assert {r.name for r in results} == EXPECTED_CHECKS
     assert all(r.ok for r in results)
+
+
+def test_suite_builds_the_box_graph_once():
+    box_graph.cache_clear()
+    run_suite(2, 9)
+    assert box_graph.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("generator,check", [((1, 1), "spin_rule"), ((2, 0), "vector_rule")])
+def test_generator_rules_read_the_table(monkeypatch, generator, check):
+    """spin_rule and vector_rule judge the table's generator rows, so a wrong row fails them."""
+    build = FusionTable.build
+
+    def bumped(cls, params):
+        table = build(params)
+        coeffs = table.coeffs.copy()
+        g = table.index(Weight(generator))
+        coeffs[g, 0, g] += 1  # g (x) 1 = 2 g
+        return cls(params, table.labels, coeffs)
+
+    monkeypatch.setattr(FusionTable, "build", classmethod(bumped))
+    results = {r.name: r.ok for r in run_suite(2, 9)}
+    assert not results[check]
 
 
 def test_suite_on_degenerate_instance():
