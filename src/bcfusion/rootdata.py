@@ -5,6 +5,14 @@ Weights are stored through their *doubled* coordinates (every entry is
 and all dominance / wall tests are integer comparisons.  The bilinear form
 is normalized so that short roots have squared length 2: for B_k this is
 twice the Euclidean dot product, for C_r it is the dot product itself.
+
+Freudenthal multiplicities are found in two parts.  numpy does every lookup:
+one int64 pass per step j, over all dominant mu <= lam and all positive roots
+a at once, keeps the terms with |mu + j a|^2 <= |lam|^2, sorts |entries| to
+make mu + j a dominant and finds it among the dominant weights by
+``searchsorted`` on a ``ravel_multi_index`` key.  Python then runs the
+recursion over those (target, 2(<mu, a> + j|a|^2)) lists in height order,
+in exact ints, so an inexact division still raises.
 """
 from __future__ import annotations
 
@@ -12,6 +20,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
+
+import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, InvalidRankError
 
@@ -344,37 +355,68 @@ def _fd(family: str, a: tuple[int, ...], b: tuple[int, ...]) -> int:
 @lru_cache(maxsize=None)
 def _freudenthal(family: str, rank: int, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     datum = make_root_datum(family, rank)
-    roots = [(r.doubled, _fd(family, r.doubled, r.doubled)) for r in _positive_roots(family, rank)]
+    half = 1 if family == "B" else 2  # <a, b> = (a . b) / half in doubled coordinates
     rho = datum.rho.doubled
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     top_norm = _fd(family, lam, lam)
     top_casimir = _fd(family, lam_rho, lam_rho)
 
     doms = _dominant_below(datum, lam)
-    # process by increasing height of lam - mu so higher multiplicities exist first
-    doms.sort(key=lambda m: sum(datum.root_coordinates(Weight(lam) - Weight(m))))
-    mult: dict[tuple[int, ...], int] = {lam: 1}
-    for mu in doms:
-        if mu == lam:
-            continue
-        mu_rho = tuple(a + b for a, b in zip(mu, rho))
-        denom = top_casimir - _fd(family, mu_rho, mu_rho)
-        num = 0
-        mu_norm = _fd(family, mu, mu)
-        for a, a_norm in roots:
-            # <mu, a> >= 0 for dominant mu, so |mu + j a|^2 grows with j
-            pair = _fd(family, mu, a)
-            j = 1
-            while mu_norm + j * (2 * pair + j * a_norm) <= top_norm:
-                w = tuple(x + j * y for x, y in zip(mu, a))
-                m = mult.get(tuple(sorted((abs(x) for x in w), reverse=True)), 0)
-                if m:
-                    num += 2 * m * (pair + j * a_norm)
-                j += 1
+    lex = np.array(doms, dtype=np.int64)
+    # every entry of a weight of V_lam has lam's parity, so halving it keeps it
+    # distinct; lexicographic order makes the keys come out sorted
+    dims = (lam[0] // 2 + 1,) * rank
+    keys = np.ravel_multi_index((lex // 2).T, dims)
+    # process by increasing height of lam - mu so higher multiplicities exist first;
+    # the height is the sum of root_coordinates, and the sort is stable like sorted()
+    coords = np.cumsum(np.array(lam) - lex, axis=1) // 2
+    coords[:, -1] //= half
+    order = np.argsort(coords.sum(axis=1), kind="stable")
+    pos = np.empty(len(doms), dtype=np.int64)
+    pos[order] = np.arange(len(doms))
+    doms = [doms[i] for i in order.tolist()]
+
+    # every (mu, a, j) term whose mu + j a lies in P(lam), one numpy pass per j:
+    # <mu, a> >= 0 for dominant mu, so |mu + j a|^2 grows with j and a pair that
+    # fails the norm bound once fails it for every larger j
+    D = lex[order]
+    R = np.array([r.doubled for r in _positive_roots(family, rank)], dtype=np.int64)
+    r_norm = (R * R).sum(axis=1) // half
+    mu_i, a_i = (x.ravel() for x in np.indices((len(doms), len(R))))
+    pair = (D[mu_i] * R[a_i]).sum(axis=1) // half
+    excess = (D * D).sum(axis=1)[mu_i] // half - top_norm
+    src, tgt, coef = [], [], []
+    j = 1
+    while mu_i.size:
+        keep = excess + j * (2 * pair + j * r_norm[a_i]) <= 0
+        mu_i, a_i, pair, excess = mu_i[keep], a_i[keep], pair[keep], excess[keep]
+        w = -np.sort(-np.abs(D[mu_i] + j * R[a_i]), axis=1)  # its dominant image
+        inside = w[:, 0] <= lam[0]
+        key = np.zeros(len(w), dtype=np.int64)
+        key[inside] = np.ravel_multi_index((w[inside] // 2).T, dims)
+        at = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+        hit = inside & (keys[at] == key)
+        src.append(mu_i[hit])
+        tgt.append(pos[at[hit]])
+        coef.append(2 * (pair[hit] + j * r_norm[a_i[hit]]))
+        j += 1
+    src = np.concatenate(src)
+    by_mu = np.argsort(src, kind="stable")
+    ends = np.cumsum(np.bincount(src, minlength=len(doms))).tolist()
+    tgt = np.concatenate(tgt)[by_mu].tolist()
+    coef = np.concatenate(coef)[by_mu].tolist()
+    casimir = (((D + np.array(rho)) ** 2).sum(axis=1) // half).tolist()
+
+    # the recursion itself, in exact Python ints
+    mult = [1] + [0] * (len(doms) - 1)  # doms[0] = lam, the only weight of height 0
+    for i in range(1, len(doms)):
+        lo, hi = ends[i - 1], ends[i]
+        num = sum(map(mul, map(mult.__getitem__, tgt[lo:hi]), coef[lo:hi]))
+        denom = top_casimir - casimir[i]
         if num % denom:
-            raise AssertionError(f"Freudenthal recursion not integral at {mu} below {lam}")
-        mult[mu] = num // denom
-    return mult
+            raise AssertionError(f"Freudenthal recursion not integral at {doms[i]} below {lam}")
+        mult[i] = num // denom
+    return dict(zip(doms, mult))
 
 
 def _dominant_below(datum: RootDatum, lam: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -1,7 +1,8 @@
 """The full invariant suite for one (rank, ell) instance of the type B family.
 
 Each check returns a CheckResult; the CLI prints one line per check and
-exits nonzero if any fails.  Tolerances follow the module contracts:
+exits nonzero if any fails.  A check whose hypothesis fails at the cell is
+marked skipped: it prints as SKIP and counts apart from the checks that ran.  Tolerances follow the module contracts:
 integer identities are exact, single character evaluations use 1e-9,
 composed identities 1e-7 relative.
 """
@@ -34,6 +35,7 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
+    skipped: bool = False  # did not run; ok stays True so the exit code ignores it
 
 
 def _rel_close(a: float, b: float, tol: float = REL_TOL) -> bool:
@@ -49,6 +51,9 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
 
     def add(name: str, ok: bool, detail: str = ""):
         results.append(CheckResult(name, bool(ok), detail))
+
+    def skip(name: str, why: str):
+        results.append(CheckResult(name, True, why, skipped=True))
 
     def table_product(a: Weight, b: Weight) -> dict[Weight, int]:  # fuse's dict, from the table
         row = table.coeffs[table.index(a), table.index(b)]
@@ -76,7 +81,7 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
         add("vector_rule", all(rule_holds(vec, mu, mu.doubled[k - 1] > 0)
                                for mu in labels if mu.parity == 1))
     else:
-        add("vector_rule", True, "skipped: the vector weight leaves the alcove at this ell")
+        skip("vector_rule", "skipped: the vector weight leaves the alcove at this ell")
 
     data = InvolutionData.build(params)
     add("simple_current", verify_simple_current(table, data))
@@ -146,7 +151,7 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
         add("bratteli_paths", ok)
     else:
         for name in ("psi_bijection", "psi_fusion_graph", "bratteli_paths"):
-            add(name, True, "skipped: no diagram labels at ell <= 2k+1")
+            skip(name, "skipped: no diagram labels at ell <= 2k+1")
 
     vsq_in_alcove = all(params.contains(nu) for nu in vsq_summands(k))
     if vsq_in_alcove:
@@ -154,8 +159,8 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
                  for z in admissible_z(ell))
         add("eigenvalue_squares", ok)
     else:
-        add("eigenvalue_squares", True,
-            "skipped: V (x) V degenerates (a summand leaves the alcove at this ell)")
+        skip("eigenvalue_squares",
+             "skipped: V (x) V degenerates (a summand leaves the alcove at this ell)")
 
     if diagrams_defined:
         V = generator_weight(k, ell)
@@ -171,21 +176,21 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
             ok = ok and abs(tilde + quantum_integer(pz, 4 * k) / quantum_integer(pz, 2)) < 1e-8
         add("generator_dim_identity", ok)
     else:
-        add("generator_dim_identity", True, "skipped: no diagram generator at ell <= 2k+1")
+        skip("generator_dim_identity", "skipped: no diagram generator at ell <= 2k+1")
 
     if vsq_in_alcove:
         applicable = [z for z in admissible_z(ell) if k % 2 == 0 or z % 2 == 0]
         ok = all(trace_match(QuantumParams(params, z))["matched"] for z in applicable)
         add("markov_trace", ok, f"{len(applicable)} parameters")
     else:
-        add("markov_trace", True, "skipped: V (x) V degenerates at this ell")
+        skip("markov_trace", "skipped: V (x) V degenerates at this ell")
 
     try:
         rl = ranklevel_check(k, ell)
         add("ranklevel_duality", rl["cardinalities_equal"] and rl["graph_isomorphic"],
             f"transpose={rl['transpose_is_graph_iso']}")
     except ConfigurationError as exc:
-        add("ranklevel_duality", True, f"skipped: {exc}")
+        skip("ranklevel_duality", f"skipped: {exc}")
 
     # production paths (per-pair fuse and the table row) vs the two-stage oracle
     rng = random.Random(seed)
@@ -206,15 +211,18 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
             "strict bound fails only at z=ell-1 (h > Dim(box)); separation and witnesses hold"
         add("unitarity_audit", report.passed and report.strict_below_boundary, detail)
     else:
-        add("unitarity_audit", True, "hypothesis 2(2k+1) < ell fails; not applicable")
+        skip("unitarity_audit", "hypothesis 2(2k+1) < ell fails; not applicable")
 
     return results
 
 
 def format_results(k: int, ell: int, results: list[CheckResult]) -> str:
-    lines = [f"verify B_{k} at ell={ell}: {sum(r.ok for r in results)}/{len(results)} checks pass"]
+    ran = [r for r in results if not r.skipped]
+    skipped = len(results) - len(ran)
+    header = f"verify B_{k} at ell={ell}: {sum(r.ok for r in ran)}/{len(ran)} checks pass"
+    lines = [header + (f", {skipped} skipped" if skipped else "")]
     for r in results:
-        status = "PASS" if r.ok else "FAIL"
+        status = "SKIP" if r.skipped else "PASS" if r.ok else "FAIL"
         suffix = f"  ({r.detail})" if r.detail else ""
         lines.append(f"  [{status}] {r.name}{suffix}")
     return "\n".join(lines)

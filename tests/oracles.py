@@ -2,14 +2,15 @@
 
 Everything here recomputes quantities along a different route than the
 package: weight multiplicities via the Kostant partition function instead of
-Freudenthal, tensor decompositions by multiplying formal characters and
-peeling highest weights, the classical Racah-Speiser sum one Weyl image at a
-time, the dominant weights below a highest weight by a box scan, the alcove
-by a plain box scan, associativity by contracting every pair of fusion
-matrices, Gamma(k, ell) by growing every diagram and sorting, the Psi
-graph by walking every pair of diagrams, and the q-Weyl product through
-exact Fraction pairings.  Keep these slow and
-obvious.
+Freudenthal, and Freudenthal's recursion itself as the scalar loop with one
+sorted tuple and one dict lookup per (mu, root, j) (freudenthal_scalar),
+tensor decompositions by multiplying formal characters and peeling highest
+weights, the classical Racah-Speiser sum one Weyl image at a time, the
+dominant weights below a highest weight by a box scan, the alcove by a plain
+box scan, associativity by contracting every pair of fusion matrices,
+Gamma(k, ell) by growing every diagram and sorting, the Psi graph by walking
+every pair of diagrams, and the q-Weyl product through exact Fraction
+pairings.  Keep these slow and obvious.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ import numpy as np
 from bcfusion.bmwdual import (FerrersDiagram, box_neighbors, gamma_set, generator_weight, in_gamma,
                               psi_table)
 from bcfusion.errors import ConfigurationError, DomainError
-from bcfusion.rootdata import RootDatum, Weight, make_root_datum
+from bcfusion.rootdata import (RootDatum, Weight, _dominant_below, _fd, _positive_roots,
+                               make_root_datum)
 
 
 def _as_doubled(w):
@@ -286,6 +288,43 @@ def classical_tensor_scalar(datum: RootDatum, lam: Weight, mu: Weight) -> dict[W
     if any(c < 0 for c in res.values()):
         raise AssertionError(f"negative classical multiplicity in {lam} (x) {mu}")
     return res
+
+
+def freudenthal_scalar(family: str, rank: int, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Freudenthal multiplicities of the dominant weights of V_lam, one (mu, root, j)
+    term at a time, in the same (height, then lexicographic) key order as the package."""
+    datum = make_root_datum(family, rank)
+    roots = [(r.doubled, _fd(family, r.doubled, r.doubled)) for r in _positive_roots(family, rank)]
+    rho = datum.rho.doubled
+    lam_rho = tuple(a + b for a, b in zip(lam, rho))
+    top_norm = _fd(family, lam, lam)
+    top_casimir = _fd(family, lam_rho, lam_rho)
+
+    doms = _dominant_below(datum, lam)
+    # process by increasing height of lam - mu so higher multiplicities exist first
+    doms.sort(key=lambda m: sum(datum.root_coordinates(Weight(lam) - Weight(m))))
+    mult: dict[tuple[int, ...], int] = {lam: 1}
+    for mu in doms:
+        if mu == lam:
+            continue
+        mu_rho = tuple(a + b for a, b in zip(mu, rho))
+        denom = top_casimir - _fd(family, mu_rho, mu_rho)
+        num = 0
+        mu_norm = _fd(family, mu, mu)
+        for a, a_norm in roots:
+            # <mu, a> >= 0 for dominant mu, so |mu + j a|^2 grows with j
+            pair = _fd(family, mu, a)
+            j = 1
+            while mu_norm + j * (2 * pair + j * a_norm) <= top_norm:
+                w = tuple(x + j * y for x, y in zip(mu, a))
+                m = mult.get(tuple(sorted((abs(x) for x in w), reverse=True)), 0)
+                if m:
+                    num += 2 * m * (pair + j * a_norm)
+                j += 1
+        if num % denom:
+            raise AssertionError(f"Freudenthal recursion not integral at {mu} below {lam}")
+        mult[mu] = num // denom
+    return mult
 
 
 def dominant_below_scan(datum: RootDatum, lam: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -4,11 +4,13 @@ from hypothesis import strategies as st
 
 from bcfusion.errors import DimensionMismatchError, DomainError, InvalidRankError
 from bcfusion.fusion import AlcoveParams, alcove_enumerate
-from bcfusion.rootdata import (RootDatum, Weight, WeylElement, _dominant_below, _orbit,
-                               make_root_datum)
+from bcfusion import rootdata
+from bcfusion.rootdata import (RootDatum, Weight, WeylElement, _dominant_below, _freudenthal,
+                               _orbit, make_root_datum)
 
 from conftest import w
-from oracles import character_multiset, dominant_below_scan, kostant_mult, orbit_brute
+from oracles import (character_multiset, dominant_below_scan, freudenthal_scalar, kostant_mult,
+                     orbit_brute)
 
 
 def test_b2_positive_roots():
@@ -172,6 +174,52 @@ def test_freudenthal_against_kostant(family, rank, lam):
     # no dominant weight missing: totals agree with the Weyl dimension formula
     oracle_total = sum(character_multiset(datum, lam).values())
     assert sum(c * datum.orbit_size(mu) for mu, c in got.items()) == oracle_total == datum.weyl_dim(lam)
+
+
+@pytest.mark.parametrize("family,rank,ell", [("B", 4, 17), ("C", 4, 15)])
+def test_freudenthal_matches_scalar_loop_on_alcove_labels(family, rank, ell):
+    """The numpy lookup pass gives the scalar loop's dict, keys in the same order."""
+    for lab in alcove_enumerate(AlcoveParams(make_root_datum(family, rank), ell)):
+        got = _freudenthal(family, rank, lab.doubled)
+        assert list(got.items()) == list(freudenthal_scalar(family, rank, lab.doubled).items())
+
+
+@pytest.mark.parametrize("family,rank,lam", [
+    ("B", 4, (0, 0, 0, 0)),  # no (mu, root, j) term at all
+    ("C", 3, (0, 0, 0)),
+    ("B", 4, (1, 1, 1, 1)),  # the minuscule spin weight: no dominant weight below it
+    ("B", 5, (1, 1, 1, 1, 1)),
+    ("C", 3, (4, 2, 0)),
+    ("C", 4, (6, 4, 2, 2)),
+])
+def test_freudenthal_edge_cases(family, rank, lam):
+    got = _freudenthal(family, rank, lam)
+    assert list(got.items()) == list(freudenthal_scalar(family, rank, lam).items())
+    if lam == (0,) * rank or lam == (1,) * rank:
+        assert got == {lam: 1}
+    assert all(type(m) is int and type(x) is int for mu, m in got.items() for x in mu)
+
+
+def test_freudenthal_counts_weyl_dim_on_every_b4_l21_label():
+    datum = make_root_datum("B", 4)
+    labels = alcove_enumerate(AlcoveParams(datum, 21))
+    assert len(labels) == 420
+    for lam in labels:
+        mult = datum.dominant_weight_multiplicities(lam)
+        assert sum(c * datum.orbit_size(mu) for mu, c in mult.items()) == datum.weyl_dim(lam)
+
+
+def test_freudenthal_raises_when_not_integral(monkeypatch):
+    """Without the short root e_2, the division at mu = 0 below the vector weight is inexact."""
+    roots = rootdata._positive_roots("B", 2)
+    assert roots[3].doubled == (0, 2)
+    monkeypatch.setattr(rootdata, "_positive_roots", lambda family, rank: roots[:3])
+    _freudenthal.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"not integral at \(0, 0\) below \(2, 0\)"):
+            _freudenthal("B", 2, (2, 0))
+    finally:
+        _freudenthal.cache_clear()
 
 
 def test_weyl_orbit_invariance(b3):

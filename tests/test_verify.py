@@ -58,8 +58,33 @@ def test_suite_on_degenerate_instance():
 def test_format_results_lines():
     results = [CheckResult("alpha", True), CheckResult("beta", False, "why")]
     text = format_results(2, 9, results)
-    assert "1/2 checks pass" in text
+    assert "1/2 checks pass" in text and "skipped" not in text
     assert "[PASS] alpha" in text and "[FAIL] beta  (why)" in text
+
+
+SKIPPED = {
+    (2, 5): {"vector_rule", "psi_bijection", "psi_fusion_graph", "bratteli_paths",
+             "eigenvalue_squares", "generator_dim_identity", "markov_trace",
+             "ranklevel_duality", "unitarity_audit"},
+    (4, 15): {"unitarity_audit"},
+}
+
+
+@pytest.mark.parametrize("k,ell", sorted(SKIPPED))
+def test_skipped_checks_print_as_skip(k, ell):
+    """A check that did not run is flagged, keeps its detail, and never prints as PASS."""
+    results = run_suite(k, ell)
+    assert {r.name for r in results if r.skipped} == SKIPPED[k, ell]
+    assert all(r.ok for r in results)
+    lines = format_results(k, ell, results).splitlines()
+    skipped = len(SKIPPED[k, ell])
+    ran = len(results) - skipped
+    assert lines[0] == f"verify B_{k} at ell={ell}: {ran}/{ran} checks pass, {skipped} skipped"
+    for r, line in zip(results, lines[1:]):
+        suffix = f"  ({r.detail})" if r.detail else ""
+        assert line == f"  [{'SKIP' if r.skipped else 'PASS'}] {r.name}{suffix}"
+        if r.skipped:
+            assert r.detail.startswith("skipped") or r.detail.endswith("not applicable")
 
 
 def test_default_grid_shape():
