@@ -12,7 +12,7 @@ from .fusion import (AlcoveParams, FusionTable, affine_reduce, alcove_enumerate,
                      bratteli_endo_dim, classical_tensor, fuse, fuse_two_stage)
 from .qchar import (CharacterVector, PFCertificate, QuantumParams, admissible_z,
                     character_vector, chi, pf_certify_unique, positive_character, qdim,
-                    quantum_integer, twist_exponent, weyl_denominator)
+                    qdim_signs, quantum_integer, twist_exponent, weyl_denominator)
 from .rootdata import RootDatum, Weight, WeylElement, make_root_datum
 from .symmetry import InvolutionData, phi_sign, verify_simple_current
 from .bmwdual import (BmwParams, FerrersDiagram, bar_map, box_neighbors, braiding_eig_sq,
@@ -28,7 +28,7 @@ __all__ = [
     "alcove_enumerate", "audit", "bar_map", "box_neighbors", "braiding_eig_sq",
     "bratteli_endo_dim", "character_vector", "chi", "classical_tensor", "dim_box",
     "dim_from_eigs", "fuse", "fuse_two_stage", "gamma_set", "h", "make_root_datum",
-    "pf_certify_unique", "phi_sign", "positive_character", "psi", "qdim",
+    "pf_certify_unique", "phi_sign", "positive_character", "psi", "qdim", "qdim_signs",
     "quantum_integer", "ranklevel_check", "twist_exponent", "verify_psi_fusion",
     "verify_simple_current", "weyl_denominator",
 ]

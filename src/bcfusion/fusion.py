@@ -150,6 +150,15 @@ def affine_reduce(params: AlcoveParams, xi: Weight) -> tuple[Weight | None, int]
     return (None, 0) if sign == 0 else (Weight(tuple(labels[0].tolist())), sign)
 
 
+@lru_cache(maxsize=None)
+def _upper_pairs(rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(rank, 1), read-only: the index pairs i < j of a row."""
+    pairs = np.triu_indices(rank, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def _reduce_rows(params: AlcoveParams, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce each row of V, a rho-shifted vector in doubled coordinates, into C_ell.
 
@@ -160,7 +169,7 @@ def _reduce_rows(params: AlcoveParams, V: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     ell, family = params.ell, params.datum.family
     rho = np.array(params.datum.rho.doubled, dtype=np.int64)
-    i, j = np.triu_indices(V.shape[1], 1)
+    i, j = _upper_pairs(V.shape[1])
     signs = np.ones(len(V), dtype=np.int64)
     labels = np.zeros_like(V)
     rows = np.arange(len(V))
@@ -474,9 +483,15 @@ class FusionTable:
         return bool(np.array_equal(self.coeffs[unit], np.eye(self.size, dtype=np.int64)))
 
     def check_total_symmetry(self) -> bool:
-        """N is invariant under all permutations of its three indices."""
+        """N is invariant under all permutations of its three indices.
+
+        The transpositions (0 1) and (1 2) generate S_3, so N_{a,b,c} = N_{b,a,c}
+        and N_{a,b,c} = N_{a,c,b} suffice.  Both are checked one slice a at a
+        time, N[a] against N[:, a, :] and N[a].T, with n x n temporaries only.
+        """
         N = self.coeffs
-        return all(np.array_equal(N, N.transpose(p)) for p in ((1, 0, 2), (0, 2, 1), (2, 1, 0)))
+        return all(np.array_equal(N[a], N[:, a, :]) and np.array_equal(N[a], N[a].T)
+                   for a in range(self.size))
 
     def check_associativity(self) -> bool:
         """(a b) c = a (b c) for all labels, decided exactly from the generator rows.

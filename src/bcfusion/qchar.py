@@ -1,7 +1,7 @@
 """Quantum integers, q-characters, categorical dimensions, and the positive character.
 
-All character arithmetic is floating point; fusion stays exact on the integer
-side.  Evaluation happens at q = exp(z*pi*i/ell) with gcd(z, ell) = 1, so q^2
+All character arithmetic is floating point, except ``qdim_signs``, which
+decides the sign of qdim in integers; fusion stays exact on the integer side.  Evaluation happens at q = exp(z*pi*i/ell) with gcd(z, ell) = 1, so q^2
 is a primitive ell-th root of unity and q^ell = (-1)^z.
 """
 from __future__ import annotations
@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CertificationError, DomainError, SingularParameterError
+from .errors import (CertificationError, DimensionMismatchError, DomainError,
+                     SingularParameterError)
 from .fusion import AlcoveParams, FusionTable, alcove_enumerate
 from .rootdata import RootDatum, Weight, make_root_datum
 
@@ -183,6 +184,61 @@ def qdim(params: QuantumParams, mu: Weight) -> float:
     return _weyl_product(params, mu, coroot=False)
 
 
+# int32 entries of one (labels, roots, z) block of qdim_signs
+_SIGN_BLOCK_ENTRIES = 1 << 20
+
+
+def qdim_signs(alcove: AlcoveParams, labels, zs) -> np.ndarray:
+    """sign(qdim(mu)) at q = exp(z pi i/ell), exactly: int8 of shape (len(labels), len(zs)).
+
+    Each factor of the Weyl product is [n] / [m] with n = <mu + rho, alpha> and
+    m = <rho, alpha> positive integers, and [n] has the sign of sin(n z pi/ell):
+    with r = n z mod 2 ell, 0 when r is 0 or ell, +1 when r < ell and -1 when
+    r > ell.  The sign of qdim is the product over the positive roots, 0 where
+    some numerator vanishes.  No denominator does: m < ell at every level that
+    ``AlcoveParams`` admits.  Everything is integer numpy; no float and no
+    tolerance enters.  Labels and z obey qdim's preconditions.
+    """
+    datum, ell = alcove.datum, alcove.ell
+    admissible = admissible_z(ell)
+    for z in zs:
+        if z not in admissible:
+            raise DomainError(f"z={z} is not in [1, {ell - 1}] and coprime to ell={ell}")
+    if any(mu.rank != datum.rank for mu in labels):
+        raise DimensionMismatchError(f"every label must have rank {datum.rank}")
+    lab = np.array([mu.doubled for mu in labels], dtype=np.int64).reshape(-1, datum.rank)
+    # qdim's domain: dominant, and 2<mu + rho, theta_check> <= 2 ell
+    rho = np.array(datum.rho.doubled, dtype=np.int64)
+    theta = (lab + rho) @ np.array(datum.theta_check.doubled, dtype=np.int64)
+    outside = ~((lab[:, :-1] >= lab[:, 1:]).all(axis=1) & (lab[:, -1] >= 0)) \
+        | ((theta if datum.family == "B" else theta // 2) > 2 * ell)
+    if outside.any():
+        raise DomainError(f"{labels[int(outside.argmax())]} is not dominant in the closed "
+                          f"alcove at ell={ell}")
+    rows = _pairing_rows(datum.family, datum.rank, False)
+    roots = np.array([a for a, _, _ in rows], dtype=np.int64)
+    d = np.array([d for _, d, _ in rows], dtype=np.int64)
+    # row 0 pairs rho (the denominators), row 1 + i pairs labels[i] + rho
+    dots = np.vstack([rho, lab + rho]) @ roots.T
+    if (dots % d).any():
+        raise AssertionError("a root pairing is not an integer")
+    pairings = dots // d
+    if (pairings <= 0).any():
+        raise AssertionError("a root pairing of a dominant weight plus rho is not positive")
+    # the sign of [n] at z depends on n mod 2 ell only, and then n z < 2 ell^2
+    dtype = np.int32 if 2 * ell * ell < 2 ** 31 else np.int64
+    n = (pairings % (2 * ell)).astype(dtype)
+    zs = np.asarray(zs, dtype=dtype)
+    out = np.empty((len(labels), len(zs)), dtype=np.int8)
+    step = max(1, _SIGN_BLOCK_ENTRIES // n.size)
+    for lo in range(0, len(zs), step):
+        r = n[:, :, None] * zs[lo:lo + step] % (2 * ell)
+        odd = (r > ell).sum(axis=1) % 2
+        zero = (r[1:] % ell == 0).any(axis=1)
+        out[:, lo:lo + step] = np.where(zero, 0, 1 - 2 * (odd[1:] ^ odd[0]))
+    return out
+
+
 def dim_mu_vector(params: QuantumParams, mu: Weight, lambdas) -> np.ndarray:
     """dim^mu(V_lam) = chi_lam(H_{mu+rho}) for half-integral dominant mu, per lam."""
     if params.datum.family != "B":
@@ -266,17 +322,19 @@ def pf_certify_unique(table: FusionTable) -> PFCertificate:
     datum = table.params.datum
     A = table.fusion_matrix(datum.spin_weight if datum.family == "B" else datum.fundamental_weight_1)
     n = table.size
-    adj = (A > 0).astype(np.int32)
+    # 0/1 patterns as float64 so the products run through BLAS; every entry of
+    # a product is a count of at most n, exact in float64
+    adj = (A > 0).astype(np.float64)
 
     def step(pattern: np.ndarray) -> np.ndarray:
-        return ((pattern @ adj) > 0).astype(np.int32)
+        return ((pattern @ adj) > 0).astype(np.float64)
 
     # cur = positivity pattern of A^s (paths of exactly length s), s odd
     s, cur = 1, adj
     nxt = step(cur)
     found = None
     while s <= 2 * n:
-        if (cur | nxt).all():
+        if ((cur + nxt) > 0).all():
             found = s
             break
         cur = step(nxt)

@@ -61,12 +61,15 @@ class InvolutionData:
 
 
 def verify_simple_current(table: FusionTable, data: InvolutionData) -> bool:
-    """V_gamma (x) V_mu = V_phi(mu): N_gamma is phi's permutation matrix, squaring to 1."""
-    N_gamma = table.fusion_matrix(data.gamma)
-    P = data.permutation_matrix()
-    if not np.array_equal(N_gamma, P):
+    """V_gamma (x) V_mu = V_phi(mu): N_gamma is phi's permutation matrix, squaring to 1.
+
+    Once N_gamma equals the permutation matrix of ``data.perm``, it squares to
+    the identity exactly when perm[perm] is the identity, an O(n) test.
+    """
+    if not np.array_equal(table.fusion_matrix(data.gamma), data.permutation_matrix()):
         return False
-    return np.array_equal(N_gamma @ N_gamma, np.eye(table.size, dtype=np.int64))
+    perm = np.asarray(data.perm)
+    return bool(np.array_equal(perm[perm], np.arange(len(perm))))
 
 
 def phi_sign(k: int, q_ell_sign: int) -> int:

@@ -6,18 +6,22 @@ q = exp(z pi i / ell); Dim(box) is the value of the unique positive character
 there.  Strict inequality at every admissible z, plus an even-sector label
 with negative categorical dimension, rules out any unitary structure on a
 category with these fusion rules.
+
+The witnesses are chosen by the exact integer signs of ``qchar.qdim_signs``;
+floats enter only the reported witness value and h(z), Dim(box), whose
+``strict`` and ``distinct`` comparisons still use ``WITNESS_TOL``.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .bmwdual import FerrersDiagram, bar_map, iter_gamma
 from .errors import DomainError
 from .fusion import AlcoveParams
-from .qchar import QuantumParams, admissible_z, qdim
+from .qchar import QuantumParams, admissible_z, qdim, qdim_signs
 from .rootdata import make_root_datum
 
 WITNESS_TOL = 1e-9
@@ -147,25 +151,23 @@ def audit(k: int, ell: int) -> UnitarityReport:
     even-size diagram tau with qdim(Psi(tau)) < 0; the even sector avoids the
     involution twist, so the sign is meaningful on both sides of the duality.
     The witness of each z is the first even-size tau of Gamma(k, ell), in
-    (size, rows) order, with qdim < -WITNESS_TOL.  The audit walks Gamma only
-    that far: the walked prefix, with bar already applied, is shared by every
-    z of the cell, and only a z with no witness walks all of Gamma.
+    (size, rows) order, whose exact sign (``qdim_signs``) is -1; no tolerance
+    decides it.  ``witness_value`` is the float ``qdim`` of that one label,
+    and a value that is not negative is an internal error.
     """
     conclusive = 2 * (2 * k + 1) < ell
     alcove = AlcoveParams(make_root_datum("B", k), ell)
-    even_sector = ((tau, bar_map(k, tau)) for tau in iter_gamma(k, ell) if tau.size % 2 == 0)
-    walked = []
-    rows = []
+    zs = admissible_z(ell)
+    witnesses = _first_negative_even(k, alcove, zs)
     box = dim_box(k, ell)
-    for z in admissible_z(ell):
-        params = QuantumParams(alcove, z)
+    rows = []
+    for z in zs:
         hz = h(k, ell, z)
-        witness, value = None, None
-        for tau, label in _replay(walked, even_sector):
-            v = qdim(params, label)
-            if v < -WITNESS_TOL:
-                witness, value = tau, v
-                break
+        witness, value = witnesses.get(z), None
+        if witness is not None:
+            value = qdim(QuantumParams(alcove, z), bar_map(k, witness))
+            if not value < 0:
+                raise AssertionError(f"exact sign -1 but qdim = {value} at {witness}, z={z}")
         rows.append(ZAudit(z, hz, box,
                            strict=abs(hz) < box - WITNESS_TOL,
                            distinct=abs(hz - box) > WITNESS_TOL,
@@ -173,12 +175,33 @@ def audit(k: int, ell: int) -> UnitarityReport:
     return UnitarityReport(k, ell, conclusive, tuple(rows))
 
 
-def _replay(walked: list, source: Iterator) -> Iterator:
-    """Yield ``walked``, then move items from ``source`` onto it as they are asked for."""
-    yield from walked
-    for item in source:
-        walked.append(item)
-        yield item
+# even-size diagrams in the first walked block; each later block doubles the walk
+_FIRST_BLOCK = 8
+
+
+def _first_negative_even(k: int, alcove: AlcoveParams,
+                         zs: tuple[int, ...]) -> dict[int, FerrersDiagram]:
+    """The first even-size tau of Gamma with sign(qdim(bar(tau))) = -1, per z.
+
+    Gamma is walked lazily in blocks of 8, 8, 16, 32, ... even-size diagrams,
+    each shared by every z still without a witness and decided by one
+    ``qdim_signs`` call; the walk stops once every z has one or Gamma ends.
+    A z with no witness is left out of the result.
+    """
+    even_sector = (tau for tau in iter_gamma(k, alcove.ell) if tau.size % 2 == 0)
+    found: dict[int, FerrersDiagram] = {}
+    open_z, walked = list(zs), 0
+    while open_z:
+        block = list(islice(even_sector, max(_FIRST_BLOCK, walked)))
+        if not block:
+            break
+        walked += len(block)
+        negative = qdim_signs(alcove, [bar_map(k, tau) for tau in block], open_z) == -1
+        for z, hit, i in zip(open_z, negative.any(axis=0), negative.argmax(axis=0)):
+            if hit:
+                found[z] = block[i]
+        open_z = [z for z in open_z if z not in found]
+    return found
 
 
 def audit_grid(max_ell: int = 25) -> list[UnitarityReport]:

@@ -312,6 +312,24 @@ def _perturbed(table, edit):
     return FusionTable(table.params, table.labels, coeffs)
 
 
+@pytest.mark.parametrize("keep", [(1, 0, 2), (0, 2, 1), (2, 1, 0)])
+def test_total_symmetry_fails_when_one_transposition_is_kept(table211, keep):
+    """Any two transpositions generate S_3, so a table can break all of them or
+    exactly two; a +1 on one (a, b, c) and its image under ``keep`` breaks the
+    other two, and the check must fail."""
+    abc = (3, 7, 12)
+
+    def bump(coeffs):
+        for p in {abc, tuple(abc[i] for i in keep)}:
+            coeffs[p] += 1
+
+    bad = _perturbed(table211, bump)
+    kept = [t for t in ((1, 0, 2), (0, 2, 1), (2, 1, 0))
+            if np.array_equal(bad.coeffs, bad.coeffs.transpose(t))]
+    assert kept == [keep]
+    assert not bad.check_total_symmetry()
+
+
 @pytest.mark.parametrize("family,rank,ell", [
     *(("B", k, ell) for k, ell in DEFAULT_GRID if (k, ell) != (4, 17)), ("C", 3, 11), ("C", 4, 11)])
 def test_associativity_agrees_with_full_oracle(family, rank, ell):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcfusion.errors import DomainError, SingularParameterError
+from bcfusion.bmwdual import gamma_set, psi
+from bcfusion.errors import DimensionMismatchError, DomainError, SingularParameterError
 from bcfusion.fusion import AlcoveParams, alcove_enumerate, classical_tensor
 from bcfusion.qchar import (QuantumParams, admissible_z, alternating_sum,
                             character_law_defect, character_vector, chi, dim_mu_vector,
-                            pf_certify_unique, positive_character, qdim, quantum_integer,
-                            spin_character_product, twist_exponent, weyl_denominator)
+                            pf_certify_unique, positive_character, qdim, qdim_signs,
+                            quantum_integer, spin_character_product, twist_exponent,
+                            weyl_denominator)
 from bcfusion.rootdata import Weight, make_root_datum
 
 from conftest import w
@@ -122,6 +124,73 @@ def test_qdim_basics(q29, params29):
     assert qdim(q29, w(3, 0)) == pytest.approx(0.0, abs=1e-9)  # affine wall
     with pytest.raises(DomainError):
         qdim(q29, w(4, 0))  # outside the closed alcove
+
+
+def _closed_alcove(alcove):
+    """Labels of the alcove one level up that qdim accepts at alcove.ell: the
+    open alcove plus its affine wall, where qdim vanishes."""
+    wider = AlcoveParams(alcove.datum, alcove.ell + 2)
+    datum = alcove.datum
+    return [mu for mu in alcove_enumerate(wider)
+            if datum.form_doubled(mu + datum.rho, datum.theta_check) <= 2 * alcove.ell]
+
+
+@st.composite
+def _sign_cases(draw):
+    k = draw(st.integers(2, 6))
+    ell = draw(st.sampled_from(range(2 * k + 3, 2 * k + 12, 2)))
+    alcove = AlcoveParams(make_root_datum("B", k), ell)
+    pool = draw(st.sampled_from(["alcove", "gamma", "closed"]))
+    if pool == "alcove":
+        labels = alcove_enumerate(alcove)
+    elif pool == "gamma":
+        labels = [psi(k, ell, tau) for tau in gamma_set(k, ell)]
+    else:
+        labels = _closed_alcove(alcove)
+    picked = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=12))
+    zs = draw(st.lists(st.sampled_from(admissible_z(ell)), min_size=1, max_size=6))
+    return alcove, picked, zs
+
+
+@given(_sign_cases())
+def test_qdim_signs_are_the_float_signs(case):
+    """The exact kernel agrees with sign(qdim) wherever |qdim| > 1e-6, and
+    returns 0 only where |qdim| < 1e-9."""
+    alcove, labels, zs = case
+    signs = qdim_signs(alcove, labels, zs)
+    assert signs.dtype == np.int8 and signs.shape == (len(labels), len(zs))
+    for j, z in enumerate(zs):
+        params = QuantumParams(alcove, z)
+        for i, mu in enumerate(labels):
+            value = qdim(params, mu)
+            if abs(value) > 1e-6:
+                assert signs[i, j] == np.sign(value), (mu, z, value)
+            if signs[i, j] == 0:
+                assert abs(value) < 1e-9, (mu, z, value)
+
+
+@pytest.mark.parametrize("family,rank,ell", [("B", 2, 9), ("B", 3, 13), ("C", 3, 11)])
+def test_qdim_signs_on_a_whole_closed_alcove(family, rank, ell):
+    alcove = AlcoveParams(make_root_datum(family, rank), ell)
+    labels = _closed_alcove(alcove)
+    signs = qdim_signs(alcove, labels, admissible_z(ell))
+    floats = np.array([[qdim(QuantumParams(alcove, z), mu) for z in admissible_z(ell)]
+                       for mu in labels])
+    assert np.array_equal(signs, np.where(np.abs(floats) < 1e-9, 0, np.sign(floats)))
+    assert set(np.unique(signs)) == {-1, 0, 1}
+
+
+def test_qdim_signs_domain(params29):
+    assert qdim_signs(params29, [], (1, 2)).shape == (0, 2)
+    assert qdim_signs(params29, [w(3, 0), Weight.zero(2)], (1,)).tolist() == [[0], [1]]
+    for z in (0, 3, 9):
+        with pytest.raises(DomainError):
+            qdim_signs(params29, [Weight.zero(2)], (z,))
+    for mu in (w(4, 0), w(0, 1)):  # outside the closed alcove; not dominant
+        with pytest.raises(DomainError):
+            qdim_signs(params29, [Weight.zero(2), mu], (1,))
+    with pytest.raises(DimensionMismatchError):
+        qdim_signs(params29, [Weight.zero(3)], (1,))
 
 
 def test_generator_dimension_identity(params29):

@@ -52,6 +52,21 @@ def test_simple_current_other_instances(k, ell):
     assert verify_simple_current(table, data)
 
 
+def test_simple_current_rejects_a_perm_that_is_not_an_involution(table29, inv29):
+    """A hand-built phi whose permutation matrix is N_gamma of an edited table
+    but which does not square to the identity fails the check."""
+    perm = list(inv29.perm)
+    a, b, c = 0, 1, 2
+    perm[a], perm[b], perm[c] = inv29.perm[b], inv29.perm[c], inv29.perm[a]
+    assert any(perm[perm[i]] != i for i in range(len(perm)))
+    data = InvolutionData(inv29.alcove, inv29.gamma, inv29.w1, tuple(perm))
+    coeffs = table29.coeffs.copy()
+    coeffs[table29.index(inv29.gamma)] = data.permutation_matrix().T
+    table = FusionTable(table29.params, table29.labels, coeffs)
+    assert np.array_equal(table.fusion_matrix(inv29.gamma), data.permutation_matrix())
+    assert not verify_simple_current(table, data)
+
+
 def test_current_multiplication_identity(table29, inv29):
     N_gamma = table29.fusion_matrix(inv29.gamma)
     for lam in table29.labels:

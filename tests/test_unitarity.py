@@ -113,6 +113,22 @@ def test_audit_never_builds_all_of_gamma(monkeypatch):
         assert 0 < len(walked) < len(gamma_set_brute(k, ell))
 
 
+@pytest.mark.parametrize("k,ell", [(2, 11), (3, 17), (2, 7)])
+def test_audit_calls_qdim_once_per_witnessed_z(monkeypatch, k, ell):
+    calls = []
+
+    def counted(params, mu):
+        calls.append((params.z, mu))
+        return qdim(params, mu)
+
+    monkeypatch.setattr(unitarity, "qdim", counted)
+    report = audit(k, ell)
+    witnessed = [row for row in report.per_z if row.negative_even_witness is not None]
+    assert calls == [(row.z, bar_map(k, row.negative_even_witness)) for row in witnessed]
+    if (k, ell) == (2, 7):
+        assert len(witnessed) < len(report.per_z)
+
+
 def test_audit_2_9_not_conclusive():
     report = audit(2, 9)
     assert not report.conclusive  # 2(2k+1) = 10 > 9
