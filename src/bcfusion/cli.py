@@ -16,12 +16,17 @@ import math
 import sys
 
 from .bmwdual import duality_passed, duality_report
-from .errors import WeightParseError
+from .errors import DomainError, WeightParseError
 from .fusion import AlcoveParams, FusionTable, alcove_enumerate, fuse, fuse_matrix
 from .qchar import QuantumParams, character_vector, positive_character
 from .rootdata import Weight, make_root_datum
 from .unitarity import audit, audit_grid
 from .verify import DEFAULT_GRID, format_results, run_suite
+
+
+# largest n^3 that `matrix` without --lhs prints: the JSON of 10**8 entries is
+# about 200 MB and its int64 table 800 MB; B(4,21) has n^3 = 74,088,000
+MATRIX_TABLE_CAP = 10 ** 8
 
 
 def parse_weight(text: str) -> Weight:
@@ -103,6 +108,10 @@ def cmd_fuse(args) -> int:
 def cmd_matrix(args) -> int:
     params = _alcove_params(args)
     if args.lhs is None:
+        n = len(alcove_enumerate(params))
+        if n ** 3 > MATRIX_TABLE_CAP:
+            raise DomainError(f"the whole table has n^3 = {n ** 3} entries at n = {n}, above "
+                              f"the cap of {MATRIX_TABLE_CAP}; print one fusion matrix with --lhs")
         # whole table, in the byte-stable canonical serialization
         _emit(FusionTable.build(params).to_json(), args.output)
         return 0
@@ -216,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="fusion matrix of one label, or the whole table")
     common(p, formats=("json", "table"))
-    p.add_argument("--lhs", default=None, help="label; omit to dump the full table as JSON")
+    p.add_argument("--lhs", default=None,
+                   help="label; omit to dump the full table as JSON (up to n^3 = 10^8 entries)")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("chars", help="positive character and spin character at z")

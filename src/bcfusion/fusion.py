@@ -3,21 +3,34 @@
 The truncated tensor product at an odd root of unity is computed by
 Racah-Speiser summation over the weight multiset P(lambda) with each shifted
 weight reduced into the alcove under the rho-shifted dot action of the
-affine Weyl group.  ``fuse`` does this as one batched, exact integer numpy
-pass: ``_orbit_blocks`` lays out the distinct Weyl images of the dominant
-weights, each orbit the distinct signed permutations of its weight, from a
-template cached per pattern of equal and zero entries, never the whole Weyl
-group; whole orbits are reduced at once by ``_reduce_rows``, the one
-affine-reduction kernel.  There is no reduce cache.  The two-stage variant
-(classical decomposition first, affine antisymmetrization second) is kept as
-an independent oracle.  Its first stage, ``_classical_rows``, is its own
-exact integer numpy pass: the Weyl orbits from ``RootDatum.weyl_orbit`` are
-stacked, shifted and made dominant by a finite-Weyl sort with the sign read
-off the sorting permutation.  It never calls ``_orbit_blocks`` or
-``_reduce_rows``, and ``fuse`` never calls ``weyl_orbit``, so a fault in
-either enumeration or in ``fuse``'s kernel cannot hide in both sides of the
-comparison; only the second stage reduces the classical summands with
-``_reduce_rows``.
+affine Weyl group.  In doubled rho-shifted coordinates that action is the
+signed permutations times the translations 2 ell L (L = Z^k for type B, the
+even-sum lattice D_k for type C), so ``_reduce_rows``, the one
+affine-reduction kernel, reduces any batch of rows in one closed-form numpy
+pass with no loop: each entry modulo 2 ell, one fold for type C, one sort.
+
+``fuse_pairs`` is the one Racah-Speiser kernel: it fuses many label pairs at
+once into an exact (pairs, labels) int64 array.  It groups the pairs by
+their smaller factor, lays out that factor's distinct Weyl images once
+(``_orbit_blocks``: each orbit the distinct signed permutations of its
+weight, from a template cached per pattern of equal and zero entries, never
+the whole Weyl group), shifts them by every partner's mu + rho and reduces
+the stacked rows in blocks of at most _CHUNK_ROWS.  ``fuse`` and
+``fuse_matrix`` are views of it.  There is no reduce cache.
+
+The two-stage route (classical decomposition first, affine
+antisymmetrization second), ``fuse_two_stage_pairs``, is kept as an
+independent oracle with the same layout.  Its first stage,
+``_classical_rows``, is its own exact integer numpy pass over chunks of
+whole pairs: the Weyl orbits from ``RootDatum.weyl_orbit`` are stacked,
+shifted and made dominant by a finite-Weyl sort with the sign read off the
+sorting permutation, and it keeps its own label map.  It never calls
+``_orbit_blocks``, ``_reduce_rows`` or ``fuse_pairs``' label lookup, and
+``fuse_pairs`` never calls ``weyl_orbit``, so a fault in either enumeration
+or lookup cannot hide in both sides of the comparison.  The two routes
+share only ``_reduce_rows``, which the second stage applies to the
+classical summands; ``tests/oracles.py`` checks that kernel against the
+reflection loop it replaced and a breadth-first search of the orbit.
 
 A whole table fuses only the generator rows, one ``fuse_matrix`` each: the
 fundamental weights e_1 + ... + e_i (i < k) and the spin weight for type B,
@@ -39,6 +52,7 @@ axis.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain, groupby
@@ -48,9 +62,10 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .rootdata import RootDatum, Weight, make_root_datum
 
-# distinct Weyl images reduced at once by fuse; its temporaries are a few
-# (rows, rank) int64 arrays, and 1 << 15 rows already raised the peak RSS of
-# 100 B(4,21) queries by about a tenth over 1 << 13
+# rows reduced at once by fuse_pairs, and Weyl images per chunk of the
+# two-stage oracle; the temporaries are a few (rows, rank) int64 arrays, and
+# 1 << 15 rows already raised the peak RSS of 100 B(4,21) queries by about a
+# tenth over 1 << 13
 _CHUNK_ROWS = 1 << 13
 
 # bytes of the float64 slab coeffs[:, xs, :] that check_associativity casts
@@ -166,58 +181,86 @@ def _reduce_rows(params: AlcoveParams, V: np.ndarray) -> tuple[np.ndarray, np.nd
     element taking row i into the rho-shifted alcove, 0 when the row lies on a
     reflection hyperplane, and labels[i] the label it reaches (meaningless
     where signs[i] is 0).
+
+    In these coordinates the dot action is the signed permutations times the
+    translations 2 ell L, with L = Z^k for type B and L = D_k (even coordinate
+    sum) for type C, so one pass reduces every row.  Each entry goes to r in
+    [-ell, ell) with quotient q modulo 2 ell; for type C a row with odd sum(q)
+    also folds its largest |r| to 2 ell - |r|, the one translation by 2 ell e_i
+    that keeps it in the closed alcove.  Sorting |r| in descending order ends
+    the reduction.  Translations are even, so the sign is (-1) to the number
+    of negative entries plus the inversions of |r|.  The row is on a wall iff
+    the sorted |r| has a zero or a repeated entry, or w_0 = ell (type B),
+    w_0 + w_1 = 2 ell (type C).
     """
     ell, family = params.ell, params.datum.family
     rho = np.array(params.datum.rho.doubled, dtype=np.int64)
+    q, r = np.divmod(V + ell, 2 * ell)
+    r -= ell
+    a, flip = np.abs(r), r < 0
+    if family == "C":
+        rows = np.flatnonzero(q.sum(axis=1) % 2)
+        top = a[rows].argmax(axis=1)
+        a[rows, top] = 2 * ell - a[rows, top]
+        flip[rows, top] ^= True
     i, j = _upper_pairs(V.shape[1])
-    signs = np.ones(len(V), dtype=np.int64)
-    labels = np.zeros_like(V)
-    rows = np.arange(len(V))
-    while rows.size:
-        # finite Weyl reduction: sort absolute values, descending
-        a = np.abs(V)
-        w = -np.sort(-a, axis=1)
-        odd = ((V < 0).sum(axis=1) + (a[:, i] < a[:, j]).sum(axis=1)) % 2
-        s = np.where(odd, -signs[rows], signs[rows])
-        wall = (w[:, -1] == 0) | (w[:, :-1] == w[:, 1:]).any(axis=1)
-        pairing = w[:, 0] if family == "B" else (w[:, 0] + w[:, 1]) // 2
-        s[wall | (pairing == ell)] = 0
-        done = wall | (pairing <= ell)
-        # affine reflection t_ell of the rest: v += (ell - <v,theta_check>) * theta, doubled
-        signs[rows] = np.where(done, s, -s)
-        labels[rows[done]] = w[done] - rho
-        V = w[~done]
-        shift = 2 * (ell - pairing[~done])
-        V[:, 0] += shift
-        if family == "C":
-            V[:, 1] += shift
-        rows = rows[~done]
-    return signs, labels
+    odd = (flip.sum(axis=1) + (a[:, i] < a[:, j]).sum(axis=1)) % 2
+    w = -np.sort(-a, axis=1)
+    wall = (w[:, -1] == 0) | (w[:, :-1] == w[:, 1:]).any(axis=1)
+    wall |= (w[:, 0] == ell) if family == "B" else (w[:, 0] + w[:, 1] == 2 * ell)
+    return np.where(wall, 0, 1 - 2 * odd), w - rho
 
 
-def _classical_rows(datum: RootDatum, lam: Weight, mu: Weight) -> tuple[np.ndarray, np.ndarray]:
-    """V_lam (x) V_mu classically as arrays: labels (m, k) in doubled coordinates, mults (m,).
+def _classical_rows(datum: RootDatum, pairs) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """V_lam (x) V_mu classically for every pair (lam, mu), a chunk of whole pairs at a time.
 
-    One exact int64 pass of Racah-Speiser over P(lam): every Weyl image of
+    Yields (ids, labels, mults): ids (m,) the position of the pair in
+    ``pairs``, labels (m, k) in doubled coordinates, mults (m,) positive.
+    Each chunk holds at most _CHUNK_ROWS Weyl images unless one pair has
+    more, so every pair's totals are complete when it is yielded.  One exact
+    int64 pass of Racah-Speiser over P(lam) per chunk: every Weyl image of
     every dominant weight (from ``datum.weyl_orbit``) is shifted by mu + rho
-    and made dominant by sorting |v| in descending order; rows on a wall
-    (a zero or a repeated |entry|) drop out, and the sign is the parity of
-    the negative entries plus that of the sorting permutation.  It shares no
-    code with ``fuse``, which it is an oracle for.
+    and made dominant by sorting |v| in descending order; rows on a wall (a
+    zero or a repeated |entry|) drop out, and the sign is the parity of the
+    negative entries plus that of the sorting permutation.  It shares no
+    code with ``fuse_pairs``, which it is an oracle for.
     """
-    for w in (lam, mu):
-        if not w.is_dominant:
-            raise DomainError(f"{w} is not dominant")
-    if datum.weyl_dim(lam) > datum.weyl_dim(mu):
-        lam, mu = mu, lam
-    doms = datum.dominant_weight_multiplicities(lam)
-    orbits = [datum.weyl_orbit(d) for d in doms]
-    sizes = [len(orbit) for orbit in orbits]
-    images = np.fromiter(chain.from_iterable(chain.from_iterable(orbits)), dtype=np.int64,
-                         count=sum(sizes) * datum.rank).reshape(-1, datum.rank)
-    mult = np.repeat(np.fromiter(doms.values(), dtype=np.int64, count=len(doms)), sizes)
+    groups: dict[Weight, list[tuple[int, Weight]]] = {}
+    for p, (lam, mu) in enumerate(pairs):
+        for w in (lam, mu):
+            if not w.is_dominant:
+                raise DomainError(f"{w} is not dominant")
+        if datum.weyl_dim(lam) > datum.weyl_dim(mu):
+            lam, mu = mu, lam
+        groups.setdefault(lam, []).append((p, mu))
+    chunk, rows = [], 0
+    for lam, members in groups.items():
+        doms = datum.dominant_weight_multiplicities(lam)
+        orbits = [datum.weyl_orbit(d) for d in doms]
+        sizes = [len(orbit) for orbit in orbits]
+        images = np.fromiter(chain.from_iterable(chain.from_iterable(orbits)), dtype=np.int64,
+                             count=sum(sizes) * datum.rank).reshape(-1, datum.rank)
+        mult = np.repeat(np.fromiter(doms.values(), dtype=np.int64, count=len(doms)), sizes)
+        for p, mu in members:
+            if chunk and rows + len(images) > _CHUNK_ROWS:
+                yield _classical_chunk(datum, chunk)
+                chunk, rows = [], 0
+            chunk.append((p, lam, mu, images, mult))
+            rows += len(images)
+    if chunk:
+        yield _classical_chunk(datum, chunk)
+
+
+def _classical_chunk(datum: RootDatum, chunk: list):
+    """The classical totals of the pairs (id, lam, mu, images, mults) of one
+    chunk of ``_classical_rows``."""
+    ids, lams, mus, images, mults = zip(*chunk)
     rho = np.array(datum.rho.doubled, dtype=np.int64)
-    v = images + (np.array(mu.doubled, dtype=np.int64) + rho)
+    sizes = [len(x) for x in images]
+    shifts = np.array([mu.doubled for mu in mus], dtype=np.int64) + rho
+    v = np.concatenate(images) + np.repeat(shifts, sizes, axis=0)
+    mult = np.concatenate(mults)
+    local = np.repeat(np.arange(len(chunk)), sizes)
     a = np.abs(v)
     order = np.argsort(-a, axis=1, kind="stable")
     w = np.take_along_axis(a, order, axis=1)
@@ -227,70 +270,120 @@ def _classical_rows(datum: RootDatum, lam: Weight, mu: Weight) -> tuple[np.ndarr
     terms = np.where(odd, -mult, mult)[live]
     labs = w[live] - rho
     # labels are dominant, so the entries of every row lie in [0, labs[:, 0].max()]
-    dims = (int(labs[:, 0].max(initial=0)) + 1,) * datum.rank
-    keys, where = np.unique(np.ravel_multi_index(tuple(labs.T), dims), return_inverse=True)
+    dims = (len(chunk),) + (int(labs[:, 0].max(initial=0)) + 1,) * datum.rank
+    keys, where = np.unique(np.ravel_multi_index((local[live], *labs.T), dims), return_inverse=True)
     totals = np.zeros(len(keys), dtype=np.int64)
     np.add.at(totals, where, terms)
+    out = np.unravel_index(keys, dims)
     if (totals < 0).any():
-        raise AssertionError(f"negative classical multiplicity in {lam} (x) {mu}")
+        c = out[0][np.argmax(totals < 0)]
+        raise AssertionError(f"negative classical multiplicity in {lams[c]} (x) {mus[c]}")
     nonzero = totals != 0
-    return np.stack(np.unravel_index(keys[nonzero], dims), axis=1), totals[nonzero]
+    return np.array(ids)[out[0][nonzero]], np.stack(out[1:], axis=1)[nonzero], totals[nonzero]
 
 
 def classical_tensor(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
     """Decompose V_lam (x) V_mu classically (Racah-Speiser over P(lam))."""
-    labels, mults = _classical_rows(datum, lam, mu)
+    _, labels, mults = next(_classical_rows(datum, [(lam, mu)]))
     return {Weight(tuple(lab)): c for lab, c in zip(labels.tolist(), mults.tolist())}
+
+
+def fuse_pairs(params: AlcoveParams, pairs) -> np.ndarray:
+    """N_{lam,mu}^nu for every pair (lam, mu): row p, column nu in ``alcove_enumerate`` order.
+
+    The one Racah-Speiser kernel.  The pairs are grouped by their smaller
+    factor (by Weyl dimension); for each distinct smaller lam, the distinct
+    Weyl images of its dominant weights (``_orbit_blocks``) are shifted by
+    mu + rho for every other factor mu of its group and reduced by
+    ``_reduce_rows``, in stacked blocks of at most _CHUNK_ROWS rows unless
+    one orbit block is larger.  Each live row adds sign * multiplicity at
+    (pair, label), the label found by ``searchsorted`` on the labels' sorted
+    keys.  Everything is exact int64; nothing is cached between calls but
+    the label keys of the cell.
+    """
+    datum = params.datum
+    out = np.zeros((len(pairs), len(alcove_enumerate(params))), dtype=np.int64)
+    groups: dict[Weight, list[tuple[int, Weight]]] = {}
+    for p, (lam, mu) in enumerate(pairs):
+        for w in (lam, mu):
+            if not params.contains(w):
+                raise DomainError(f"{w} is not in the alcove C_{params.ell}")
+        if datum.weyl_dim(lam) > datum.weyl_dim(mu):
+            lam, mu = mu, lam
+        groups.setdefault(lam, []).append((p, mu))
+    rho = np.array(datum.rho.doubled, dtype=np.int64)
+
+    def pieces():
+        for lam, members in groups.items():
+            ids = np.array([p for p, _ in members], dtype=np.int64)
+            shifts = np.array([mu.doubled for _, mu in members], dtype=np.int64) + rho
+            for images, mult in _orbit_blocks(datum.dominant_weight_multiplicities(lam)):
+                step = max(1, _CHUNK_ROWS // len(images))
+                for lo in range(0, len(ids), step):
+                    part = shifts[lo:lo + step]
+                    yield ((images + part[:, None]).reshape(-1, params.rank),
+                           np.repeat(ids[lo:lo + step], len(images)), np.tile(mult, len(part)))
+
+    keys, order = _label_keys(datum.family, params.rank, params.ell)
+    for V, pid, mult in _stacked(pieces()):
+        signs, labels = _reduce_rows(params, V)
+        live = signs != 0
+        # alcove labels have entries in [0, 2 ell)
+        got = np.ravel_multi_index(tuple(labels[live].T), (2 * params.ell,) * params.rank)
+        pos = np.minimum(np.searchsorted(keys, got), len(keys) - 1)
+        if not np.array_equal(keys[pos], got):
+            raise AssertionError("affine reduction reached a weight outside the alcove")
+        np.add.at(out, (pid[live], order[pos]), signs[live] * mult[live])
+    negative = np.flatnonzero((out < 0).any(axis=1))
+    if negative.size:
+        lam, mu = pairs[negative[0]]
+        raise AssertionError(f"negative fusion coefficient in {lam} (x) {mu}")
+    return out
+
+
+@lru_cache(maxsize=None)
+def _label_keys(family: str, rank: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, order), read-only: the sorted ravel keys of the alcove labels on
+    the grid (2 ell)^rank, and the ``alcove_enumerate`` index of each."""
+    labels = np.array([w.doubled for w in _alcove_enumerate(family, rank, ell)], dtype=np.int64)
+    raveled = np.ravel_multi_index(tuple(labels.T), (2 * ell,) * rank)
+    order = np.argsort(raveled)
+    out = raveled[order], order
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _stacked(pieces):
+    """Concatenate consecutive pieces, tuples of arrays with one first axis,
+    into blocks of at most _CHUNK_ROWS rows unless one piece is larger."""
+    block, rows = [], 0
+    for piece in pieces:
+        if block and rows + len(piece[0]) > _CHUNK_ROWS:
+            yield tuple(map(np.concatenate, zip(*block)))
+            block, rows = [], 0
+        block.append(piece)
+        rows += len(piece[0])
+    if block:
+        yield tuple(map(np.concatenate, zip(*block)))
 
 
 def fuse(params: AlcoveParams, lam: Weight, mu: Weight,
          _cache: None = None) -> dict[Weight, int]:
-    """Fusion coefficients N_{lam,mu}^: one batched Racah-Speiser pass with affine reduction.
-
-    The distinct Weyl images of every dominant weight of the smaller factor
-    are shifted by the other's highest weight plus rho and reduced by exact
-    integer numpy array operations, whole orbits at a time, in chunks of at
-    most _CHUNK_ROWS images unless one orbit is larger.  Nothing is cached
-    between calls; ``_cache`` must stay None.
-    """
+    """Fusion coefficients N_{lam,mu}^: the dict view of one ``fuse_pairs`` row,
+    keyed by label in ``alcove_enumerate`` order.  Nothing is cached between
+    calls; ``_cache`` must stay None."""
     if _cache is not None:
         raise TypeError("fuse has no reduce cache")
-    for w in (lam, mu):
-        if not params.contains(w):
-            raise DomainError(f"{w} is not in the alcove C_{params.ell}")
-    datum = params.datum
-    if datum.weyl_dim(lam) > datum.weyl_dim(mu):
-        lam, mu = mu, lam
-    shift = np.array((mu + datum.rho).doubled, dtype=np.int64)
-    # alcove labels have entries in [0, 2 ell)
-    label_dims = (2 * params.ell,) * params.rank
-    out: dict[tuple[int, ...], int] = {}
-    for images, mult in _orbit_blocks(datum.dominant_weight_multiplicities(lam)):
-        signs, labels = _reduce_rows(params, images + shift)
-        live = signs != 0
-        labels, terms = labels[live], signs[live] * mult[live]
-        _, rep, where = np.unique(np.ravel_multi_index(tuple(labels.T), label_dims),
-                                  return_index=True, return_inverse=True)
-        totals = np.zeros(len(rep), dtype=np.int64)
-        np.add.at(totals, where, terms)
-        for lab, c in zip(map(tuple, labels[rep].tolist()), totals.tolist()):
-            out[lab] = out.get(lab, 0) + c
-    res = {Weight(lab): c for lab, c in out.items() if c}
-    if any(c < 0 for c in res.values()):
-        raise AssertionError(f"negative fusion coefficient in {lam} (x) {mu}")
-    return res
+    row = fuse_pairs(params, [(lam, mu)])[0]
+    labels = alcove_enumerate(params)
+    return {labels[c]: int(row[c]) for c in np.flatnonzero(row)}
 
 
 def fuse_matrix(params: AlcoveParams, lam: Weight) -> np.ndarray:
-    """(N_lam)[nu, mu] = N_{lam,mu}^nu over ``alcove_enumerate(params)``, one
-    ``fuse`` per column: the one place that turns fuse calls into a matrix."""
-    labels = alcove_enumerate(params)
-    index = {w: i for i, w in enumerate(labels)}
-    M = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for j, mu in enumerate(labels):
-        for nu, c in fuse(params, lam, mu).items():
-            M[index[nu], j] = c
-    return M
+    """(N_lam)[nu, mu] = N_{lam,mu}^nu over ``alcove_enumerate(params)``: one
+    ``fuse_pairs`` pass over every mu, the one place that builds a matrix."""
+    return fuse_pairs(params, [(lam, mu) for mu in alcove_enumerate(params)]).T
 
 
 def _orbit_blocks(doms: dict[Weight, int]):
@@ -305,20 +398,17 @@ def _orbit_blocks(doms: dict[Weight, int]):
     for d, m in doms.items():
         key = (*(len(list(run)) for x, run in groupby(d.doubled) if x), d.doubled.count(0))
         groups.setdefault(key, []).append((d.doubled, m))
-    block, rows = [], 0
-    for key, group in groups.items():
-        pos, sgn = _orbit_template(key)
-        step = max(1, _CHUNK_ROWS // len(pos))
-        for lo in range(0, len(group), step):
-            part = group[lo:lo + step]
-            if block and rows + len(part) * len(pos) > _CHUNK_ROWS:
-                yield tuple(map(np.concatenate, zip(*block)))
-                block, rows = [], 0
-            dom = np.array([d for d, _ in part], dtype=np.int64)
-            mult = np.array([m for _, m in part], dtype=np.int64)
-            block.append(((dom[:, pos] * sgn).reshape(-1, dom.shape[1]), np.repeat(mult, len(pos))))
-            rows += len(part) * len(pos)
-    yield tuple(map(np.concatenate, zip(*block)))
+
+    def parts():
+        for key, group in groups.items():
+            pos, sgn = _orbit_template(key)
+            step = max(1, _CHUNK_ROWS // len(pos))
+            for lo in range(0, len(group), step):
+                dom = np.array([d for d, _ in group[lo:lo + step]], dtype=np.int64)
+                mult = np.array([m for _, m in group[lo:lo + step]], dtype=np.int64)
+                yield (dom[:, pos] * sgn).reshape(-1, dom.shape[1]), np.repeat(mult, len(pos))
+
+    return _stacked(parts())
 
 
 @lru_cache(maxsize=None)
@@ -353,16 +443,36 @@ def _orbit_template(runs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return table[..., 0], table[..., 1]
 
 
+def fuse_two_stage_pairs(params: AlcoveParams, pairs) -> np.ndarray:
+    """Oracle path for ``fuse_pairs``, same layout: classical decomposition,
+    then affine antisymmetrization of each chunk of ``_classical_rows``.
+
+    Its label map is its own: the distinct reduced labels of a chunk are
+    looked up in a dict of the alcove labels.
+    """
+    labels = alcove_enumerate(params)
+    index = {w.doubled: c for c, w in enumerate(labels)}
+    rho = np.array(params.datum.rho.doubled, dtype=np.int64)
+    dims = (2 * params.ell,) * params.rank
+    out = np.zeros((len(pairs), len(labels)), dtype=np.int64)
+    for ids, classical, mults in _classical_rows(params.datum, pairs):
+        signs, reduced = _reduce_rows(params, classical + rho)
+        live = signs != 0
+        keys, where = np.unique(np.ravel_multi_index(tuple(reduced[live].T), dims),
+                                return_inverse=True)
+        found = [index.get(t) for t in map(tuple, np.stack(np.unravel_index(keys, dims), 1).tolist())]
+        if None in found:
+            raise AssertionError("affine antisymmetrization reached a weight outside the alcove")
+        cols = np.array(found, dtype=np.int64)
+        np.add.at(out, (ids[live], cols[where]), signs[live] * mults[live])
+    return out
+
+
 def fuse_two_stage(params: AlcoveParams, lam: Weight, mu: Weight) -> dict[Weight, int]:
     """Oracle path: classical decomposition, then affine antisymmetrization."""
-    classical, mults = _classical_rows(params.datum, lam, mu)
-    signs, labels = _reduce_rows(params, classical + np.array(params.datum.rho.doubled))
-    out: dict[Weight, int] = {}
-    for m, s, lab in zip(mults.tolist(), signs.tolist(), labels.tolist()):
-        if s:
-            key = Weight(tuple(lab))
-            out[key] = out.get(key, 0) + s * m
-    return {lab: c for lab, c in out.items() if c}
+    row = fuse_two_stage_pairs(params, [(lam, mu)])[0]
+    labels = alcove_enumerate(params)
+    return {labels[c]: int(row[c]) for c in np.flatnonzero(row)}
 
 
 def _generators(datum: RootDatum) -> list[tuple[int, ...]]:

@@ -16,7 +16,7 @@ import numpy as np
 from .bmwdual import (eig_square_set_check, gamma_bratteli, generator_weight, psi_table,
                       ranklevel_check, trace_match, verify_psi_fusion, vsq_summands)
 from .errors import ConfigurationError
-from .fusion import AlcoveParams, FusionTable, bratteli_endo_dim, fuse, fuse_two_stage
+from .fusion import AlcoveParams, FusionTable, bratteli_endo_dim, fuse_pairs, fuse_two_stage_pairs
 from .qchar import (QuantumParams, admissible_z, character_law_defect, chi,
                     dim_mu_vector, pf_certify_unique, positive_character,
                     quantum_integer, qdim)
@@ -192,17 +192,15 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
     except ConfigurationError as exc:
         skip("ranklevel_duality", f"skipped: {exc}")
 
-    # production paths (per-pair fuse and the table row) vs the two-stage oracle
+    # production paths (fuse_pairs and the table rows) vs the two-stage oracle,
+    # one batched call per route
     rng = random.Random(seed)
     pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i:]]
     if len(pairs) > 300:
         pairs = rng.sample(pairs, 300)
-
-    def oracle_agrees(a: Weight, b: Weight) -> bool:
-        expected = fuse_two_stage(params, a, b)
-        return fuse(params, a, b) == expected and table_product(a, b) == expected
-
-    ok = all(oracle_agrees(a, b) for a, b in pairs)
+    expected = fuse_two_stage_pairs(params, pairs)
+    rows = N[[table.index(a) for a, _ in pairs], [table.index(b) for _, b in pairs]]
+    ok = np.array_equal(fuse_pairs(params, pairs), expected) and np.array_equal(rows, expected)
     add("two_stage_oracle", ok, f"{len(pairs)} pairs")
 
     if 2 * (2 * k + 1) < ell:

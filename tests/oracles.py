@@ -7,7 +7,9 @@ sorted tuple and one dict lookup per (mu, root, j) (freudenthal_scalar),
 tensor decompositions by multiplying formal characters and peeling highest
 weights, the classical Racah-Speiser sum one Weyl image at a time, the
 dominant weights below a highest weight by a box scan, the alcove by a plain
-box scan, associativity by contracting every pair of fusion matrices,
+box scan, the affine reduction of a batch of rows by repeated finite sorts
+and reflections in the highest root (reduce_rows_loop), associativity by
+contracting every pair of fusion matrices,
 Gamma(k, ell) by growing every diagram and sorting, the Psi graph by walking
 every pair of diagrams, and the q-Weyl product through exact Fraction
 pairings.  Keep these slow and obvious.
@@ -217,6 +219,43 @@ def affine_reduce_bfs(family: str, rank: int, ell: int, xi_doubled: tuple[int, .
     assert len(candidates) == 1, candidates
     v, s = candidates[0]
     return tuple(a - b for a, b in zip(v, rho)), s
+
+
+def reduce_rows_loop(params, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce each row of V, a rho-shifted vector in doubled coordinates, into C_ell.
+
+    Returns (signs, labels): signs[i] is the signature of the affine Weyl
+    element taking row i into the rho-shifted alcove, 0 when the row lies on a
+    reflection hyperplane, and labels[i] the label it reaches (meaningless
+    where signs[i] is 0).  Rows not yet in the alcove are sorted and reflected
+    in the affine wall of the highest root until every row lands.
+    """
+    ell, family = params.ell, params.datum.family
+    rho = np.array(params.datum.rho.doubled, dtype=np.int64)
+    i, j = np.triu_indices(V.shape[1], 1)
+    signs = np.ones(len(V), dtype=np.int64)
+    labels = np.zeros_like(V)
+    rows = np.arange(len(V))
+    while rows.size:
+        # finite Weyl reduction: sort absolute values, descending
+        a = np.abs(V)
+        w = -np.sort(-a, axis=1)
+        odd = ((V < 0).sum(axis=1) + (a[:, i] < a[:, j]).sum(axis=1)) % 2
+        s = np.where(odd, -signs[rows], signs[rows])
+        wall = (w[:, -1] == 0) | (w[:, :-1] == w[:, 1:]).any(axis=1)
+        pairing = w[:, 0] if family == "B" else (w[:, 0] + w[:, 1]) // 2
+        s[wall | (pairing == ell)] = 0
+        done = wall | (pairing <= ell)
+        # affine reflection t_ell of the rest: v += (ell - <v,theta_check>) * theta, doubled
+        signs[rows] = np.where(done, s, -s)
+        labels[rows[done]] = w[done] - rho
+        V = w[~done]
+        shift = 2 * (ell - pairing[~done])
+        V[:, 0] += shift
+        if family == "C":
+            V[:, 1] += shift
+        rows = rows[~done]
+    return signs, labels
 
 
 def gamma_set_brute(k: int, ell: int) -> tuple[FerrersDiagram, ...]:

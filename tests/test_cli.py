@@ -77,6 +77,22 @@ def test_cli_matrix_lhs_is_the_table_row(table313, capsys):
         assert "error" in capsys.readouterr().err
 
 
+def test_cli_matrix_without_lhs_is_capped(monkeypatch, capsys):
+    """Above the n^3 cap the whole table is a usage error, found before any build."""
+    def no_build(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(FusionTable, "build", no_build)
+    monkeypatch.setattr(cli, "MATRIX_TABLE_CAP", 12 ** 3 - 1)  # B(2,9) has n = 12
+    assert main(["matrix", "--rank", "2", "--ell", "9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--lhs" in err and "1728" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MATRIX_TABLE_CAP", 12 ** 3)
+    assert main(["matrix", "--rank", "2", "--ell", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["labels"][0] == [0, 0]
+
+
 def test_cli_full_table_is_byte_stable(capsys):
     assert main(["matrix", "--rank", "2", "--ell", "9"]) == 0
     first = capsys.readouterr().out

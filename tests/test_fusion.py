@@ -4,19 +4,21 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcfusion import fusion
 from bcfusion.errors import ConfigurationError, DomainError
 from bcfusion.fusion import (AlcoveParams, FusionTable, affine_reduce, alcove_enumerate,
-                             _generators, bratteli_endo_dim, classical_tensor, fuse,
-                             fuse_matrix, fuse_two_stage)
+                             _generators, _reduce_rows, bratteli_endo_dim, classical_tensor, fuse,
+                             fuse_matrix, fuse_pairs, fuse_two_stage, fuse_two_stage_pairs)
 from bcfusion.rootdata import Weight, make_root_datum
 from bcfusion.verify import DEFAULT_GRID
 
 from conftest import w
-from oracles import (alcove_box_scan, associativity_full, char_product_decompose,
-                     classical_tensor_scalar, dominant_weights_up_to)
+from oracles import (affine_reduce_bfs, alcove_box_scan, associativity_full,
+                     char_product_decompose, classical_tensor_scalar, dominant_weights_up_to,
+                     reduce_rows_loop)
 
 
 def test_alcove_b2_ell9(params29):
@@ -158,17 +160,18 @@ def test_classical_tensor_matches_scalar_loop_on_squares(params313):
 
 def test_classical_tensor_shares_no_kernel_with_fuse(monkeypatch, params313):
     """The oracle's first stage must not lean on the code it checks."""
-    from bcfusion import fusion
-
     def forbidden(*args):
         raise AssertionError("classical_tensor called a fuse kernel")
 
     labels = alcove_enumerate(params313)
     expected = {(lam, mu): classical_tensor_scalar(params313.datum, lam, mu)
                 for lam, mu in zip(labels, reversed(labels))}
+    reduced = fuse_two_stage_pairs(params313, list(expected))
+    for name in ("_orbit_blocks", "_orbit_template", "_stacked", "_label_keys"):
+        monkeypatch.setattr(fusion, name, forbidden)
+    # the second stage reduces with the shared kernel and nothing else of fuse's
+    assert np.array_equal(fuse_two_stage_pairs(params313, list(expected)), reduced)
     monkeypatch.setattr(fusion, "_reduce_rows", forbidden)
-    monkeypatch.setattr(fusion, "_orbit_blocks", forbidden)
-    monkeypatch.setattr(fusion, "_orbit_template", forbidden)
     for (lam, mu), decomposition in expected.items():
         assert classical_tensor(params313.datum, lam, mu) == decomposition
     assert classical_tensor(params313.datum, w(1, 0, 0), w(1, 0, 0)) == {
@@ -567,6 +570,122 @@ def test_affine_reduce_against_bfs_oracle(family, rank, ell):
         got = (None if lab is None else lab.doubled, sign)
         assert got == affine_reduce_bfs(family, rank, ell, xi.doubled), (kind, v)
         assert expected is None or got == expected, (kind, v)
+
+
+_REDUCE_CELLS = [("B", 2, 9), ("B", 3, 13), ("B", 4, 15), ("B", 5, 23),
+                 ("C", 2, 7), ("C", 3, 11), ("C", 4, 15), ("C", 5, 13)]
+
+
+@st.composite
+def _reduce_batch(draw, ranks=(2, 3, 4, 5), max_rows=12):
+    """(params, V): rows of rho-shifted doubled vectors with entries within
+    +-8 ell and one parity per row (even for C), some planted on walls."""
+    family, rank, ell = draw(st.sampled_from([c for c in _REDUCE_CELLS if c[1] in ranks]))
+    bound = 8 * ell
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        par = draw(st.sampled_from((0, 1))) if family == "B" else 0
+        v = [2 * x + par for x in draw(st.lists(st.integers(-bound // 2, (bound - par) // 2),
+                                                 min_size=rank, max_size=rank))]
+        i, j = draw(st.lists(st.integers(0, rank - 1), min_size=2, max_size=2, unique=True))
+        m, sign = draw(st.integers(-3, 3)), draw(st.sampled_from((1, -1)))
+        wall = draw(st.sampled_from(("none", "none", "none", "zero", "equal", "affine")))
+        if wall == "zero" and par == 0:
+            v[i] = 2 * ell * m
+        elif wall == "equal":
+            v[j] = sign * v[i] + 2 * ell * m
+        elif wall == "affine" and family == "B" and par == 1:
+            v[i] = ell * (2 * m + 1)
+        elif wall == "affine" and family == "C":
+            v[j] = 2 * ell * m - v[i]
+        # a shift by 16 ell e_j lies in both translation lattices
+        rows.append([(x + bound) % (2 * bound) - bound for x in v])
+    return AlcoveParams(make_root_datum(family, rank), ell), np.array(rows, dtype=np.int64)
+
+
+@given(_reduce_batch())
+def test_reduce_rows_closed_form_matches_the_loop(batch):
+    params, V = batch
+    signs, labels = _reduce_rows(params, V.copy())
+    loop_signs, loop_labels = reduce_rows_loop(params, V.copy())
+    assert np.array_equal(signs, loop_signs)
+    live = signs != 0
+    assert np.array_equal(labels[live], loop_labels[live])
+    labs = alcove_enumerate(params)
+    assert all(Weight(tuple(lab)) in labs for lab in labels[live].tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_reduce_batch(ranks=(2, 3), max_rows=4))
+def test_reduce_rows_closed_form_matches_bfs(batch):
+    params, V = batch
+    family, rank, ell = params.datum.family, params.rank, params.ell
+    rho = np.array(params.datum.rho.doubled)
+    for v, s, lab in zip(V, *_reduce_rows(params, V)):
+        got = (None, 0) if s == 0 else (tuple(lab.tolist()), int(s))
+        assert got == affine_reduce_bfs(family, rank, ell, tuple((v - rho).tolist()))
+
+
+def _scalar_rows(params, pairs):
+    """(P, n) from classical_tensor_scalar, each classical summand reduced by the loop."""
+    labels = alcove_enumerate(params)
+    index = {lab.doubled: c for c, lab in enumerate(labels)}
+    rho = np.array(params.datum.rho.doubled)
+    out = np.zeros((len(pairs), len(labels)), dtype=np.int64)
+    for p, (lam, mu) in enumerate(pairs):
+        classical = classical_tensor_scalar(params.datum, lam, mu)
+        V = np.array([nu.doubled for nu in classical], dtype=np.int64) + rho
+        for s, lab, c in zip(*reduce_rows_loop(params, V), classical.values()):
+            if s:
+                out[p, index[tuple(lab.tolist())]] += s * c
+    return out
+
+
+@pytest.mark.parametrize("family,rank,ell", [("B", 3, 13), ("C", 3, 11)])
+def test_pair_kernels_do_not_depend_on_chunk_boundaries(monkeypatch, family, rank, ell):
+    params = AlcoveParams(make_root_datum(family, rank), ell)
+    labels = alcove_enumerate(params)
+    rng = random.Random(rank * ell)
+    unit = Weight.zero(rank)
+    pairs = [tuple(rng.sample(labels, 2)) for _ in range(12)]
+    pairs += [(b, a) for a, b in pairs[:6]] + pairs[:3]
+    pairs += [(unit, unit), (unit, labels[-1]), (labels[-1], unit), (labels[-1], labels[-1])]
+    rng.shuffle(pairs)
+    fused, two_stage = fuse_pairs(params, pairs), fuse_two_stage_pairs(params, pairs)
+    assert np.array_equal(fused, _scalar_rows(params, pairs))
+    assert np.array_equal(two_stage, fused)
+    for rows in (1, 7, 64):
+        monkeypatch.setattr(fusion, "_CHUNK_ROWS", rows)
+        assert np.array_equal(fuse_pairs(params, pairs), fused), rows
+        assert np.array_equal(fuse_two_stage_pairs(params, pairs), fused), rows
+
+
+def test_pair_kernels_reject_non_labels(params29):
+    with pytest.raises(DomainError):
+        fuse_pairs(params29, [(w(1, 0), w(1, 0)), (w(3, 0), w(1, 0))])
+    assert fuse_pairs(params29, []).shape == (0, 12)
+    assert fuse_two_stage_pairs(params29, []).shape == (0, 12)
+
+
+def test_pair_kernels_assert_their_output(monkeypatch, params29):
+    """A negative coefficient or a reduced weight off the alcove is an internal error."""
+    real = fusion._reduce_rows
+    pairs = [(w(1, 0), w(1, 0))]
+
+    def negated(params, V):
+        signs, labels = real(params, V)
+        return -signs, labels
+
+    def off_alcove(params, V):  # (8, 8) is dominant but outside C_9
+        return real(params, V)[0], np.full_like(V, 16)
+
+    monkeypatch.setattr(fusion, "_reduce_rows", negated)
+    with pytest.raises(AssertionError, match="negative fusion coefficient"):
+        fuse_pairs(params29, pairs)
+    monkeypatch.setattr(fusion, "_reduce_rows", off_alcove)
+    for kernel in (fuse_pairs, fuse_two_stage_pairs):
+        with pytest.raises(AssertionError, match="outside the alcove"):
+            kernel(params29, pairs)
 
 
 def test_type_c_fusion_table():
