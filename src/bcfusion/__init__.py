@@ -13,7 +13,7 @@ from .fusion import (AlcoveParams, FusionTable, affine_reduce, alcove_enumerate,
 from .qchar import (CharacterVector, PFCertificate, QuantumParams, admissible_z,
                     character_vector, chi, pf_certify_unique, positive_character, qdim,
                     qdim_signs, quantum_integer, twist_exponent, weyl_denominator)
-from .rootdata import RootDatum, Weight, WeylElement, make_root_datum
+from .rootdata import RootDatum, Weight, make_root_datum
 from .symmetry import InvolutionData, phi_sign, verify_simple_current
 from .bmwdual import (BmwParams, FerrersDiagram, bar_map, box_neighbors, braiding_eig_sq,
                       dim_from_eigs, gamma_set, psi, ranklevel_check, verify_psi_fusion)
@@ -24,7 +24,7 @@ __all__ = [
     "ConfigurationError", "DimensionMismatchError", "DomainError", "FerrersDiagram",
     "FusionTable", "InvalidRankError", "InvolutionData", "PFCertificate",
     "QuantumParams", "RootDatum", "SingularParameterError", "UnitarityReport",
-    "Weight", "WeightParseError", "WeylElement", "admissible_z", "affine_reduce",
+    "Weight", "WeightParseError", "admissible_z", "affine_reduce",
     "alcove_enumerate", "audit", "bar_map", "box_neighbors", "braiding_eig_sq",
     "bratteli_endo_dim", "character_vector", "chi", "classical_tensor", "dim_box",
     "dim_from_eigs", "fuse", "fuse_two_stage", "gamma_set", "h", "make_root_datum",

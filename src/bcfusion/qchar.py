@@ -1,8 +1,11 @@
 """Quantum integers, q-characters, categorical dimensions, and the positive character.
 
 All character arithmetic is floating point, except ``qdim_signs``, which
-decides the sign of qdim in integers; fusion stays exact on the integer side.  Evaluation happens at q = exp(z*pi*i/ell) with gcd(z, ell) = 1, so q^2
-is a primitive ell-th root of unity and q^ell = (-1)^z.
+decides the sign of qdim in integers, and the singular-denominator decision
+of ``chi_vector``; fusion stays exact on the integer side.
+
+Evaluation happens at q = exp(z*pi*i/ell) with gcd(z, ell) = 1, so q^2 is a
+primitive ell-th root of unity and q^ell = (-1)^z.
 """
 from __future__ import annotations
 
@@ -18,8 +21,6 @@ from .errors import (CertificationError, DimensionMismatchError, DomainError,
                      SingularParameterError)
 from .fusion import AlcoveParams, FusionTable, alcove_enumerate
 from .rootdata import RootDatum, Weight, make_root_datum
-
-IMAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,37 +78,24 @@ def twist_exponent(datum: RootDatum, lam: Weight) -> Fraction:
 
 # -- alternating Weyl sums -------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _weyl_arrays(family: str, rank: int):
-    elems = make_root_datum(family, rank).weyl_elements()
-    perms = np.array([w.perm for w in elems], dtype=np.intp)
-    signs = np.array([w.signs for w in elems], dtype=np.int64)
-    eps = np.array([w.sign for w in elems], dtype=np.float64)
-    return perms, signs, eps
-
-
-def _weyl_images(datum: RootDatum, nu: Weight) -> tuple[np.ndarray, np.ndarray]:
-    """Doubled coordinates of w(nu) for all w, plus the signature vector."""
-    perms, signs, eps = _weyl_arrays(datum.family, datum.rank)
-    v = np.asarray(nu.doubled, dtype=np.int64)
-    return signs * v[perms], eps
-
-
-def _pair_exponents(datum: RootDatum, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """<a, b> for doubled coordinate arrays a (n,k) and b (m,k), as floats."""
-    prod = rows.astype(np.float64) @ cols.astype(np.float64).T
-    return prod / (2.0 if datum.family == "B" else 4.0)
-
-
 def alternating_sum(params: QuantumParams, shifted, nu: Weight) -> np.ndarray:
     """sum_w eps(w) q^<w(v), nu> for each v in ``shifted``: the Weyl numerator
-    of chi_lam(H_nu) at v = lam + rho, and the Weyl denominator at v = rho."""
-    datum = params.datum
-    imgs, eps = _weyl_images(datum, nu)
-    rows = np.asarray([v.doubled for v in shifted], dtype=np.int64)
-    expo = _pair_exponents(datum, rows, imgs)
-    scale = math.pi * params.z / params.ell
-    return np.exp(1j * scale * expo) @ eps
+    of chi_lam(H_nu) at v = lam + rho, and the Weyl denominator at v = rho.
+
+    W is the signed permutations of the coordinates, and summing out the
+    signs leaves the determinantal Weyl character formula (Fulton-Harris,
+    Lecture 24): the sum is (2i)^k det[sin(pi z v_j nu_m / (d ell))], where
+    <a, b> = a.b / d in doubled coordinates (d = 2 on B, 4 on C).  The integer
+    z v_j nu_m is reduced mod the sine's period 2 d ell before it becomes a
+    float, and one batched det covers every row.
+    """
+    k = params.datum.rank
+    d = 2 if params.datum.family == "B" else 4
+    period = 2 * d * params.ell
+    rows = np.asarray([v.doubled for v in shifted], dtype=np.int64).reshape(-1, k)
+    nu_z = np.asarray(nu.doubled, dtype=np.int64) * params.z % period
+    sines = np.sin(rows[:, :, None] * nu_z % period * (math.pi / (d * params.ell)))
+    return (2j) ** k * np.linalg.det(sines)
 
 
 def weyl_denominator(params: QuantumParams, nu: Weight) -> float:
@@ -127,19 +115,21 @@ def chi(params: QuantumParams, lam: Weight, nu: Weight) -> float:
 
 
 def chi_vector(params: QuantumParams, nu: Weight, lambdas) -> np.ndarray:
-    """chi_lam(H_nu) for many lam at once (one pass over the Weyl group)."""
+    """chi_lam(H_nu) for many lam at once (one batched determinant).
+
+    The Weyl denominator prod_{alpha > 0} (q^{<alpha,nu>/2} - q^{-<alpha,nu>/2})
+    vanishes exactly when some z <alpha, nu> is 0 mod 2 ell, an integer test.
+    """
     datum = params.datum
     if not datum.in_root_lattice(nu):
         raise DomainError(f"{nu} is not in the root lattice")
-    rho = datum.rho
-    nums = alternating_sum(params, [lam + rho for lam in lambdas], nu)
-    den = alternating_sum(params, (rho,), nu)[0]
-    if abs(den) < 1e-12:
+    pairings = _root_pairings(datum, np.array([nu.doubled], dtype=np.int64))
+    if (params.z * pairings % (2 * params.ell) == 0).any():
         raise SingularParameterError(f"Weyl denominator vanishes at nu={nu}, z={params.z}")
-    vals = nums / den
-    if np.max(np.abs(vals.imag)) > IMAG_TOL * (1.0 + np.max(np.abs(vals.real))):
-        raise AssertionError(f"character at nu={nu} is not real: {vals}")
-    return vals.real
+    rho = datum.rho
+    sums = alternating_sum(params, [rho] + [lam + rho for lam in lambdas], nu)
+    # numerators and denominator share the factor (2i)^k, so the ratio is real
+    return (sums[1:] / sums[0]).real
 
 
 @lru_cache(maxsize=None)
@@ -159,6 +149,17 @@ def _pairing_rows(family: str, rank: int,
         d = sum(x * x for x in a.doubled) // 2 if coroot else (2 if family == "B" else 4)
         rows.append((a.doubled, d, sum(x * y for x, y in zip(rho, a.doubled)) / d))
     return tuple(rows)
+
+
+def _root_pairings(datum: RootDatum, vectors: np.ndarray) -> np.ndarray:
+    """<v, alpha> as exact ints, one row per doubled vector v and one column per
+    positive root alpha; every pairing must be integral."""
+    rows = _pairing_rows(datum.family, datum.rank, False)
+    dots = vectors @ np.array([a for a, _, _ in rows], dtype=np.int64).T
+    d = np.array([d for _, d, _ in rows], dtype=np.int64)
+    if (dots % d).any():
+        raise AssertionError("a root pairing is not an integer")
+    return dots // d
 
 
 def _weyl_product(params: QuantumParams, lam: Weight, coroot: bool) -> float:
@@ -215,14 +216,8 @@ def qdim_signs(alcove: AlcoveParams, labels, zs) -> np.ndarray:
     if outside.any():
         raise DomainError(f"{labels[int(outside.argmax())]} is not dominant in the closed "
                           f"alcove at ell={ell}")
-    rows = _pairing_rows(datum.family, datum.rank, False)
-    roots = np.array([a for a, _, _ in rows], dtype=np.int64)
-    d = np.array([d for _, d, _ in rows], dtype=np.int64)
     # row 0 pairs rho (the denominators), row 1 + i pairs labels[i] + rho
-    dots = np.vstack([rho, lab + rho]) @ roots.T
-    if (dots % d).any():
-        raise AssertionError("a root pairing is not an integer")
-    pairings = dots // d
+    pairings = _root_pairings(datum, np.vstack([rho, lab + rho]))
     if (pairings <= 0).any():
         raise AssertionError("a root pairing of a dominant weight plus rho is not positive")
     # the sign of [n] at z depends on n mod 2 ell only, and then n z < 2 ell^2

@@ -1,4 +1,4 @@
-"""Exact root-system data and finite Weyl group operations for types B and C.
+"""Exact root-system data, Weyl orbits and Freudenthal multiplicities for types B and C.
 
 Weights are stored through their *doubled* coordinates (every entry is
 2*lambda_i), so the half-integral spin weights of type B are exact integers
@@ -16,7 +16,6 @@ in exact ints, so an inexact division still raises.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -104,45 +103,6 @@ def _check_rank(a: Weight, b: Weight) -> None:
 
 
 @dataclass(frozen=True)
-class WeylElement:
-    """Signed permutation w acting by (w v)[j] = signs[j] * v[perm[j]]."""
-
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    @classmethod
-    def identity(cls, rank: int) -> "WeylElement":
-        return cls(tuple(range(rank)), (1,) * rank)
-
-    @property
-    def rank(self) -> int:
-        return len(self.perm)
-
-    @property
-    def sign(self) -> int:
-        """Signature: parity of the permutation times the product of sign flips."""
-        perm = self.perm
-        inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
-        neg = sum(1 for s in self.signs if s < 0)
-        return -1 if (inv + neg) % 2 else 1
-
-    def apply(self, w: Weight) -> Weight:
-        if w.rank != self.rank:
-            raise DimensionMismatchError(f"rank mismatch: {w.rank} vs {self.rank}")
-        return Weight(self.apply_doubled(w.doubled))
-
-    def apply_doubled(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(s * v[p] for p, s in zip(self.perm, self.signs))
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        """Composition self o other (apply ``other`` first)."""
-        # (self*other)(v)[j] = s1[j] * (other v)[p1[j]] = s1[j]*s2[p1[j]] * v[p2[p1[j]]]
-        perm = tuple(other.perm[p] for p in self.perm)
-        signs = tuple(s * other.signs[p] for p, s in zip(self.perm, self.signs))
-        return WeylElement(perm, signs)
-
-
-@dataclass(frozen=True)
 class RootDatum:
     """Root data for B_k or C_r with the short-root-normalized form."""
 
@@ -210,24 +170,7 @@ class RootDatum:
         """<v, root_check> = 2 form(v, root) / form(root, root)."""
         return Fraction(2 * self.form_doubled(v, root), self.form_doubled(root, root))
 
-    # -- Weyl group ---------------------------------------------------------
-
-    def weyl_elements(self) -> tuple[WeylElement, ...]:
-        """All 2^k k! signed permutations (hyperoctahedral Weyl group)."""
-        return _weyl_elements(self.rank)
-
-    def dominant_reduce(self, x: Weight) -> tuple[WeylElement, Weight]:
-        """Deterministic w with w(x) dominant: stable sort of |entries|, descending.
-
-        Sign flips are counted for entries that start out negative; ties are
-        broken by original position, so the signature is reproducible.
-        """
-        if x.rank != self.rank:
-            raise DimensionMismatchError(f"expected rank {self.rank}, got {x.rank}")
-        order = sorted(range(self.rank), key=lambda i: (-abs(x.doubled[i]), i))
-        signs = tuple(-1 if x.doubled[i] < 0 else 1 for i in order)
-        w = WeylElement(tuple(order), signs)
-        return w, w.apply(x)
+    # -- Weyl orbits -------------------------------------------------------
 
     def weyl_orbit(self, mu: Weight) -> frozenset[tuple[int, ...]]:
         """All distinct images of mu under W, as doubled tuples."""
@@ -312,15 +255,6 @@ def _rho(family: str, rank: int) -> Weight:
     if family == "B":
         return Weight(tuple(2 * rank - 2 * i - 1 for i in range(rank)))
     return Weight(tuple(2 * (rank - i) for i in range(rank)))
-
-
-@lru_cache(maxsize=None)
-def _weyl_elements(rank: int) -> tuple[WeylElement, ...]:
-    out = []
-    for perm in itertools.permutations(range(rank)):
-        for signs in itertools.product((1, -1), repeat=rank):
-            out.append(WeylElement(perm, signs))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,9 @@
 """The alcove involution phi(lam) = gamma - w1(lam) and the simple current gamma.
 
 gamma = ((ell-2k)/2, ..., (ell-2k)/2) is the unique alcove label of maximal
-length; tensoring with V_gamma permutes the simple objects by phi, and phi
-flips every character at most by a sign.
+length and w1 is the Weyl element that reverses the coordinates; tensoring
+with V_gamma permutes the simple objects by phi, and phi flips every
+character at most by a sign.
 """
 from __future__ import annotations
 
@@ -12,16 +13,15 @@ import numpy as np
 
 from .errors import DomainError
 from .fusion import AlcoveParams, FusionTable, alcove_enumerate
-from .rootdata import Weight, WeylElement
+from .rootdata import Weight
 
 
 @dataclass(frozen=True)
 class InvolutionData:
-    """gamma, the coordinate reversal w1, and phi as a permutation of the alcove."""
+    """gamma and phi as a permutation of the alcove."""
 
     alcove: AlcoveParams
     gamma: Weight
-    w1: WeylElement
     perm: tuple[int, ...]
 
     @classmethod
@@ -30,12 +30,11 @@ class InvolutionData:
             raise DomainError("the involution is defined on the type B alcove")
         k = alcove.datum.rank
         gamma = Weight((alcove.ell - 2 * k,) * k)
-        w1 = WeylElement(tuple(reversed(range(k))), (1,) * k)
         labels = alcove_enumerate(alcove)
         index = {w: i for i, w in enumerate(labels)}
         perm = []
         for lam in labels:
-            img = gamma - w1.apply(lam)
+            img = gamma - Weight(lam.doubled[::-1])
             if img not in index:
                 raise AssertionError(f"phi({lam}) = {img} escaped the alcove")
             perm.append(index[img])
@@ -44,13 +43,13 @@ class InvolutionData:
             raise AssertionError("phi is not an involution")
         if any(perm[i] == i for i in range(len(perm))):
             raise AssertionError("phi has a fixed point")
-        return cls(alcove, gamma, w1, perm)
+        return cls(alcove, gamma, perm)
 
     def phi(self, lam: Weight) -> Weight:
         """gamma - w1(lam), defined for alcove labels."""
         if not self.alcove.contains(lam):
             raise DomainError(f"{lam} is not in the alcove C_{self.alcove.ell}")
-        return self.gamma - self.w1.apply(lam)
+        return self.gamma - Weight(lam.doubled[::-1])
 
     def permutation_matrix(self) -> np.ndarray:
         n = len(self.perm)

@@ -2,9 +2,10 @@
 
 Each check returns a CheckResult; the CLI prints one line per check and
 exits nonzero if any fails.  A check whose hypothesis fails at the cell is
-marked skipped: it prints as SKIP and counts apart from the checks that ran.  Tolerances follow the module contracts:
-integer identities are exact, single character evaluations use 1e-9,
-composed identities 1e-7 relative.
+marked skipped: it prints as SKIP and counts apart from the checks that ran.
+
+Tolerances follow the module contracts: integer identities are exact, single
+character evaluations use 1e-9, composed identities 1e-7 relative.
 """
 from __future__ import annotations
 

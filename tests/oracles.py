@@ -11,26 +11,92 @@ box scan, the affine reduction of a batch of rows by repeated finite sorts
 and reflections in the highest root (reduce_rows_loop), associativity by
 contracting every pair of fusion matrices,
 Gamma(k, ell) by growing every diagram and sorting, the Psi graph by walking
-every pair of diagrams, and the q-Weyl product through exact Fraction
-pairings.  Keep these slow and obvious.
+every pair of diagrams, the q-Weyl product through exact Fraction pairings,
+the signed-permutation group (WeylElement, weyl_elements) that the package
+never builds, and the Weyl alternating sum over that whole group
+(alternating_sum_group) instead of a determinant.  Keep these slow and
+obvious.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from bcfusion.bmwdual import (FerrersDiagram, box_neighbors, gamma_set, generator_weight, in_gamma,
                               psi_table)
-from bcfusion.errors import ConfigurationError, DomainError
+from bcfusion.errors import ConfigurationError, DimensionMismatchError, DomainError
 from bcfusion.rootdata import (RootDatum, Weight, _dominant_below, _fd, _positive_roots,
                                make_root_datum)
 
 
 def _as_doubled(w):
     return w.doubled if isinstance(w, Weight) else tuple(w)
+
+
+@dataclass(frozen=True)
+class WeylElement:
+    """Signed permutation w acting by (w v)[j] = signs[j] * v[perm[j]]."""
+
+    perm: tuple[int, ...]
+    signs: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.perm)
+
+    @property
+    def sign(self) -> int:
+        """Signature: parity of the permutation times the product of sign flips."""
+        perm = self.perm
+        inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
+        neg = sum(1 for s in self.signs if s < 0)
+        return -1 if (inv + neg) % 2 else 1
+
+    def apply(self, w: Weight) -> Weight:
+        if w.rank != self.rank:
+            raise DimensionMismatchError(f"rank mismatch: {w.rank} vs {self.rank}")
+        return Weight(self.apply_doubled(w.doubled))
+
+    def apply_doubled(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(s * v[p] for p, s in zip(self.perm, self.signs))
+
+    def __mul__(self, other: "WeylElement") -> "WeylElement":
+        """Composition self o other (apply ``other`` first)."""
+        # (self*other)(v)[j] = s1[j] * (other v)[p1[j]] = s1[j]*s2[p1[j]] * v[p2[p1[j]]]
+        perm = tuple(other.perm[p] for p in self.perm)
+        signs = tuple(s * other.signs[p] for p, s in zip(self.perm, self.signs))
+        return WeylElement(perm, signs)
+
+
+@lru_cache(maxsize=None)
+def weyl_elements(rank: int) -> tuple[WeylElement, ...]:
+    """All 2^k k! signed permutations (the hyperoctahedral Weyl group of B_k and C_k)."""
+    return tuple(WeylElement(perm, signs) for perm in itertools.permutations(range(rank))
+                 for signs in itertools.product((1, -1), repeat=rank))
+
+
+def alternating_sum_group(params, shifted, nu: Weight) -> np.ndarray:
+    """sum_w eps(w) q^<w(v), nu> for each v in ``shifted``, one term per element
+    of the whole Weyl group; params is a QuantumParams.
+
+    With <a, b> = a.b / d in doubled coordinates (d = 2 on B, 4 on C), each
+    term is exp(i pi t / (d ell)) for the integer t = z (w(v).nu) mod 2 d ell,
+    so no exponent is rounded before it is reduced.
+    """
+    datum = params.datum
+    elems = weyl_elements(datum.rank)
+    perms = np.array([w.perm for w in elems], dtype=np.intp)
+    signs = np.array([w.signs for w in elems], dtype=np.int64)
+    eps = np.array([w.sign for w in elems], dtype=np.float64)
+    imgs = signs * np.asarray(nu.doubled, dtype=np.int64)[perms]
+    rows = np.asarray([v.doubled for v in shifted], dtype=np.int64)
+    d = 2 if datum.family == "B" else 4
+    turns = rows @ imgs.T * params.z % (2 * d * params.ell)
+    return np.exp(1j * math.pi / (d * params.ell) * turns) @ eps
 
 
 @lru_cache(maxsize=None)
@@ -64,7 +130,7 @@ def kostant_mult(datum: RootDatum, lam: Weight, mu: Weight) -> int:
     rho = datum.rho
     target = (mu + rho).doubled
     total = 0
-    for w in datum.weyl_elements():
+    for w in weyl_elements(datum.rank):
         img = w.apply(lam + rho).doubled
         beta = tuple(a - b for a, b in zip(img, target))
         total += w.sign * _kostant_partition(datum.family, datum.rank, beta, 0)

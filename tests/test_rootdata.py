@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 from bcfusion.errors import DimensionMismatchError, DomainError, InvalidRankError
 from bcfusion.fusion import AlcoveParams, alcove_enumerate
 from bcfusion import rootdata
-from bcfusion.rootdata import (RootDatum, Weight, WeylElement, _dominant_below, _freudenthal,
+from bcfusion.rootdata import (RootDatum, Weight, _dominant_below, _freudenthal,
                                _orbit, make_root_datum)
 
 from conftest import w
-from oracles import (character_multiset, dominant_below_scan, freudenthal_scalar, kostant_mult,
-                     orbit_brute)
+from oracles import (WeylElement, character_multiset, dominant_below_scan, freudenthal_scalar,
+                     kostant_mult, orbit_brute, weyl_elements)
 
 
 def test_b2_positive_roots():
@@ -76,43 +76,22 @@ def test_weight_parity_and_parse():
         _ = Weight((2, 1)).parity
 
 
-def test_dominant_reduce_examples(b2):
-    _, dom = b2.dominant_reduce(w(0, 1))
-    assert dom == w(1, 0)
-    welt, dom = b2.dominant_reduce(w(0, 1))
-    assert welt.sign == -1
-    welt, dom = b2.dominant_reduce(w(-1, 2))
-    assert dom == w(2, 1) and welt.sign == 1
-    welt, dom = b2.dominant_reduce(w("3/2", "1/2"))
-    assert dom == w("3/2", "1/2") and welt.sign == 1
-
-
 small_weights = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
 
 
-@given(small_weights)
-def test_dominant_reduce_applies(v):
-    datum = make_root_datum("B", 3)
-    x = Weight(tuple(2 * e for e in v))
-    welt, dom = datum.dominant_reduce(x)
-    assert welt.apply(x) == dom
-    assert dom.is_dominant
-    assert sorted(abs(e) for e in x.doubled) == sorted(dom.doubled)
-
-
 @st.composite
-def weyl_elements(draw, rank=3):
+def signed_permutations(draw, rank=3):
     perm = draw(st.permutations(list(range(rank))))
     signs = draw(st.tuples(*[st.sampled_from((1, -1))] * rank))
     return WeylElement(tuple(perm), signs)
 
 
-@given(weyl_elements(), weyl_elements())
+@given(signed_permutations(), signed_permutations())
 def test_signature_is_a_homomorphism(w1, w2):
     assert (w1 * w2).sign == w1.sign * w2.sign
 
 
-@given(weyl_elements(), weyl_elements(), small_weights)
+@given(signed_permutations(), signed_permutations(), small_weights)
 def test_composition_acts_correctly(w1, w2, v):
     x = Weight(tuple(2 * e for e in v))
     assert (w1 * w2).apply(x) == w1.apply(w2.apply(x))
@@ -225,7 +204,7 @@ def test_freudenthal_raises_when_not_integral(monkeypatch):
 def test_weyl_orbit_invariance(b3):
     lam = Weight((2, 2, 0))
     mult = b3.weight_multiplicities(lam)
-    for welt in b3.weyl_elements()[:48:7]:
+    for welt in weyl_elements(3)[:48:7]:
         for mu, c in mult.items():
             assert mult[welt.apply(mu)] == c
 
