@@ -133,8 +133,7 @@ def cmd_chars(args) -> int:
     params = _alcove_params(args)
     z = args.z if args.z is not None else 1
     dim_vec = positive_character(params)
-    spin_vec = character_vector(QuantumParams(params, z), params.datum.spin_weight,
-                                name=f"dim_spin_z{z}")
+    spin_vec = character_vector(QuantumParams(params, z), params.datum.spin_weight)
     labels = dim_vec.labels
     if args.format == "json":
         payload = {

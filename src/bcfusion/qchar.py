@@ -1,8 +1,8 @@
 """Quantum integers, q-characters, categorical dimensions, and the positive character.
 
-All character arithmetic is floating point, except ``qdim_signs``, which
-decides the sign of qdim in integers, and the singular-denominator decision
-of ``chi_vector``; fusion stays exact on the integer side.
+Every pairing <v, alpha> is an exact integer from ``rootdata.root_pairings``;
+character values are floating point from there.  ``qdim_signs`` decides the
+sign of qdim, and ``chi_vector`` a vanishing Weyl denominator, in integers.
 
 Evaluation happens at q = exp(z*pi*i/ell) with gcd(z, ell) = 1, so q^2 is a
 primitive ell-th root of unity and q^ell = (-1)^z.
@@ -13,14 +13,13 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import (CertificationError, DimensionMismatchError, DomainError,
                      SingularParameterError)
 from .fusion import AlcoveParams, FusionTable, alcove_enumerate
-from .rootdata import RootDatum, Weight, make_root_datum
+from .rootdata import RootDatum, Weight, root_pairings
 
 
 @dataclass(frozen=True)
@@ -99,14 +98,18 @@ def alternating_sum(params: QuantumParams, shifted, nu: Weight) -> np.ndarray:
 
 
 def weyl_denominator(params: QuantumParams, nu: Weight) -> float:
-    """delta(H_nu) = prod_{alpha > 0} [<alpha, nu>/2] for nu in the root lattice."""
-    datum = params.datum
+    """delta(H_nu) = prod_{alpha > 0} [<alpha, nu>/2] for nu in the root lattice.
+
+    [p/2] = sin(p z pi/(2 ell)) / sin(z pi/ell), and the sine has period 4 ell
+    in p z and changes sign every 2 ell: p z is folded into [0, 2 ell) in
+    integers first, so a vanishing factor is an exact 0.
+    """
+    datum, ell = params.datum, params.ell
     if not datum.in_root_lattice(nu):
         raise DomainError(f"{nu} is not in the root lattice")
-    val = 1.0
-    for a in datum.positive_roots:
-        val *= quantum_integer(params, datum.form(a, nu) / 2)
-    return val
+    t = root_pairings(datum, [nu.doubled])[0] * params.z % (4 * ell)
+    sines = np.where(t < 2 * ell, 1, -1) * np.sin(t % (2 * ell) * (math.pi / (2 * ell)))
+    return float(np.prod(sines / math.sin(math.pi * params.z / ell)))
 
 
 def chi(params: QuantumParams, lam: Weight, nu: Weight) -> float:
@@ -123,8 +126,7 @@ def chi_vector(params: QuantumParams, nu: Weight, lambdas) -> np.ndarray:
     datum = params.datum
     if not datum.in_root_lattice(nu):
         raise DomainError(f"{nu} is not in the root lattice")
-    pairings = _root_pairings(datum, np.array([nu.doubled], dtype=np.int64))
-    if (params.z * pairings % (2 * params.ell) == 0).any():
+    if (params.z * root_pairings(datum, [nu.doubled]) % (2 * params.ell) == 0).any():
         raise SingularParameterError(f"Weyl denominator vanishes at nu={nu}, z={params.z}")
     rho = datum.rho
     sums = alternating_sum(params, [rho] + [lam + rho for lam in lambdas], nu)
@@ -132,61 +134,42 @@ def chi_vector(params: QuantumParams, nu: Weight, lambdas) -> np.ndarray:
     return (sums[1:] / sums[0]).real
 
 
-@lru_cache(maxsize=None)
-def _pairing_rows(family: str, rank: int,
-                  coroot: bool) -> tuple[tuple[tuple[int, ...], int, float], ...]:
-    """(alpha.doubled, d, <rho, .>) per positive root alpha, where <v, alpha>
-    (or <v, alpha_check> with ``coroot``) = dot(v.doubled, alpha.doubled) / d.
-
-    The form is dot/2 on B and dot/4 on C, and the coroot pairing
-    2<v, alpha>/<alpha, alpha> is dot / (|alpha.doubled|^2 / 2) on both.
-    Int true division is correctly rounded, as float(Fraction) is.
+def _label_pairings(alcove: AlcoveParams, labels, coroot: bool = False) -> np.ndarray:
+    """The ``root_pairings`` rows [rho; mu + rho for mu in labels], the one domain
+    check of the Weyl products: each label is a lattice weight, dominant (for
+    those, every <mu + rho, alpha> > 0) and in the closed alcove,
+    <mu + rho, theta_check> <= ell (theta is short: one column for both pairings).
     """
-    datum = make_root_datum(family, rank)
-    rho = datum.rho.doubled
-    rows = []
-    for a in datum.positive_roots:
-        d = sum(x * x for x in a.doubled) // 2 if coroot else (2 if family == "B" else 4)
-        rows.append((a.doubled, d, sum(x * y for x, y in zip(rho, a.doubled)) / d))
-    return tuple(rows)
+    datum, ell = alcove.datum, alcove.ell
+    for mu in labels:
+        if mu.rank != datum.rank:
+            raise DimensionMismatchError(f"every label must have rank {datum.rank}")
+        datum.check_lattice_weight(mu)
+    rho = np.array(datum.rho.doubled, dtype=np.int64)
+    lab = np.array([mu.doubled for mu in labels], dtype=np.int64).reshape(-1, datum.rank)
+    pairings = root_pairings(datum, np.vstack([rho, lab + rho]), coroot)
+    theta = pairings[1:, datum.positive_roots.index(datum.theta)]
+    outside = (pairings[1:] <= 0).any(axis=1) | (theta > ell)
+    if outside.any():
+        raise DomainError(f"{labels[int(outside.argmax())]} is not dominant in the closed "
+                          f"alcove at ell={ell}")
+    return pairings
 
 
-def _root_pairings(datum: RootDatum, vectors: np.ndarray) -> np.ndarray:
-    """<v, alpha> as exact ints, one row per doubled vector v and one column per
-    positive root alpha; every pairing must be integral."""
-    rows = _pairing_rows(datum.family, datum.rank, False)
-    dots = vectors @ np.array([a for a, _, _ in rows], dtype=np.int64).T
-    d = np.array([d for _, d, _ in rows], dtype=np.int64)
-    if (dots % d).any():
-        raise AssertionError("a root pairing is not an integer")
-    return dots // d
-
-
-def _weyl_product(params: QuantumParams, lam: Weight, coroot: bool) -> float:
-    """prod_{alpha > 0} [<lam + rho, alpha>] / [<rho, alpha>], or with alpha_check."""
-    datum = params.datum
-    shifted = (lam + datum.rho).doubled
+def _weyl_product(params: QuantumParams, pairings: np.ndarray) -> float:
+    """prod_{alpha > 0} [n_alpha] / [m_alpha] over the pairing rows [m; n] of
+    one label, with [n] = sin(n z pi/ell) / sin(z pi/ell)."""
     x = math.pi * params.z / params.ell
     sin_x = math.sin(x)
     val = 1.0
-    for a, d, at_rho in _pairing_rows(datum.family, datum.rank, coroot):
-        at_shifted = sum(u * v for u, v in zip(shifted, a)) / d
+    for at_rho, at_shifted in zip(*pairings.tolist()):
         val *= (math.sin(at_shifted * x) / sin_x) / (math.sin(at_rho * x) / sin_x)
     return val
 
 
 def qdim(params: QuantumParams, mu: Weight) -> float:
     """Categorical dimension of V_mu by the q-deformed Weyl product formula."""
-    datum = params.datum
-    if not mu.is_dominant:
-        raise DomainError(f"{mu} is not dominant")
-    if datum.form_doubled(mu + datum.rho, datum.theta_check) > 2 * params.ell:
-        raise DomainError(f"{mu} is outside the closed alcove at ell={params.ell}")
-    return _weyl_product(params, mu, coroot=False)
-
-
-# int32 entries of one (labels, roots, z) block of qdim_signs
-_SIGN_BLOCK_ENTRIES = 1 << 20
+    return _weyl_product(params, _label_pairings(params.alcove, [mu]))
 
 
 def qdim_signs(alcove: AlcoveParams, labels, zs) -> np.ndarray:
@@ -197,41 +180,18 @@ def qdim_signs(alcove: AlcoveParams, labels, zs) -> np.ndarray:
     with r = n z mod 2 ell, 0 when r is 0 or ell, +1 when r < ell and -1 when
     r > ell.  The sign of qdim is the product over the positive roots, 0 where
     some numerator vanishes.  No denominator does: m < ell at every level that
-    ``AlcoveParams`` admits.  Everything is integer numpy; no float and no
-    tolerance enters.  Labels and z obey qdim's preconditions.
+    ``AlcoveParams`` admits.  The labels pass qdim's domain check, and one
+    integer numpy pass covers every (label, root, z); no float or tolerance enters.
     """
-    datum, ell = alcove.datum, alcove.ell
-    admissible = admissible_z(ell)
-    for z in zs:
-        if z not in admissible:
-            raise DomainError(f"z={z} is not in [1, {ell - 1}] and coprime to ell={ell}")
-    if any(mu.rank != datum.rank for mu in labels):
-        raise DimensionMismatchError(f"every label must have rank {datum.rank}")
-    lab = np.array([mu.doubled for mu in labels], dtype=np.int64).reshape(-1, datum.rank)
-    # qdim's domain: dominant, and 2<mu + rho, theta_check> <= 2 ell
-    rho = np.array(datum.rho.doubled, dtype=np.int64)
-    theta = (lab + rho) @ np.array(datum.theta_check.doubled, dtype=np.int64)
-    outside = ~((lab[:, :-1] >= lab[:, 1:]).all(axis=1) & (lab[:, -1] >= 0)) \
-        | ((theta if datum.family == "B" else theta // 2) > 2 * ell)
-    if outside.any():
-        raise DomainError(f"{labels[int(outside.argmax())]} is not dominant in the closed "
-                          f"alcove at ell={ell}")
+    ell = alcove.ell
+    if not set(zs) <= set(admissible_z(ell)):
+        raise DomainError(f"every z must be in [1, {ell - 1}] and coprime to ell={ell}: {zs}")
     # row 0 pairs rho (the denominators), row 1 + i pairs labels[i] + rho
-    pairings = _root_pairings(datum, np.vstack([rho, lab + rho]))
-    if (pairings <= 0).any():
-        raise AssertionError("a root pairing of a dominant weight plus rho is not positive")
-    # the sign of [n] at z depends on n mod 2 ell only, and then n z < 2 ell^2
-    dtype = np.int32 if 2 * ell * ell < 2 ** 31 else np.int64
-    n = (pairings % (2 * ell)).astype(dtype)
-    zs = np.asarray(zs, dtype=dtype)
-    out = np.empty((len(labels), len(zs)), dtype=np.int8)
-    step = max(1, _SIGN_BLOCK_ENTRIES // n.size)
-    for lo in range(0, len(zs), step):
-        r = n[:, :, None] * zs[lo:lo + step] % (2 * ell)
-        odd = (r > ell).sum(axis=1) % 2
-        zero = (r[1:] % ell == 0).any(axis=1)
-        out[:, lo:lo + step] = np.where(zero, 0, 1 - 2 * (odd[1:] ^ odd[0]))
-    return out
+    pairings = _label_pairings(alcove, labels)
+    r = pairings[:, :, None] * np.asarray(zs, dtype=np.int64) % (2 * ell)
+    odd = (r > ell).sum(axis=1) % 2
+    zero = (r[1:] % ell == 0).any(axis=1)
+    return np.where(zero, 0, 1 - 2 * (odd[1:] ^ odd[0])).astype(np.int8)
 
 
 def dim_mu_vector(params: QuantumParams, mu: Weight, lambdas) -> np.ndarray:
@@ -252,7 +212,7 @@ def spin_character_product(params: QuantumParams, lam: Weight) -> float:
     """
     if params.datum.family != "B":
         raise DomainError("the spin character product is a type B construction")
-    return _weyl_product(params, lam, coroot=True)
+    return _weyl_product(params, _label_pairings(params.alcove, [lam], coroot=True))
 
 
 # -- characters of the fusion ring ----------------------------------------
@@ -263,7 +223,6 @@ class CharacterVector:
 
     labels: tuple[Weight, ...]
     values: dict[Weight, float] = field(compare=False)
-    name: str = ""
 
     def __getitem__(self, w: Weight) -> float:
         return self.values[w]
@@ -272,11 +231,11 @@ class CharacterVector:
         return np.array([self.values[w] for w in self.labels])
 
 
-def character_vector(params: QuantumParams, mu: Weight, name: str = "") -> CharacterVector:
+def character_vector(params: QuantumParams, mu: Weight) -> CharacterVector:
     """The CharacterVector lam -> dim^mu(V_lam) over the alcove."""
     labels = alcove_enumerate(params.alcove)
     vals = dim_mu_vector(params, mu, labels)
-    return CharacterVector(labels, dict(zip(labels, map(float, vals))), name or f"dim^{mu}@z={params.z}")
+    return CharacterVector(labels, dict(zip(labels, map(float, vals))))
 
 
 def positive_character(alcove: AlcoveParams) -> CharacterVector:
@@ -286,7 +245,7 @@ def positive_character(alcove: AlcoveParams) -> CharacterVector:
     values = {w: spin_character_product(params, w) for w in labels}
     if any(v <= 0 for v in values.values()):
         raise AssertionError("positive character has a nonpositive value; convention bug")
-    return CharacterVector(labels, values, "Dim")
+    return CharacterVector(labels, values)
 
 
 def character_law_defect(vec: CharacterVector, table: FusionTable) -> float:

@@ -16,6 +16,7 @@ in exact ints, so an inexact division still raises.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -200,15 +201,19 @@ class RootDatum:
         return tuple(coords)
 
     def in_root_lattice(self, v: Weight) -> bool:
-        coords = self.root_coordinates(v)
-        return coords is not None
+        return self.root_coordinates(v) is not None
+
+    def check_lattice_weight(self, lam: Weight) -> None:
+        """Raise DomainError unless lam is in the weight lattice: uniform parity
+        on B, integral on C."""
+        if not lam.has_uniform_parity or (self.family == "C" and lam.parity != 1):
+            raise DomainError(f"{lam} is not in the weight lattice of {self.family}_{self.rank}")
 
     def dominant_weight_multiplicities(self, lam: Weight) -> dict[Weight, int]:
         """Freudenthal multiplicities of the dominant weights of V_lam."""
         if not lam.is_dominant:
             raise DomainError(f"{lam} is not dominant")
-        if not lam.has_uniform_parity or (self.family == "C" and lam.parity != 1):
-            raise DomainError(f"{lam} is not in the weight lattice of {self.family}_{self.rank}")
+        self.check_lattice_weight(lam)
         raw = _freudenthal(self.family, self.rank, lam.doubled)
         return {Weight(m): c for m, c in raw.items()}
 
@@ -224,6 +229,7 @@ class RootDatum:
         """Classical dimension of V_lam by the Weyl dimension formula."""
         if not lam.is_dominant:
             raise DomainError(f"{lam} is not dominant")
+        self.check_lattice_weight(lam)
         return _weyl_dim(self.family, self.rank, lam.doubled)
 
 
@@ -386,11 +392,32 @@ def _dominant_below(datum: RootDatum, lam: tuple[int, ...]) -> list[tuple[int, .
 def _weyl_dim(family: str, rank: int, lam: tuple[int, ...]) -> int:
     datum = make_root_datum(family, rank)
     rho = datum.rho.doubled
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    num = den = 1
-    for a in (r.doubled for r in _positive_roots(family, rank)):
-        num *= _fd(family, lam_rho, a)
-        den *= _fd(family, rho, a)
+    num, den = map(math.prod, root_pairings(datum, [np.add(lam, rho), rho]).tolist())
     if num % den:
         raise AssertionError(f"Weyl dimension formula not integral at {lam}")
     return num // den
+
+
+def root_pairings(datum: RootDatum, vectors, coroot: bool = False) -> np.ndarray:
+    """<v, alpha> (or <v, alpha_check> with ``coroot``) as exact int64: one row per
+    doubled vector v, one column per positive root alpha in ``positive_roots`` order.
+
+    In doubled coordinates <v, alpha> = dot(v, alpha) / d with d = 2 on B and 4
+    on C, and <v, alpha_check> = 2<v, alpha>/<alpha, alpha> = dot / (|alpha|^2 / 2)
+    on both.  Every pairing must be integral.
+    """
+    roots, d = _root_matrix(datum.family, datum.rank, coroot)
+    dots = np.asarray(vectors, dtype=np.int64) @ roots
+    if (dots % d).any():
+        raise AssertionError("a root pairing is not an integer")
+    return dots // d
+
+
+@lru_cache(maxsize=None)
+def _root_matrix(family: str, rank: int, coroot: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(doubled positive roots as columns, divisor per column), read-only."""
+    roots = np.array([a.doubled for a in _positive_roots(family, rank)], dtype=np.int64).T
+    form_d = 2 if family == "B" else 4
+    d = (roots * roots).sum(axis=0) // 2 if coroot else np.full(roots.shape[1], form_d)
+    roots.flags.writeable = d.flags.writeable = False
+    return roots, d

@@ -21,7 +21,7 @@ from .fusion import AlcoveParams, FusionTable, bratteli_endo_dim, fuse_pairs, fu
 from .qchar import (QuantumParams, admissible_z, character_law_defect, chi,
                     dim_mu_vector, pf_certify_unique, positive_character,
                     quantum_integer, qdim)
-from .rootdata import Weight, make_root_datum
+from .rootdata import Weight, make_root_datum, root_pairings
 from .symmetry import InvolutionData, phi_sign, verify_simple_current
 from .unitarity import audit
 
@@ -116,9 +116,9 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
     # |dim^mu| is phi-invariant for half-integral mu, across z; only mu with a
     # regular evaluation point qualify (vanishing factors are z-independent)
     rho = datum.rho
-    samples = [mu for mu in (spin, rho, rho + vec)
-               if all(int(datum.form(a, mu + rho) / 2) % ell != 0
-                      for a in datum.positive_roots)]
+    shifts = (spin, rho, rho + vec)
+    pairings = root_pairings(datum, [(mu + rho).doubled for mu in shifts])
+    samples = [mu for mu, row in zip(shifts, pairings) if (row // 2 % ell != 0).all()]
     ok = True
     for z in admissible_z(ell):
         pz = QuantumParams(params, z)

@@ -64,7 +64,14 @@ def test_weyl_denominator_product_vs_sum(q29, b2):
 
 def test_weyl_denominator_wall_vanishes(q29):
     # nu = (9, 0): <eps_1, nu> / 2 = 9 = ell kills the short-root factor
-    assert weyl_denominator(q29, w(9, 0)) == pytest.approx(0.0, abs=1e-9)
+    assert weyl_denominator(q29, w(9, 0)) == 0.0
+
+
+def test_weyl_denominator_vanishes_exactly_near_z_ell_minus_one():
+    # the unreduced float product read -1.19e-9 here: rounding of sin(n z pi/ell)
+    # divided by sin(z pi/ell) once per positive root
+    params = QuantumParams(AlcoveParams(make_root_datum("B", 3), 19), 18)
+    assert weyl_denominator(params, w(1, 6, 25)) == 0.0
 
 
 def test_weyl_denominator_needs_root_lattice(q29):
@@ -109,9 +116,8 @@ def _root_lattice_cases(draw):
 
 @given(_root_lattice_cases())
 def test_chi_singular_decision_is_the_denominator_zero(case):
-    """chi raises exactly where the product form of the Weyl denominator is 0:
-    never where |weyl_denominator| > 1e-6, and only where one of its factors
-    [n] = sin(n z pi/ell) / sin(z pi/ell) has a sine that is 0 up to rounding."""
+    """chi raises exactly where the product form of the Weyl denominator is
+    exactly 0: both decide z <alpha, nu> = 0 mod 2 ell in integers."""
     params, nu = case
     assert params.datum.in_root_lattice(nu)
     den = weyl_denominator(params, nu)
@@ -120,11 +126,7 @@ def test_chi_singular_decision_is_the_denominator_zero(case):
         singular = False
     except SingularParameterError:
         singular = True
-    if abs(den) > 1e-6:
-        assert not singular, (nu, params.z, den)
-    if singular:
-        sines = den * math.sin(math.pi * params.z / params.ell) ** len(params.datum.positive_roots)
-        assert abs(sines) < 1e-12, (nu, params.z, den)
+    assert singular == (den == 0.0), (nu, params.z, den)
 
 
 def test_character_law_at_fixed_nu(q29, b2):
@@ -247,6 +249,27 @@ def test_qdim_signs_domain(params29):
             qdim_signs(params29, [Weight.zero(2), mu], (1,))
     with pytest.raises(DimensionMismatchError):
         qdim_signs(params29, [Weight.zero(3)], (1,))
+
+
+def test_weights_off_the_lattice_raise_domain_error(params29):
+    """Doubled (2,1,0) mixes parities and (3,1,1) is half-integral, so neither
+    is a C_3 weight, and (2,1,0) is no B_3 weight either."""
+    c311 = AlcoveParams(make_root_datum("C", 3), 11)
+    b311 = AlcoveParams(make_root_datum("B", 3), 11)
+    for alcove, mu in ((c311, Weight((2, 1, 0))), (c311, Weight((3, 1, 1))),
+                       (b311, Weight((2, 1, 0)))):
+        with pytest.raises(DomainError, match="weight lattice"):
+            qdim(QuantumParams(alcove, 1), mu)
+        with pytest.raises(DomainError, match="weight lattice"):
+            qdim_signs(alcove, [Weight.zero(3), mu], (1,))
+        with pytest.raises(DomainError, match="weight lattice"):
+            alcove.datum.weyl_dim(mu)
+    with pytest.raises(DomainError, match="weight lattice"):
+        spin_character_product(QuantumParams(b311, 1), Weight((2, 1, 0)))
+    # the spin product shares qdim's domain: dominant, in the closed alcove
+    for mu in (w(0, 1), w(4, 0)):
+        with pytest.raises(DomainError, match="closed alcove"):
+            spin_character_product(QuantumParams(params29, 1), mu)
 
 
 def test_generator_dimension_identity(params29):

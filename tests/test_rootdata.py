@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,7 +7,7 @@ from bcfusion.errors import DimensionMismatchError, DomainError, InvalidRankErro
 from bcfusion.fusion import AlcoveParams, alcove_enumerate
 from bcfusion import rootdata
 from bcfusion.rootdata import (RootDatum, Weight, _dominant_below, _freudenthal,
-                               _orbit, make_root_datum)
+                               _orbit, make_root_datum, root_pairings)
 
 from conftest import w
 from oracles import (WeylElement, character_multiset, dominant_below_scan, freudenthal_scalar,
@@ -113,6 +114,36 @@ def test_coroot_pairing_identity(v):
         x = Weight(tuple(2 * e for e in v))
         for alpha in datum.positive_roots:
             assert datum.form_coroot(x, alpha) == 2 * datum.form(x, alpha) / datum.form(alpha, alpha)
+
+
+@st.composite
+def lattice_vectors(draw):
+    """A B or C datum of rank 2-6 and 1-4 doubled weight-lattice vectors: uniform
+    parity on B, even on C."""
+    family = draw(st.sampled_from("BC"))
+    rank = draw(st.integers(2, 6))
+    parities = draw(st.lists(st.sampled_from((0, 1) if family == "B" else (0,)),
+                             min_size=1, max_size=4))
+    coords = st.lists(st.integers(-20, 20), min_size=rank, max_size=rank)
+    return make_root_datum(family, rank), [tuple(2 * x + p for x in draw(coords))
+                                           for p in parities]
+
+
+@given(lattice_vectors(), st.booleans())
+def test_root_pairings_are_the_fraction_pairings(case, coroot):
+    datum, rows = case
+    got = root_pairings(datum, rows, coroot)
+    assert got.dtype == np.int64 and got.shape == (len(rows), len(datum.positive_roots))
+    pairing = datum.form_coroot if coroot else datum.form
+    for v, row in zip(rows, got.tolist()):
+        assert row == [pairing(Weight(v), a) for a in datum.positive_roots]
+
+
+def test_root_pairings_raise_when_not_integral():
+    # doubled (1, 0): <v, (e1 + e2)_check> = 1/2 on B, <v, e1 + e2> = 1/2 on C
+    for family, coroot in (("B", True), ("C", False)):
+        with pytest.raises(AssertionError, match="not an integer"):
+            root_pairings(make_root_datum(family, 2), [(1, 0)], coroot)
 
 
 def test_theta_check_pairing_defines_alcove_wall(b2):
