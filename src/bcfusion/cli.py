@@ -66,11 +66,15 @@ def _fmt(x: float) -> str:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path:
+    """Print text, or write it to path; a path that cannot be written is a usage error."""
+    if not path:
+        print(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write --output {path}: {exc.strerror or exc}") from None
 
 
 def _alcove_params(args) -> AlcoveParams:

@@ -7,7 +7,9 @@ affine Weyl group.  In doubled rho-shifted coordinates that action is the
 signed permutations times the translations 2 ell L (L = Z^k for type B, the
 even-sum lattice D_k for type C), so ``_reduce_rows``, the one
 affine-reduction kernel, reduces any batch of rows in one closed-form numpy
-pass with no loop: each entry modulo 2 ell, one fold for type C, one sort.
+pass over its k coordinate columns: each entry modulo 2 ell, the
+odd-even transposition network ``rootdata.sort_network`` (which also counts
+the sign), one fold for type C.
 
 ``fuse_pairs`` is the one Racah-Speiser kernel: it fuses many label pairs at
 once into an exact (pairs, labels) int64 array.  It groups the pairs by
@@ -22,12 +24,13 @@ The two-stage route (classical decomposition first, affine
 antisymmetrization second), ``fuse_two_stage_pairs``, is kept as an
 independent oracle with the same layout.  Its first stage,
 ``_classical_rows``, is its own exact integer numpy pass over chunks of
-whole pairs: the Weyl orbits from ``RootDatum.weyl_orbit`` are stacked,
-shifted and made dominant by a finite-Weyl sort with the sign read off the
-sorting permutation, and it keeps its own label map.  It never calls
-``_orbit_blocks``, ``_reduce_rows`` or ``fuse_pairs``' label lookup, and
-``fuse_pairs`` never calls ``weyl_orbit``, so a fault in either enumeration
-or lookup cannot hide in both sides of the comparison.  The two routes
+whole pairs: the Weyl orbits from ``RootDatum.weyl_orbit`` (read-only
+arrays with their own enumeration) are stacked, shifted and made dominant
+by an ``argsort`` with the sign read off the sorting permutation, and it
+keeps its own label map.  It never calls ``_orbit_blocks``,
+``_reduce_rows``, ``sort_network`` or ``fuse_pairs``' label lookup, and
+``fuse_pairs`` never calls ``weyl_orbit``, so a fault in either enumeration,
+sort or lookup cannot hide in both sides of the comparison.  The two routes
 share only ``_reduce_rows``, which the second stage applies to the
 classical summands; ``tests/oracles.py`` checks that kernel against the
 reflection loop it replaced and a breadth-first search of the orbit.
@@ -55,12 +58,12 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .rootdata import RootDatum, Weight, make_root_datum
+from .rootdata import RootDatum, Weight, make_root_datum, sort_network
 
 # rows reduced at once by fuse_pairs, and Weyl images per chunk of the
 # two-stage oracle; the temporaries are a few (rows, rank) int64 arrays, and
@@ -165,15 +168,6 @@ def affine_reduce(params: AlcoveParams, xi: Weight) -> tuple[Weight | None, int]
     return (None, 0) if sign == 0 else (Weight(tuple(labels[0].tolist())), sign)
 
 
-@lru_cache(maxsize=None)
-def _upper_pairs(rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(rank, 1), read-only: the index pairs i < j of a row."""
-    pairs = np.triu_indices(rank, 1)
-    for a in pairs:
-        a.setflags(write=False)
-    return pairs
-
-
 def _reduce_rows(params: AlcoveParams, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce each row of V, a rho-shifted vector in doubled coordinates, into C_ell.
 
@@ -184,31 +178,36 @@ def _reduce_rows(params: AlcoveParams, V: np.ndarray) -> tuple[np.ndarray, np.nd
 
     In these coordinates the dot action is the signed permutations times the
     translations 2 ell L, with L = Z^k for type B and L = D_k (even coordinate
-    sum) for type C, so one pass reduces every row.  Each entry goes to r in
-    [-ell, ell) with quotient q modulo 2 ell; for type C a row with odd sum(q)
-    also folds its largest |r| to 2 ell - |r|, the one translation by 2 ell e_i
-    that keeps it in the closed alcove.  Sorting |r| in descending order ends
-    the reduction.  Translations are even, so the sign is (-1) to the number
-    of negative entries plus the inversions of |r|.  The row is on a wall iff
-    the sorted |r| has a zero or a repeated entry, or w_0 = ell (type B),
+    sum) for type C, so one pass reduces every row.  It runs on the k
+    coordinate columns of V, transposed once to contiguous (k, M).  Each entry
+    goes to r in [-ell, ell) modulo 2 ell, and ``sort_network`` sorts |r| in
+    descending order, adding each swap to the sign parity.  Translations are
+    even, so the sign is (-1) to the number of negative entries plus the
+    inversions of |r|.  For type C a row whose quotients q have odd sum also
+    folds its largest |r| to 2 ell - |r|, the one translation by 2 ell e_i
+    that keeps it in the closed alcove, and toggles that entry's sign; the
+    folded entry stays the largest.  The row is on a wall iff two adjacent
+    sorted entries are equal, the last one is 0, or w_0 = ell (type B),
     w_0 + w_1 = 2 ell (type C).
     """
     ell, family = params.ell, params.datum.family
     rho = np.array(params.datum.rho.doubled, dtype=np.int64)
-    q, r = np.divmod(V + ell, 2 * ell)
-    r -= ell
-    a, flip = np.abs(r), r < 0
+    w = np.add(V.T, ell, order="C")
     if family == "C":
-        rows = np.flatnonzero(q.sum(axis=1) % 2)
-        top = a[rows].argmax(axis=1)
-        a[rows, top] = 2 * ell - a[rows, top]
-        flip[rows, top] ^= True
-    i, j = _upper_pairs(V.shape[1])
-    odd = (flip.sum(axis=1) + (a[:, i] < a[:, j]).sum(axis=1)) % 2
-    w = -np.sort(-a, axis=1)
-    wall = (w[:, -1] == 0) | (w[:, :-1] == w[:, 1:]).any(axis=1)
-    wall |= (w[:, 0] == ell) if family == "B" else (w[:, 0] + w[:, 1] == 2 * ell)
-    return np.where(wall, 0, 1 - 2 * odd), w - rho
+        fold = (w // (2 * ell)).sum(axis=0) % 2 == 1
+    w %= 2 * ell
+    w -= ell
+    odd = np.logical_xor.reduce(w < 0, axis=0)
+    np.abs(w, out=w)
+    sort_network(w, odd)
+    wall = (w[-1] == 0) | (w[:-1] == w[1:]).any(axis=0)
+    if family == "C":
+        w[0] = np.where(fold, 2 * ell - w[0], w[0])
+        odd ^= fold
+        wall |= w[0] + w[1] == 2 * ell
+    else:
+        wall |= w[0] == ell
+    return np.where(wall, 0, np.where(odd, -1, 1)), (w - rho[:, None]).T
 
 
 def _classical_rows(datum: RootDatum, pairs) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -237,10 +236,9 @@ def _classical_rows(datum: RootDatum, pairs) -> Iterator[tuple[np.ndarray, np.nd
     for lam, members in groups.items():
         doms = datum.dominant_weight_multiplicities(lam)
         orbits = [datum.weyl_orbit(d) for d in doms]
-        sizes = [len(orbit) for orbit in orbits]
-        images = np.fromiter(chain.from_iterable(chain.from_iterable(orbits)), dtype=np.int64,
-                             count=sum(sizes) * datum.rank).reshape(-1, datum.rank)
-        mult = np.repeat(np.fromiter(doms.values(), dtype=np.int64, count=len(doms)), sizes)
+        images = np.concatenate(orbits)
+        mult = np.repeat(np.fromiter(doms.values(), dtype=np.int64, count=len(doms)),
+                         [len(orbit) for orbit in orbits])
         for p, mu in members:
             if chunk and rows + len(images) > _CHUNK_ROWS:
                 yield _classical_chunk(datum, chunk)

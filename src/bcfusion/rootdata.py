@@ -6,13 +6,19 @@ and all dominance / wall tests are integer comparisons.  The bilinear form
 is normalized so that short roots have squared length 2: for B_k this is
 twice the Euclidean dot product, for C_r it is the dot product itself.
 
-Freudenthal multiplicities are found in two parts.  numpy does every lookup:
-one int64 pass per step j, over all dominant mu <= lam and all positive roots
-a at once, keeps the terms with |mu + j a|^2 <= |lam|^2, sorts |entries| to
-make mu + j a dominant and finds it among the dominant weights by
-``searchsorted`` on a ``ravel_multi_index`` key.  Python then runs the
-recursion over those (target, 2(<mu, a> + j|a|^2)) lists in height order,
-in exact ints, so an inexact division still raises.
+Freudenthal multiplicities are found in two parts.  numpy does every lookup
+in one int64 pass over all dominant mu <= lam and all positive roots a at
+once: the last step j with |mu + j a|^2 <= |lam|^2 comes from the root of a
+quadratic, checked exactly in integers, every (mu, a, j) term is laid out by
+``np.repeat``, ``sort_network`` makes each mu + j a dominant and
+``searchsorted`` on a ``ravel_multi_index`` key finds it among the dominant
+weights.  Python then runs the recursion over those (target,
+2(<mu, a> + j|a|^2)) lists in height order, in exact ints, so an inexact
+division still raises.
+
+``sort_network`` is the odd-even transposition network that sorts the k
+coordinate columns of many weights at once; the affine reduction in
+``fusion`` runs on it too.
 """
 from __future__ import annotations
 
@@ -173,8 +179,9 @@ class RootDatum:
 
     # -- Weyl orbits -------------------------------------------------------
 
-    def weyl_orbit(self, mu: Weight) -> frozenset[tuple[int, ...]]:
-        """All distinct images of mu under W, as doubled tuples."""
+    def weyl_orbit(self, mu: Weight) -> np.ndarray:
+        """All distinct images of mu under W: a read-only (|W mu|, k) int64 array
+        of doubled coordinates, each image one row."""
         if not mu.is_dominant:
             raise DomainError(f"{mu} is not dominant")
         return _orbit(mu.doubled)
@@ -221,8 +228,8 @@ class RootDatum:
         """Multiplicity of every weight of V_lam (all Weyl images included)."""
         out: dict[Weight, int] = {}
         for mu, c in self.dominant_weight_multiplicities(lam).items():
-            for v in _orbit(mu.doubled):
-                out[Weight(v)] = c
+            for v in _orbit(mu.doubled).tolist():
+                out[Weight(tuple(v))] = c
         return out
 
     def weyl_dim(self, lam: Weight) -> int:
@@ -264,27 +271,28 @@ def _rho(family: str, rank: int) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def _orbit(doubled: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+def _orbit(doubled: tuple[int, ...]) -> np.ndarray:
     """Every distinct arrangement of the multiset of |entries|, with every
-    sign on its nonzero entries: |W| / |Stab| images, not the k! 2^k of W."""
-    left: dict[int, int] = {}
-    for x in doubled:
-        left[abs(x)] = left.get(abs(x), 0) + 1
-    images = []
+    sign on its nonzero entries: |W| / |Stab| rows, not the k! 2^k of W.
 
-    def arrange(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == len(doubled):
-            images.append(prefix)
-            return
-        for x, count in left.items():
-            if count:
-                left[x] -= 1
-                for v in ((x, -x) if x else (0,)):
-                    arrange(prefix + (v,))
-                left[x] += 1
-
-    arrange(())
-    return frozenset(images)
+    Built one coordinate at a time: each partial row is extended by every
+    |entry| it has not used up, with both signs unless it is 0.
+    """
+    values, counts = np.unique(np.abs(np.array(doubled, dtype=np.int64)), return_counts=True)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = counts[None, :]
+    for _ in doubled:
+        grown, rest = [], []
+        for t, x in enumerate(values.tolist()):
+            has = np.flatnonzero(left[:, t])
+            used = left[has]
+            used[:, t] -= 1
+            for v in ((x, -x) if x else (0,)):
+                grown.append(np.column_stack((rows[has], np.full(len(has), v, dtype=np.int64))))
+                rest.append(used)
+        rows, left = np.concatenate(grown), np.concatenate(rest)
+    rows.setflags(write=False)
+    return rows
 
 
 def _fd(family: str, a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -316,35 +324,31 @@ def _freudenthal(family: str, rank: int, lam: tuple[int, ...]) -> dict[tuple[int
     pos[order] = np.arange(len(doms))
     doms = [doms[i] for i in order.tolist()]
 
-    # every (mu, a, j) term whose mu + j a lies in P(lam), one numpy pass per j:
-    # <mu, a> >= 0 for dominant mu, so |mu + j a|^2 grows with j and a pair that
-    # fails the norm bound once fails it for every larger j
+    # every (mu, a, j) term whose mu + j a lies in P(lam), in one numpy pass:
+    # <mu, a> >= 0 for dominant mu, so |mu + j a|^2 grows with j, and the terms
+    # of a pair are j = 1, ..., its last step
     D = lex[order]
+    Dt = np.ascontiguousarray(D.T)
     R = np.array([r.doubled for r in _positive_roots(family, rank)], dtype=np.int64)
+    Rt = np.ascontiguousarray(R.T)
     r_norm = (R * R).sum(axis=1) // half
     mu_i, a_i = (x.ravel() for x in np.indices((len(doms), len(R))))
     pair = (D[mu_i] * R[a_i]).sum(axis=1) // half
     excess = (D * D).sum(axis=1)[mu_i] // half - top_norm
-    src, tgt, coef = [], [], []
-    j = 1
-    while mu_i.size:
-        keep = excess + j * (2 * pair + j * r_norm[a_i]) <= 0
-        mu_i, a_i, pair, excess = mu_i[keep], a_i[keep], pair[keep], excess[keep]
-        w = -np.sort(-np.abs(D[mu_i] + j * R[a_i]), axis=1)  # its dominant image
-        inside = w[:, 0] <= lam[0]
-        key = np.zeros(len(w), dtype=np.int64)
-        key[inside] = np.ravel_multi_index((w[inside] // 2).T, dims)
-        at = np.searchsorted(keys, key).clip(max=len(keys) - 1)
-        hit = inside & (keys[at] == key)
-        src.append(mu_i[hit])
-        tgt.append(pos[at[hit]])
-        coef.append(2 * (pair[hit] + j * r_norm[a_i[hit]]))
-        j += 1
-    src = np.concatenate(src)
-    by_mu = np.argsort(src, kind="stable")
+    steps = _last_step(pair, excess, r_norm[a_i])
+    mu_i, a_i, pair = (np.repeat(x, steps) for x in (mu_i, a_i, pair))
+    j = np.arange(1, len(mu_i) + 1) - np.repeat(np.cumsum(steps) - steps, steps)
+    # (k, terms), one contiguous row per coordinate
+    w = np.abs(np.take(Dt, mu_i, axis=1) + j * np.take(Rt, a_i, axis=1))
+    sort_network(w)  # its dominant image
+    inside = w[0] <= lam[0]
+    # entries are at most w[0], so every inside column is on the grid dims
+    key = np.ravel_multi_index(tuple(w // 2), dims, mode="clip")
+    at = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+    hit = inside & (keys[at] == key)
+    src, tgt, coef = mu_i[hit], pos[at[hit]], 2 * (pair[hit] + j[hit] * r_norm[a_i[hit]])
     ends = np.cumsum(np.bincount(src, minlength=len(doms))).tolist()
-    tgt = np.concatenate(tgt)[by_mu].tolist()
-    coef = np.concatenate(coef)[by_mu].tolist()
+    tgt, coef = tgt.tolist(), coef.tolist()
     casimir = (((D + np.array(rho)) ** 2).sum(axis=1) // half).tolist()
 
     # the recursion itself, in exact Python ints
@@ -357,6 +361,46 @@ def _freudenthal(family: str, rank: int, lam: tuple[int, ...]) -> dict[tuple[int
             raise AssertionError(f"Freudenthal recursion not integral at {doms[i]} below {lam}")
         mult[i] = num // denom
     return dict(zip(doms, mult))
+
+
+def _last_step(pair: np.ndarray, excess: np.ndarray, r_norm: np.ndarray) -> np.ndarray:
+    """The largest j >= 0 with excess + j (2 pair + j r_norm) <= 0, elementwise.
+
+    For a dominant mu in P(lam) and a positive root a (pair = <mu, a> >= 0,
+    excess = |mu|^2 - |lam|^2 <= 0, r_norm = |a|^2 > 0) that is the last step
+    j with |mu + j a|^2 <= |lam|^2.  It is the floor of the quadratic's larger
+    root, taken in float64 and then corrected and asserted in exact int64.
+    """
+    def fits(j):
+        return excess + j * (2 * pair + j * r_norm) <= 0
+
+    j = np.floor((np.sqrt(pair * pair - r_norm * excess) - pair) / r_norm).astype(np.int64)
+    j += fits(j + 1)
+    j -= ~fits(j)
+    if not ((j >= 0) & fits(j) & ~fits(j + 1)).all():
+        raise AssertionError("the last Freudenthal step is off by more than one")
+    return j
+
+
+def sort_network(w: np.ndarray, parity: np.ndarray | None = None) -> None:
+    """Sort every column of w, a (k, M) array, in descending order, in place.
+
+    An odd-even transposition network: k rounds of compare-exchanges between
+    the adjacent rows (i, i+1), i even in even rounds and odd in odd ones,
+    each one ``np.maximum`` and one ``np.minimum`` over all M columns.  With
+    ``parity``, a bool (M,) array, each exchange that swaps a strictly
+    smaller entry up toggles its column, so it gains the parity of the
+    sorting permutation (the number of strict inversions).
+    """
+    k = len(w)
+    for rnd in range(k):
+        for i in range(rnd % 2, k - 1, 2):
+            a, b = w[i], w[i + 1]
+            if parity is not None:
+                parity ^= a < b
+            top = np.maximum(a, b)
+            np.minimum(a, b, out=b)
+            a[...] = top
 
 
 def _dominant_below(datum: RootDatum, lam: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -69,7 +69,7 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
     # table rows, which are fuse's output verbatim (FusionTable.build)
     def rule_holds(g: Weight, lam: Weight, with_lam: bool) -> bool:
         """g (x) lam = the labels among lam + (Weyl orbit of g), each once, plus lam if with_lam."""
-        expected = {nu: 1 for nu in (lam + Weight(img) for img in datum.weyl_orbit(g))
+        expected = {nu: 1 for nu in (lam + Weight(tuple(img)) for img in datum.weyl_orbit(g).tolist())
                     if params.contains(nu)}
         if with_lam:
             expected[lam] = 1

@@ -381,7 +381,7 @@ def classical_tensor_scalar(datum: RootDatum, lam: Weight, mu: Weight) -> dict[W
     rho = datum.rho.doubled
     out: dict[tuple[int, ...], int] = {}
     for dom, m in datum.dominant_weight_multiplicities(lam).items():
-        for kap in datum.weyl_orbit(dom):
+        for kap in datum.weyl_orbit(dom).tolist():
             v = tuple(a + b + c for a, b, c in zip(mu.doubled, kap, rho))
             w = sorted((abs(x) for x in v), reverse=True)
             if w[-1] == 0 or any(w[i] == w[i + 1] for i in range(len(w) - 1)):

@@ -264,6 +264,17 @@ def test_cli_output_file(tmp_path, capsys):
     assert len(json.loads(path.read_text())["labels"]) == 12
 
 
+def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    fuse_args = ["fuse", "--rank", "2", "--ell", "9", "--lhs", "1,0", "--rhs", "1,0"]
+    for path, reason in ((tmp_path / "missing" / "x", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        assert main([*fuse_args, "--output", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write --output {path}: {reason}\n"
+    assert not (tmp_path / "missing").exists()
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcfusion import fusion
+from bcfusion import fusion, rootdata
 from bcfusion.errors import ConfigurationError, DomainError
 from bcfusion.fusion import (AlcoveParams, FusionTable, affine_reduce, alcove_enumerate,
                              _generators, _reduce_rows, bratteli_endo_dim, classical_tensor, fuse,
@@ -171,7 +171,12 @@ def test_classical_tensor_shares_no_kernel_with_fuse(monkeypatch, params313):
         monkeypatch.setattr(fusion, name, forbidden)
     # the second stage reduces with the shared kernel and nothing else of fuse's
     assert np.array_equal(fuse_two_stage_pairs(params313, list(expected)), reduced)
+    # the multisets are rootdata's and shared by both routes: warm the one the
+    # last check needs, so that only the oracle's own code runs under the patch
+    params313.datum.dominant_weight_multiplicities(w(1, 0, 0))
     monkeypatch.setattr(fusion, "_reduce_rows", forbidden)
+    monkeypatch.setattr(fusion, "sort_network", forbidden)
+    monkeypatch.setattr(rootdata, "sort_network", forbidden)
     for (lam, mu), decomposition in expected.items():
         assert classical_tensor(params313.datum, lam, mu) == decomposition
     assert classical_tensor(params313.datum, w(1, 0, 0), w(1, 0, 0)) == {
@@ -180,8 +185,6 @@ def test_classical_tensor_shares_no_kernel_with_fuse(monkeypatch, params313):
 
 def test_fuse_shares_no_orbit_code_with_classical_tensor(monkeypatch, params313):
     """fuse enumerates Weyl orbits by itself, not through what the oracle uses."""
-    from bcfusion import rootdata
-
     def forbidden(*args):
         raise AssertionError("fuse called an oracle's Weyl orbit code")
 
@@ -207,14 +210,14 @@ def test_orbit_rows_are_the_weyl_orbit(family, rank, ell):
     for d in doms:
         rows = _orbit_rows(d)
         assert len(rows) == len(set(rows))
-        assert set(rows) == params.datum.weyl_orbit(d)
+        assert set(rows) == set(map(tuple, params.datum.weyl_orbit(d).tolist()))
 
 
 def test_orbit_rows_of_the_c10_vector():
     datum = make_root_datum("C", 10)
     rows = _orbit_rows(datum.fundamental_weight_1)
     assert len(rows) == len(set(rows)) == 20
-    assert set(rows) == datum.weyl_orbit(datum.fundamental_weight_1)
+    assert set(rows) == set(map(tuple, datum.weyl_orbit(datum.fundamental_weight_1).tolist()))
 
 
 def test_classical_tensor_support_in_ball(b2):
@@ -571,7 +574,8 @@ def test_affine_reduce_against_bfs_oracle(family, rank, ell):
 
 
 _REDUCE_CELLS = [("B", 2, 9), ("B", 3, 13), ("B", 4, 15), ("B", 5, 23),
-                 ("C", 2, 7), ("C", 3, 11), ("C", 4, 15), ("C", 5, 13)]
+                 ("C", 2, 7), ("C", 3, 11), ("C", 4, 15), ("C", 5, 13),
+                 ("B", 6, 13), ("C", 8, 17), ("C", 10, 21)]
 
 
 @st.composite
@@ -611,6 +615,55 @@ def test_reduce_rows_closed_form_matches_the_loop(batch):
     assert np.array_equal(labels[live], loop_labels[live])
     labs = alcove_enumerate(params)
     assert all(Weight(tuple(lab)) in labs for lab in labels[live].tolist())
+
+
+@st.composite
+def _alcove_images(draw, max_rows=12):
+    """(params, V, expected): rows that are affine Weyl images of rho-shifted
+    alcove labels, at any cell of _REDUCE_CELLS, with expected[i] = (label,
+    signature of the element) or None for the rows moved onto a wall.
+
+    Uniform random rows at high rank almost all lie on a wall, so the rows are
+    built from the labels: a signed permutation, then a translation in
+    2 ell L (L = Z^k for B, the even-sum lattice for C).
+    """
+    family, rank, ell = draw(st.sampled_from(_REDUCE_CELLS))
+    params = AlcoveParams(make_root_datum(family, rank), ell)
+    rho = params.datum.rho.doubled
+    labels = alcove_enumerate(params)
+    rows, expected = [], []
+    for _ in range(draw(st.integers(1, max_rows))):
+        lab = draw(st.sampled_from(labels)).doubled
+        perm = draw(st.permutations(range(rank)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank))
+        shift = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+        if family == "C" and sum(shift) % 2:
+            shift[0] += 1
+        v = [signs[c] * (lab[p] + rho[p]) + 2 * ell * t for c, (p, t) in enumerate(zip(perm, shift))]
+        odd = sum(s < 0 for s in signs) + sum(perm[a] > perm[b] for a in range(rank)
+                                              for b in range(a + 1, rank))
+        if draw(st.integers(0, 3)) == 0:
+            # onto a wall: one entry equal up to sign and translation to another
+            i, j = draw(st.lists(st.integers(0, rank - 1), min_size=2, max_size=2, unique=True))
+            v[j] = draw(st.sampled_from((1, -1))) * v[i] + 2 * ell * draw(st.integers(-2, 2))
+            expected.append(None)
+        else:
+            expected.append((lab, -1 if odd % 2 else 1))
+        rows.append(v)
+    return params, np.array(rows, dtype=np.int64), expected
+
+
+@settings(deadline=None)
+@given(_alcove_images())
+def test_reduce_rows_inverts_affine_weyl_images_at_every_rank(case):
+    params, V, expected = case
+    signs, labels = _reduce_rows(params, V.copy())
+    loop_signs, loop_labels = reduce_rows_loop(params, V.copy())
+    assert np.array_equal(signs, loop_signs)
+    live = signs != 0
+    assert np.array_equal(labels[live], loop_labels[live])
+    for s, lab, exp in zip(signs.tolist(), labels.tolist(), expected):
+        assert s == 0 if exp is None else (tuple(lab), s) == exp
 
 
 @settings(max_examples=40, deadline=None)

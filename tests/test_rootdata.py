@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 from bcfusion.errors import DimensionMismatchError, DomainError, InvalidRankError
 from bcfusion.fusion import AlcoveParams, alcove_enumerate
 from bcfusion import rootdata
-from bcfusion.rootdata import (RootDatum, Weight, _dominant_below, _freudenthal,
-                               _orbit, make_root_datum, root_pairings)
+from bcfusion.rootdata import (RootDatum, Weight, _dominant_below, _freudenthal, _last_step,
+                               _orbit, make_root_datum, root_pairings, sort_network)
 
 from conftest import w
 from oracles import (WeylElement, character_multiset, dominant_below_scan, freudenthal_scalar,
@@ -186,12 +188,63 @@ def test_freudenthal_against_kostant(family, rank, lam):
     assert sum(c * datum.orbit_size(mu) for mu, c in got.items()) == oracle_total == datum.weyl_dim(lam)
 
 
-@pytest.mark.parametrize("family,rank,ell", [("B", 4, 17), ("C", 4, 15)])
+@pytest.mark.parametrize("family,rank,ell", [("B", 4, 17), ("C", 4, 15), ("B", 5, 13)])
 def test_freudenthal_matches_scalar_loop_on_alcove_labels(family, rank, ell):
     """The numpy lookup pass gives the scalar loop's dict, keys in the same order."""
     for lab in alcove_enumerate(AlcoveParams(make_root_datum(family, rank), ell)):
         got = _freudenthal(family, rank, lab.doubled)
         assert list(got.items()) == list(freudenthal_scalar(family, rank, lab.doubled).items())
+
+
+@st.composite
+def _weights_below(draw):
+    """(family, rank, lam, mus): a dominant weight lam of B or C at ranks 2-6 in
+    doubled coordinates and some dominant weights mu <= lam."""
+    family, rank = draw(st.sampled_from("BC")), draw(st.integers(2, 6))
+    par = draw(st.sampled_from((0, 1))) if family == "B" else 0
+    entries = sorted(draw(st.lists(st.integers(0, 6), min_size=rank, max_size=rank)), reverse=True)
+    lam = tuple(2 * x + par for x in entries)
+    doms = _dominant_below(make_root_datum(family, rank), lam)
+    return family, rank, lam, draw(st.lists(st.sampled_from(doms), min_size=1, max_size=12))
+
+
+@given(_weights_below())
+def test_last_step_is_the_last_j_found_by_stepping(case):
+    family, rank, lam, mus = case
+    half = 1 if family == "B" else 2
+
+    def norm(v, u=None):
+        return sum(x * y for x, y in zip(v, u or v)) // half
+
+    rows, stepped = [], []
+    for mu in mus:
+        for root in (r.doubled for r in rootdata._positive_roots(family, rank)):
+            rows.append((norm(mu, root), norm(mu) - norm(lam), norm(root)))
+            j = 0
+            while norm(tuple(x + (j + 1) * y for x, y in zip(mu, root))) <= norm(lam):
+                j += 1
+            stepped.append(j)
+    pair, excess, r_norm = np.array(rows, dtype=np.int64).T
+    assert _last_step(pair, excess, r_norm).tolist() == stepped
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 9), st.sampled_from((1, 2, 4)))
+def test_last_step_is_exact_on_large_values(pair, depth, r_norm):
+    # largest j with r j^2 + 2 pair j - depth <= 0: r j + pair <= sqrt(pair^2 + r depth)
+    expected = (math.isqrt(pair * pair + r_norm * depth) - pair) // r_norm
+    got = _last_step(*(np.array([x], dtype=np.int64) for x in (pair, -depth, r_norm)))
+    assert got.tolist() == [expected]
+
+
+@given(st.integers(1, 10).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-4, 4), min_size=k, max_size=k), min_size=1, max_size=30)))
+def test_sort_network_sorts_and_counts_inversions(rows):
+    w = np.array(rows, dtype=np.int64).T.copy()
+    parity = np.zeros(len(rows), dtype=bool)
+    sort_network(w, parity)
+    assert w.T.tolist() == [sorted(r, reverse=True) for r in rows]
+    inversions = [sum(r[i] < r[j] for i in range(len(r)) for j in range(i + 1, len(r))) for r in rows]
+    assert parity.tolist() == [n % 2 == 1 for n in inversions]
 
 
 @pytest.mark.parametrize("family,rank,lam", [
@@ -240,17 +293,28 @@ def test_weyl_orbit_invariance(b3):
             assert mult[welt.apply(mu)] == c
 
 
+def _orbit_set(doubled: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The rows of _orbit(doubled) as a set, after checking that the array is
+    read-only int64 of shape (images, rank) and lists no image twice."""
+    rows = _orbit(doubled)
+    assert rows.dtype == np.int64 and rows.shape[1:] == (len(doubled),)
+    assert not rows.flags.writeable
+    images = set(map(tuple, rows.tolist()))
+    assert len(images) == len(rows)
+    return images
+
+
 @pytest.mark.parametrize("family,rank,ell", [("B", 4, 17), ("C", 4, 15)])
 def test_orbit_matches_brute_force_on_alcove_labels(family, rank, ell):
     for lab in alcove_enumerate(AlcoveParams(make_root_datum(family, rank), ell)):
-        assert _orbit(lab.doubled) == orbit_brute(lab.doubled)
+        assert _orbit_set(lab.doubled) == orbit_brute(lab.doubled)
 
 
 def test_orbit_of_the_c10_vector():
     # orbit_brute would walk all 10! 2^10 signed permutations here
     vector = make_root_datum("C", 10).fundamental_weight_1
-    assert _orbit(vector.doubled) == {tuple(s * 2 * (j == i) for j in range(10))
-                                      for i in range(10) for s in (1, -1)}
+    assert _orbit_set(vector.doubled) == {tuple(s * 2 * (j == i) for j in range(10))
+                                          for i in range(10) for s in (1, -1)}
 
 
 def test_adjoint_dimensions():
