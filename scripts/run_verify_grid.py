@@ -17,7 +17,7 @@ from bcfusion.verify import DEFAULT_GRID, format_results, run_suite
 
 def main(argv) -> int:
     cells = [parse_cell(arg) for arg in argv] or list(DEFAULT_GRID)
-    failures = 0
+    failures = skipped = 0
     for (k, ell) in cells:
         start = time.perf_counter()
         results = run_suite(k, ell)
@@ -25,7 +25,8 @@ def main(argv) -> int:
         print(format_results(k, ell, results))
         print(f"  ({elapsed:.1f}s)")
         failures += sum(not r.ok for r in results)
-    print(f"grid done: {len(cells)} cells, {failures} failing checks")
+        skipped += sum(r.skipped for r in results)
+    print(f"grid done: {len(cells)} cells, {failures} failing checks, {skipped} skipped")
     return 1 if failures else 0
 
 

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
 
 from .bmwdual import duality_passed, duality_report
 from .errors import DomainError, WeightParseError
 from .fusion import AlcoveParams, FusionTable, alcove_enumerate, fuse, fuse_matrix
-from .qchar import QuantumParams, character_vector, positive_character
+from .qchar import QuantumParams, dim_mu_vector, positive_character
 from .rootdata import Weight, make_root_datum
 from .unitarity import audit, audit_grid
 from .verify import DEFAULT_GRID, format_results, run_suite
@@ -73,6 +75,18 @@ def _emit(text: str, path: str | None) -> None:
     try:
         with open(path, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write --output {path}: {exc.strerror or exc}") from None
+
+
+def _check_output(path: str) -> None:
+    """Raise, before the command runs, the usage error ``_emit`` would raise for
+    a path that is a directory or whose parent is not one.  Nothing is created
+    or truncated; any other failure to write still surfaces in ``_emit``."""
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # ENOENT or ENOTDIR
     except OSError as exc:
         raise DomainError(f"cannot write --output {path}: {exc.strerror or exc}") from None
 
@@ -136,15 +150,15 @@ def cmd_matrix(args) -> int:
 def cmd_chars(args) -> int:
     params = _alcove_params(args)
     z = args.z if args.z is not None else 1
-    dim_vec = positive_character(params)
-    spin_vec = character_vector(QuantumParams(params, z), params.datum.spin_weight)
-    labels = dim_vec.labels
+    dims = list(positive_character(params).values())
+    labels = alcove_enumerate(params)
+    spins = dim_mu_vector(QuantumParams(params, z), params.datum.spin_weight, labels).tolist()
     if args.format == "json":
         payload = {
             "family": "B", "rank": args.rank, "ell": args.ell, "z": z,
             "labels": [list(w.doubled) for w in labels],
-            "Dim": [float(_fmt(dim_vec[w])) for w in labels],
-            "dim_spin": [float(_fmt(spin_vec[w])) for w in labels],
+            "Dim": [float(_fmt(x)) for x in dims],
+            "dim_spin": [float(_fmt(x)) for x in spins],
         }
         _emit(json.dumps(payload, sort_keys=True), args.output)
     else:
@@ -152,8 +166,7 @@ def cmd_chars(args) -> int:
         writer = csv.writer(buf, delimiter="\t" if args.format == "table" else ",",
                             lineterminator="\n")
         writer.writerow(["label", "Dim", f"dim_spin@z={z}"])
-        for w in labels:
-            writer.writerow([str(w), _fmt(dim_vec[w]), _fmt(spin_vec[w])])
+        writer.writerows([str(w), _fmt(d), _fmt(x)] for w, d, x in zip(labels, dims, spins))
         _emit(buf.getvalue().rstrip("\n"), args.output)
     return 0
 
@@ -275,7 +288,13 @@ def main(argv=None) -> int:
         # the first conclusive cell, 2(2k+1) < ell at k = 2, is ell = 11
         if args.max_ell < 11:
             parser.error(f"--max-ell {args.max_ell} selects no conclusive cell; it must be >= 11")
-    return run_checked(args.func, args)
+    return run_checked(_run, args)
+
+
+def _run(args) -> int:
+    if args.output:
+        _check_output(args.output)
+    return args.func(args)
 
 
 def run_checked(func, *args) -> int:

@@ -134,13 +134,16 @@ def chi_vector(params: QuantumParams, nu: Weight, lambdas) -> np.ndarray:
     return (sums[1:] / sums[0]).real
 
 
-def _label_pairings(alcove: AlcoveParams, labels, coroot: bool = False) -> np.ndarray:
+def _label_pairings(alcove: AlcoveParams, labels, zs, coroot: bool = False) -> np.ndarray:
     """The ``root_pairings`` rows [rho; mu + rho for mu in labels], the one domain
-    check of the Weyl products: each label is a lattice weight, dominant (for
-    those, every <mu + rho, alpha> > 0) and in the closed alcove,
-    <mu + rho, theta_check> <= ell (theta is short: one column for both pairings).
+    check of the Weyl products: every z is admissible, and each label is a
+    lattice weight, dominant (for those, every <mu + rho, alpha> > 0) and in the
+    closed alcove, <mu + rho, theta_check> <= ell (theta is short: one column for
+    both pairings).
     """
     datum, ell = alcove.datum, alcove.ell
+    if not all(1 <= z < ell and math.gcd(z, ell) == 1 for z in zs):
+        raise DomainError(f"every z must be in [1, {ell - 1}] and coprime to ell={ell}: {zs}")
     for mu in labels:
         if mu.rank != datum.rank:
             raise DimensionMismatchError(f"every label must have rank {datum.rank}")
@@ -156,20 +159,32 @@ def _label_pairings(alcove: AlcoveParams, labels, coroot: bool = False) -> np.nd
     return pairings
 
 
-def _weyl_product(params: QuantumParams, pairings: np.ndarray) -> float:
-    """prod_{alpha > 0} [n_alpha] / [m_alpha] over the pairing rows [m; n] of
-    one label, with [n] = sin(n z pi/ell) / sin(z pi/ell)."""
-    x = math.pi * params.z / params.ell
-    sin_x = math.sin(x)
-    val = 1.0
-    for at_rho, at_shifted in zip(*pairings.tolist()):
-        val *= (math.sin(at_shifted * x) / sin_x) / (math.sin(at_rho * x) / sin_x)
-    return val
+def weyl_products(alcove: AlcoveParams, labels, zs, coroot: bool = False) -> np.ndarray:
+    """prod_{alpha > 0} [<mu + rho, alpha>] / [<rho, alpha>] at q = exp(z pi i/ell):
+    float64 of shape (len(labels), len(zs)), [n] = sin(n z pi/ell) / sin(z pi/ell).
+
+    Without ``coroot`` this is qdim(mu).  With ``coroot`` (alpha_check in place
+    of alpha) it is dim^{Lambda_k}(V_mu) on type B: the alternating sum over W
+    at H_{Lambda_k + rho} factors through the Weyl denominator of the dual
+    (type C) root system.  The float twin of ``qdim_signs``, with the same
+    pairings and domain check; each factor is ([n] / [m]), multiplied into a
+    running product one root at a time in ``positive_roots`` order.
+    """
+    # row 0 pairs rho (the denominators), row 1 + i pairs labels[i] + rho
+    pairings = _label_pairings(alcove, labels, zs, coroot)
+    x = math.pi * np.asarray(zs, dtype=np.int64) / alcove.ell
+    sin_x = np.sin(x)
+    ratios = np.sin(pairings[:, :, None] * x) / sin_x
+    factors = ratios[1:] / ratios[0]
+    out = np.ones((len(labels), len(zs)))
+    for j in range(pairings.shape[1]):
+        out *= factors[:, j]
+    return out
 
 
 def qdim(params: QuantumParams, mu: Weight) -> float:
     """Categorical dimension of V_mu by the q-deformed Weyl product formula."""
-    return _weyl_product(params, _label_pairings(params.alcove, [mu]))
+    return float(weyl_products(params.alcove, [mu], [params.z])[0, 0])
 
 
 def qdim_signs(alcove: AlcoveParams, labels, zs) -> np.ndarray:
@@ -184,10 +199,7 @@ def qdim_signs(alcove: AlcoveParams, labels, zs) -> np.ndarray:
     integer numpy pass covers every (label, root, z); no float or tolerance enters.
     """
     ell = alcove.ell
-    if not set(zs) <= set(admissible_z(ell)):
-        raise DomainError(f"every z must be in [1, {ell - 1}] and coprime to ell={ell}: {zs}")
-    # row 0 pairs rho (the denominators), row 1 + i pairs labels[i] + rho
-    pairings = _label_pairings(alcove, labels)
+    pairings = _label_pairings(alcove, labels, zs)
     r = pairings[:, :, None] * np.asarray(zs, dtype=np.int64) % (2 * ell)
     odd = (r > ell).sum(axis=1) % 2
     zero = (r[1:] % ell == 0).any(axis=1)
@@ -203,54 +215,23 @@ def dim_mu_vector(params: QuantumParams, mu: Weight, lambdas) -> np.ndarray:
     return chi_vector(params, mu + params.datum.rho, lambdas)
 
 
-def spin_character_product(params: QuantumParams, lam: Weight) -> float:
-    """dim^{Lambda_k}(V_lam) as the coroot product of quantum-integer ratios.
-
-    The alternating sum over W at H_{Lambda_k + rho} factors through the Weyl
-    denominator of the dual (type C) root system, which turns the character
-    into prod_{coroots} [<lam+rho, alpha_check>] / [<rho, alpha_check>].
-    """
-    if params.datum.family != "B":
-        raise DomainError("the spin character product is a type B construction")
-    return _weyl_product(params, _label_pairings(params.alcove, [lam], coroot=True))
-
-
 # -- characters of the fusion ring ----------------------------------------
 
-@dataclass(frozen=True)
-class CharacterVector:
-    """A character of the fusion ring: one real value per alcove label."""
-
-    labels: tuple[Weight, ...]
-    values: dict[Weight, float] = field(compare=False)
-
-    def __getitem__(self, w: Weight) -> float:
-        return self.values[w]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.values[w] for w in self.labels])
-
-
-def character_vector(params: QuantumParams, mu: Weight) -> CharacterVector:
-    """The CharacterVector lam -> dim^mu(V_lam) over the alcove."""
-    labels = alcove_enumerate(params.alcove)
-    vals = dim_mu_vector(params, mu, labels)
-    return CharacterVector(labels, dict(zip(labels, map(float, vals))))
-
-
-def positive_character(alcove: AlcoveParams) -> CharacterVector:
-    """The unique positive character: the spin character evaluated at z = 1."""
-    params = QuantumParams(alcove, 1)
+def positive_character(alcove: AlcoveParams) -> dict[Weight, float]:
+    """The unique positive character, lam -> Dim(lam) in alcove order: the spin
+    character at z = 1, the coroot Weyl product."""
+    if alcove.datum.family != "B":
+        raise DomainError("the positive character is the spin character, a type B construction")
     labels = alcove_enumerate(alcove)
-    values = {w: spin_character_product(params, w) for w in labels}
-    if any(v <= 0 for v in values.values()):
+    values = weyl_products(alcove, labels, (1,), coroot=True)[:, 0]
+    if (values <= 0).any():
         raise AssertionError("positive character has a nonpositive value; convention bug")
-    return CharacterVector(labels, values)
+    return dict(zip(labels, values.tolist()))
 
 
-def character_law_defect(vec: CharacterVector, table: FusionTable) -> float:
-    """max over label pairs of |f(lam)f(mu) - sum_nu N f(nu)| / (1 + |f(lam)f(mu)|)."""
-    f = vec.as_array()
+def character_law_defect(f: np.ndarray, table: FusionTable) -> float:
+    """max over label pairs of |f(lam)f(mu) - sum_nu N f(nu)| / (1 + |f(lam)f(mu)|),
+    for f an array in alcove order."""
     lhs = np.outer(f, f)
     rhs = np.array([s @ f for s in table.coeffs])  # one n x n slice at a time, never n^3
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
@@ -263,7 +244,7 @@ class PFCertificate:
     s: int
     positive_count: int
     eigenvalue: float
-    eigenvector: dict[Weight, float]
+    eigenvector: np.ndarray = field(compare=False)  # in alcove order, 1 at the unit
 
 
 def pf_certify_unique(table: FusionTable) -> PFCertificate:
@@ -301,16 +282,13 @@ def pf_certify_unique(table: FusionTable) -> PFCertificate:
     if not (M > 0).all():
         raise AssertionError("positivity pattern disagreed with boolean reachability")
     evals, evecs = np.linalg.eigh(M)
-    positive = 0
-    pf_vec, pf_val = None, None
-    for i in range(n):
-        v = evecs[:, i]
-        v = v / v[np.argmax(np.abs(v))]
-        if (v > 1e-9).all():
-            positive += 1
-            pf_vec, pf_val = v, float(evals[i])
-    if positive != 1:
-        raise CertificationError(f"expected exactly one positive eigenvector, found {positive}")
+    # each eigenvector scaled by its entry of largest modulus
+    scaled = evecs / evecs[np.abs(evecs).argmax(axis=0), np.arange(n)]
+    positive = (scaled > 1e-9).all(axis=0)
+    if positive.sum() != 1:
+        raise CertificationError(
+            f"expected exactly one positive eigenvector, found {positive.sum()}")
+    i = int(positive.argmax())
+    pf_vec = scaled[:, i]
     unit = table.index(Weight.zero(table.params.rank))
-    pf_vec = pf_vec / pf_vec[unit]
-    return PFCertificate(found, positive, pf_val, dict(zip(table.labels, map(float, pf_vec))))
+    return PFCertificate(found, 1, float(evals[i]), pf_vec / pf_vec[unit])

@@ -54,8 +54,7 @@ class InvolutionData:
     def permutation_matrix(self) -> np.ndarray:
         n = len(self.perm)
         P = np.zeros((n, n), dtype=np.int64)
-        for i, j in enumerate(self.perm):
-            P[j, i] = 1
+        P[self.perm, np.arange(n)] = 1
         return P
 
 

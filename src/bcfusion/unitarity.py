@@ -18,10 +18,12 @@ import math
 from dataclasses import dataclass, field
 from itertools import islice
 
+import numpy as np
+
 from .bmwdual import FerrersDiagram, bar_map, iter_gamma
 from .errors import DomainError
 from .fusion import AlcoveParams
-from .qchar import QuantumParams, admissible_z, qdim, qdim_signs
+from .qchar import admissible_z, qdim_signs, weyl_products
 from .rootdata import make_root_datum
 
 WITNESS_TOL = 1e-9
@@ -152,22 +154,24 @@ def audit(k: int, ell: int) -> UnitarityReport:
     involution twist, so the sign is meaningful on both sides of the duality.
     The witness of each z is the first even-size tau of Gamma(k, ell), in
     (size, rows) order, whose exact sign (``qdim_signs``) is -1; no tolerance
-    decides it.  ``witness_value`` is the float ``qdim`` of that one label,
-    and a value that is not negative is an internal error.
+    decides it.  ``witness_value`` is the float qdim of that label at that z,
+    all from one ``weyl_products`` call, and a value that is not negative is an
+    internal error.
     """
     conclusive = 2 * (2 * k + 1) < ell
     alcove = AlcoveParams(make_root_datum("B", k), ell)
     zs = admissible_z(ell)
     witnesses = _first_negative_even(k, alcove, zs)
+    # the (witness of z, z) diagonal of the products over witnessed z
+    values = dict(zip(witnesses, np.diag(weyl_products(
+        alcove, [bar_map(k, tau) for tau in witnesses.values()], list(witnesses))).tolist()))
     box = dim_box(k, ell)
     rows = []
     for z in zs:
         hz = h(k, ell, z)
-        witness, value = witnesses.get(z), None
-        if witness is not None:
-            value = qdim(QuantumParams(alcove, z), bar_map(k, witness))
-            if not value < 0:
-                raise AssertionError(f"exact sign -1 but qdim = {value} at {witness}, z={z}")
+        witness, value = witnesses.get(z), values.get(z)
+        if witness is not None and not value < 0:
+            raise AssertionError(f"exact sign -1 but qdim = {value} at {witness}, z={z}")
         rows.append(ZAudit(z, hz, box,
                            strict=abs(hz) < box - WITNESS_TOL,
                            distinct=abs(hz - box) > WITNESS_TOL,

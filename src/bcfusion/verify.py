@@ -18,9 +18,9 @@ from .bmwdual import (eig_square_set_check, gamma_bratteli, generator_weight, ps
                       ranklevel_check, trace_match, verify_psi_fusion, vsq_summands)
 from .errors import ConfigurationError
 from .fusion import AlcoveParams, FusionTable, bratteli_endo_dim, fuse_pairs, fuse_two_stage_pairs
-from .qchar import (QuantumParams, admissible_z, character_law_defect, chi,
-                    dim_mu_vector, pf_certify_unique, positive_character,
-                    quantum_integer, qdim)
+from .qchar import (QuantumParams, admissible_z, character_law_defect, dim_mu_vector,
+                    pf_certify_unique, positive_character, quantum_integer, qdim,
+                    weyl_products)
 from .rootdata import Weight, make_root_datum, root_pairings
 from .symmetry import InvolutionData, phi_sign, verify_simple_current
 from .unitarity import audit
@@ -39,8 +39,9 @@ class CheckResult:
     skipped: bool = False  # did not run; ok stays True so the exit code ignores it
 
 
-def _rel_close(a: float, b: float, tol: float = REL_TOL) -> bool:
-    return abs(a - b) <= tol * (1.0 + max(abs(a), abs(b)))
+def _rel_close(a: np.ndarray, b: np.ndarray, tol: float = REL_TOL) -> bool:
+    """|a - b| <= tol (1 + max(|a|, |b|)) at every entry."""
+    return bool(np.all(np.abs(a - b) <= tol * (1.0 + np.maximum(np.abs(a), np.abs(b)))))
 
 
 def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
@@ -56,31 +57,35 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
     def skip(name: str, why: str):
         results.append(CheckResult(name, True, why, skipped=True))
 
-    def table_product(a: Weight, b: Weight) -> dict[Weight, int]:  # fuse's dict, from the table
-        row = table.coeffs[table.index(a), table.index(b)]
-        return {labels[c]: int(row[c]) for c in np.flatnonzero(row)}
-
     add("unit", table.check_unit())
     add("total_symmetry", table.check_total_symmetry())
     add("associativity", table.check_associativity())
     add("sector_grading", table.check_sector_grading())
 
     # decomposition rules for the spin and vector generators, read from their
-    # table rows, which are fuse's output verbatim (FusionTable.build)
-    def rule_holds(g: Weight, lam: Weight, with_lam: bool) -> bool:
-        """g (x) lam = the labels among lam + (Weyl orbit of g), each once, plus lam if with_lam."""
-        expected = {nu: 1 for nu in (lam + Weight(tuple(img)) for img in datum.weyl_orbit(g).tolist())
-                    if params.contains(nu)}
-        if with_lam:
-            expected[lam] = 1
-        return table_product(g, lam) == expected
+    # table rows, which are fuse's output verbatim (FusionTable.build):
+    # N[g][lam, nu] = N_{g,lam}^nu is 1 exactly when nu - lam lies in the Weyl
+    # orbit of g, and 0 otherwise
+    N = table.coeffs
+    doubled = np.array([lam.doubled for lam in labels], dtype=np.int64)
+
+    def orbit_rule(g: Weight) -> np.ndarray:
+        """The 0/1 matrix [nu - lam in W g] over label pairs (lam, nu)."""
+        orbit = datum.weyl_orbit(g)
+        # balanced base-b digits: x -> x . b^j is injective on |x_j| <= off,
+        # which holds for every orbit row and every difference of labels
+        off = max(int(doubled.max()), int(np.abs(orbit).max()))
+        powers = (2 * off + 1) ** np.arange(k, dtype=np.int64)
+        keys = doubled @ powers
+        return np.isin(keys[None, :] - keys[:, None], orbit @ powers).astype(np.int64)
 
     spin, vec = datum.spin_weight, datum.fundamental_weight_1
-    add("spin_rule", all(rule_holds(spin, lam, False) for lam in labels))
+    add("spin_rule", np.array_equal(N[table.index(spin)], orbit_rule(spin)))
     if params.contains(vec):
         # on the integer sector, where V_vec's zero weight survives iff mu_k > 0
-        add("vector_rule", all(rule_holds(vec, mu, mu.doubled[k - 1] > 0)
-                               for mu in labels if mu.parity == 1))
+        integer = doubled[:, 0] % 2 == 0
+        expected = orbit_rule(vec) + np.diag(doubled[:, -1] > 0)
+        add("vector_rule", np.array_equal(N[table.index(vec)][integer], expected[integer]))
     else:
         skip("vector_rule", "skipped: the vector weight leaves the alcove at this ell")
 
@@ -93,24 +98,20 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
     # of coeffs[i] = N_lam^T.
     perm = np.array(data.perm)
     inv = np.argsort(perm)
-    N = table.coeffs
     ok = np.array_equal(table.fusion_matrix(data.gamma), data.permutation_matrix()) and all(
         np.array_equal(N[perm[i]], N[i][:, inv]) and np.array_equal(N[i][np.ix_(perm, inv)], N[i])
         for i in range(table.size))
     add("current_multiplication", ok)
 
-    dim_vec = positive_character(params)
-    add("positive_character_law", character_law_defect(dim_vec, table) < REL_TOL)
-    p1 = QuantumParams(params, 1)
-    ok = all(
-        abs(dim_vec[lam] - chi(p1, lam, spin + datum.rho)) < ABS_TOL * (1 + abs(dim_vec[lam]))
-        for lam in labels)
-    add("positive_character_weyl_sum", ok)
+    # characters as arrays in alcove order, one kernel call each
+    dim = np.array(list(positive_character(params).values()))
+    add("positive_character_law", character_law_defect(dim, table) < REL_TOL)
+    weyl_sum = dim_mu_vector(QuantumParams(params, 1), spin, labels)
+    add("positive_character_weyl_sum", np.all(np.abs(dim - weyl_sum) < ABS_TOL * (1 + np.abs(dim))))
 
     cert = pf_certify_unique(table)
-    ok = cert.positive_count == 1 and all(
-        abs(cert.eigenvector[lam] - dim_vec[lam]) < 1e-6 * (1 + abs(dim_vec[lam]))
-        for lam in labels)
+    ok = cert.positive_count == 1 and np.all(
+        np.abs(cert.eigenvector - dim) < 1e-6 * (1 + np.abs(dim)))
     add("perron_frobenius_unique", ok, f"s={cert.s}")
 
     # |dim^mu| is phi-invariant for half-integral mu, across z; only mu with a
@@ -119,22 +120,15 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
     shifts = (spin, rho, rho + vec)
     pairings = root_pairings(datum, [(mu + rho).doubled for mu in shifts])
     samples = [mu for mu, row in zip(shifts, pairings) if (row // 2 % ell != 0).all()]
-    ok = True
-    for z in admissible_z(ell):
-        pz = QuantumParams(params, z)
-        for mu in samples:
-            vals = dim_mu_vector(pz, mu, labels)
-            ok = ok and all(
-                _rel_close(abs(vals[i]), abs(vals[data.perm[i]])) for i in range(len(labels)))
-    add("phi_character_symmetry", ok, f"{len(samples)} shifts")
+    zs = admissible_z(ell)
+    vals = np.abs([dim_mu_vector(QuantumParams(params, z), mu, labels)
+                   for z in zs for mu in samples]).reshape(-1, len(labels))
+    add("phi_character_symmetry", _rel_close(vals, vals[:, perm]), f"{len(samples)} shifts")
 
-    ok = True
-    for z in admissible_z(ell):
-        pz = QuantumParams(params, z)
-        sign = phi_sign(k, pz.q_ell_sign)
-        dims = [qdim(pz, lam) for lam in labels]
-        ok = all(_rel_close(dims[data.perm[i]], sign * dims[i]) for i in range(len(labels))) and ok
-    add("phi_sign_table", ok)
+    # qdim(phi(lam)) = phi_sign * qdim(lam), every label and z in one kernel call
+    qdims = weyl_products(params, labels, zs)
+    signs = np.array([phi_sign(k, QuantumParams(params, z).q_ell_sign) for z in zs])
+    add("phi_sign_table", _rel_close(qdims[perm], signs * qdims))
 
     diagrams_defined = ell > 2 * k + 1
     if diagrams_defined:

@@ -12,10 +12,11 @@ and reflections in the highest root (reduce_rows_loop), associativity by
 contracting every pair of fusion matrices,
 Gamma(k, ell) by growing every diagram and sorting, the Psi graph by walking
 every pair of diagrams, the q-Weyl product through exact Fraction pairings,
-the signed-permutation group (WeylElement, weyl_elements) that the package
-never builds, and the Weyl alternating sum over that whole group
-(alternating_sum_group) instead of a determinant.  Keep these slow and
-obvious.
+the q-Weyl product of one label at one z as a scalar loop over the roots
+(weyl_product_scalar), the signed-permutation group (WeylElement,
+weyl_elements) that the package never builds, and the Weyl alternating sum
+over that whole group (alternating_sum_group) instead of a determinant.
+Keep these slow and obvious.
 """
 from __future__ import annotations
 
@@ -362,6 +363,17 @@ def weyl_product_fraction(params, lam: Weight, coroot: bool) -> float:
     val = 1.0
     for a in datum.positive_roots:
         val *= quantum_integer(pairing(shifted, a)) / quantum_integer(pairing(datum.rho, a))
+    return val
+
+
+def weyl_product_scalar(params, pairings: np.ndarray) -> float:
+    """prod_{alpha > 0} [n_alpha] / [m_alpha] over the pairing rows [m; n] of
+    one label, with [n] = sin(n z pi/ell) / sin(z pi/ell)."""
+    x = math.pi * params.z / params.ell
+    sin_x = math.sin(x)
+    val = 1.0
+    for at_rho, at_shifted in zip(*pairings.tolist()):
+        val *= (math.sin(at_shifted * x) / sin_x) / (math.sin(at_rho * x) / sin_x)
     return val
 
 

@@ -9,6 +9,7 @@ non-unitarity argument actually needs passes and is asserted.
 """
 import time
 
+import numpy as np
 import pytest
 
 from bcfusion.bmwdual import (dim_from_eigs, eig_square_set_check, gamma_bratteli, gamma_set,
@@ -82,8 +83,8 @@ def test_criterion_04_simple_current(table29, table211, table313):
 def test_criterion_05_positivity_uniqueness(table29, table211, table313):
     for table in (table29, table211, table313):
         vec = positive_character(table.params)
-        assert all(v > 0 for v in vec.values.values())
-        assert character_law_defect(vec, table) < 1e-7
+        assert all(v > 0 for v in vec.values())
+        assert character_law_defect(np.array(list(vec.values())), table) < 1e-7
         cert = pf_certify_unique(table)
         assert cert.positive_count == 1
     _report(5, True, "spin character at z=1 positive, satisfies the ring law to 1e-7, "

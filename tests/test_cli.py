@@ -275,6 +275,24 @@ def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_cli_output_is_checked_before_the_command_runs(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("verify ran before --output was checked")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    path = tmp_path / "missing" / "x"
+    assert main(["verify", "--rank", "3", "--ell", "13", "--output", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write --output {path}: No such file or directory\n"
+    # a writable path is neither created nor truncated by the check
+    existing = tmp_path / "kept"
+    existing.write_text("old\n")
+    assert main(["verify", "--rank", "3", "--ell", "13", "--output", str(existing)]) == 3
+    assert existing.read_text() == "old\n"
+    assert main(["verify", "--rank", "3", "--ell", "13", "--output", str(tmp_path / "new")]) == 3
+    assert not (tmp_path / "new").exists()
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -317,3 +335,10 @@ def test_script_internal_error_exits_3(monkeypatch, capsys, script, target):
     monkeypatch.setattr(module, target, broken)
     assert run_checked(module.main, ["2,9"]) == 3
     assert capsys.readouterr().err == "internal error: AssertionError: broken invariant\n"
+
+
+def test_grid_script_counts_skipped_checks_apart(capsys):
+    """A skipped check is neither a pass nor a failure in the summary line."""
+    assert _script("run_verify_grid").main(["2,5"]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary == "grid done: 1 cells, 0 failing checks, 9 skipped"

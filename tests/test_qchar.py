@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from bcfusion.bmwdual import gamma_set, psi
 from bcfusion.errors import DimensionMismatchError, DomainError, SingularParameterError
 from bcfusion.fusion import AlcoveParams, alcove_enumerate, classical_tensor
-from bcfusion.qchar import (QuantumParams, admissible_z, alternating_sum,
-                            character_law_defect, character_vector, chi, dim_mu_vector,
-                            pf_certify_unique, positive_character, qdim, qdim_signs,
-                            quantum_integer, spin_character_product, twist_exponent,
-                            weyl_denominator)
-from bcfusion.rootdata import Weight, make_root_datum
+from bcfusion.qchar import (QuantumParams, admissible_z, alternating_sum, character_law_defect,
+                            chi, dim_mu_vector, pf_certify_unique, positive_character, qdim,
+                            qdim_signs, quantum_integer, twist_exponent, weyl_denominator,
+                            weyl_products)
+from bcfusion.rootdata import Weight, make_root_datum, root_pairings
 
 from conftest import w
-from oracles import alternating_sum_group, weyl_product_fraction
+from oracles import alternating_sum_group, weyl_product_fraction, weyl_product_scalar
 
 
 @pytest.fixture(scope="module")
@@ -265,11 +264,11 @@ def test_weights_off_the_lattice_raise_domain_error(params29):
         with pytest.raises(DomainError, match="weight lattice"):
             alcove.datum.weyl_dim(mu)
     with pytest.raises(DomainError, match="weight lattice"):
-        spin_character_product(QuantumParams(b311, 1), Weight((2, 1, 0)))
-    # the spin product shares qdim's domain: dominant, in the closed alcove
+        weyl_products(b311, [Weight((2, 1, 0))], (1,), coroot=True)
+    # the coroot product shares qdim's domain: dominant, in the closed alcove
     for mu in (w(0, 1), w(4, 0)):
         with pytest.raises(DomainError, match="closed alcove"):
-            spin_character_product(QuantumParams(params29, 1), mu)
+            weyl_products(params29, [mu], (1,), coroot=True)
 
 
 def test_generator_dimension_identity(params29):
@@ -286,7 +285,7 @@ def test_dim_mu_examples(q29, params29):
     spin = w("1/2", "1/2")
     assert dim_mu_vector(q29, spin, (Weight.zero(2),))[0] == pytest.approx(1.0)
     vals = dim_mu_vector(q29, spin, alcove_enumerate(params29))
-    assert (vals > 0).all()  # positivity at z = 1
+    assert vals.shape == (12,) and (vals > 0).all()  # one value per label, positive at z = 1
     gamma = w("5/2", "5/2")
     assert dim_mu_vector(q29, spin, (gamma,))[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -300,11 +299,11 @@ def test_spin_product_matches_weyl_sum(params29, params313):
     for params in (params29, params313, AlcoveParams(make_root_datum("B", 5), 21)):
         labels = alcove_enumerate(params)
         spin = params.datum.spin_weight
-        for z in admissible_z(params.ell):
-            q = QuantumParams(params, z)
-            sums = dim_mu_vector(q, spin, labels)
-            for lam, s in zip(labels, sums):
-                assert spin_character_product(q, lam) == pytest.approx(float(s), rel=1e-11, abs=1e-11)
+        zs = admissible_z(params.ell)
+        products = weyl_products(params, labels, zs, coroot=True)
+        for j, z in enumerate(zs):
+            sums = dim_mu_vector(QuantumParams(params, z), spin, labels)
+            assert products[:, j] == pytest.approx(sums, rel=1e-11, abs=1e-11)
 
 
 @pytest.mark.parametrize("family,rank,ell", [("B", 2, 9), ("B", 3, 13), ("B", 4, 17),
@@ -317,20 +316,42 @@ def test_weyl_products_equal_the_fraction_route(family, rank, ell):
         for lam in alcove_enumerate(alcove):
             assert qdim(params, lam) == weyl_product_fraction(params, lam, coroot=False)
             if family == "B":
-                assert spin_character_product(params, lam) == \
+                assert weyl_products(alcove, [lam], (z,), coroot=True)[0, 0] == \
                     weyl_product_fraction(params, lam, coroot=True)
+
+
+@pytest.mark.parametrize("family,rank,ell,coroots",
+                         [("B", 2, 9, (False, True)), ("B", 3, 13, (False, True)),
+                          ("B", 4, 15, (False, True)), ("B", 4, 17, (False, True)),
+                          ("C", 3, 11, (False,)), ("C", 4, 15, (False,))])
+def test_weyl_products_equal_the_scalar_loop(family, rank, ell, coroots):
+    """The batched kernel is bit for bit the per-label, per-z loop, at every
+    label and every admissible z."""
+    alcove = AlcoveParams(make_root_datum(family, rank), ell)
+    datum, labels, zs = alcove.datum, alcove_enumerate(alcove), admissible_z(ell)
+    for coroot in coroots:
+        got = weyl_products(alcove, labels, zs, coroot)
+        assert got.dtype == np.float64 and got.shape == (len(labels), len(zs))
+        for i, lam in enumerate(labels):
+            pairings = root_pairings(datum, [datum.rho.doubled, (lam + datum.rho).doubled], coroot)
+            for j, z in enumerate(zs):
+                assert got[i, j] == weyl_product_scalar(QuantumParams(alcove, z), pairings)
+        if coroot:
+            dims = positive_character(alcove)
+            assert list(dims) == list(labels)
+            assert all(dims[lam] == got[i, zs.index(1)] for i, lam in enumerate(labels))
 
 
 def test_positive_character(params29, table29):
     vec = positive_character(params29)
     assert vec[Weight.zero(2)] == pytest.approx(1.0)
-    assert all(v > 0 for v in vec.values.values())
-    assert character_law_defect(vec, table29) < 1e-7
+    assert all(v > 0 for v in vec.values())
+    f = np.array(list(vec.values()))
+    assert character_law_defect(f, table29) < 1e-7
     # the whole-table contraction it replaced, to rounding
-    f = vec.as_array()
     whole = np.tensordot(table29.coeffs.astype(np.float64), f, axes=([2], [0]))
     lhs = np.outer(f, f)
-    assert character_law_defect(vec, table29) == pytest.approx(
+    assert character_law_defect(f, table29) == pytest.approx(
         np.max(np.abs(lhs - whole) / (1.0 + np.abs(lhs))), abs=1e-14)
     # direct sin-product over the four positive coroots at (1, 0)
     ell = 9.0
@@ -351,8 +372,8 @@ def test_pf_certificate(table29, table211, table313):
         cert = pf_certify_unique(table)
         assert cert.positive_count == 1
         assert cert.s % 2 == 1
-        for lam in table.labels:
-            assert cert.eigenvector[lam] == pytest.approx(vec[lam], rel=1e-6, abs=1e-6)
+        assert list(vec) == list(table.labels)
+        assert cert.eigenvector == pytest.approx(np.array(list(vec.values())), rel=1e-6, abs=1e-6)
 
 
 def test_spin_fusion_matrix_symmetric(table29):
@@ -371,12 +392,6 @@ def test_twist_exponents(b2, b3):
     assert twist_exponent(b2, w("5/2", "5/2")) == 45
     from fractions import Fraction
     assert twist_exponent(b3, w("1/2", "1/2", "1/2")) == Fraction(21, 2)
-
-
-def test_character_vector_naming(q29):
-    vec = character_vector(q29, w("1/2", "1/2"))
-    assert len(vec.labels) == 12
-    assert vec[Weight.zero(2)] == pytest.approx(1.0)
 
 
 @given(st.integers(1, 8))

@@ -1,6 +1,6 @@
 """The benchmark's span recorder still finds every bcfusion name it binds.
 
-benchmark/tracer.py patches public functions by name (qchar.chi,
+benchmark/tracer.py patches public functions by name (qchar.dim_mu_vector,
 FusionTable.build, verify.CheckResult, ...); renaming or deleting one breaks
 `benchmark/run.py --trace 1`.  This runs the recorder around one small
 verify suite and reads the benchmark's own files without changing them.
@@ -31,4 +31,4 @@ def test_tracer_reports_every_per_layer_metric(monkeypatch):
     expected = {name for name, _, _ in spec.per_layer()} - {"verify.checks_skipped"}
     assert expected <= set(per_layer)
     assert per_layer["fusion.FusionTable.build.s"] > 0
-    assert per_layer["qchar.chi.calls"] > 0
+    assert per_layer["qchar.dim_mu_vector.calls"] > 0

@@ -8,7 +8,7 @@ from bcfusion import bmwdual, unitarity
 from bcfusion.bmwdual import BOX, bar_map, psi
 from bcfusion.errors import DomainError
 from bcfusion.fusion import AlcoveParams
-from bcfusion.qchar import QuantumParams, positive_character, qdim
+from bcfusion.qchar import QuantumParams, positive_character, qdim, weyl_products
 from bcfusion.rootdata import make_root_datum
 from bcfusion.unitarity import WITNESS_TOL, audit, audit_grid, dim_box, h
 
@@ -114,17 +114,20 @@ def test_audit_never_builds_all_of_gamma(monkeypatch):
 
 
 @pytest.mark.parametrize("k,ell", [(2, 11), (3, 17), (2, 7)])
-def test_audit_calls_qdim_once_per_witnessed_z(monkeypatch, k, ell):
+def test_audit_evaluates_every_witness_in_one_kernel_call(monkeypatch, k, ell):
     calls = []
 
-    def counted(params, mu):
-        calls.append((params.z, mu))
-        return qdim(params, mu)
+    def counted(alcove, labels, zs, coroot=False):
+        calls.append((list(labels), list(zs)))
+        return weyl_products(alcove, labels, zs, coroot)
 
-    monkeypatch.setattr(unitarity, "qdim", counted)
+    monkeypatch.setattr(unitarity, "weyl_products", counted)
     report = audit(k, ell)
-    witnessed = [row for row in report.per_z if row.negative_even_witness is not None]
-    assert calls == [(row.z, bar_map(k, row.negative_even_witness)) for row in witnessed]
+    witnessed = {row.z: bar_map(k, row.negative_even_witness)
+                 for row in report.per_z if row.negative_even_witness is not None}
+    assert len(calls) == 1
+    labels, zs = calls[0]
+    assert dict(zip(zs, labels)) == witnessed and len(zs) == len(witnessed)
     if (k, ell) == (2, 7):
         assert len(witnessed) < len(report.per_z)
 
