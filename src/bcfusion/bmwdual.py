@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularParameterError
 from .fusion import AlcoveParams, FusionTable, _path_counts, alcove_enumerate, fuse, fuse_matrix
-from .qchar import QuantumParams, qdim, twist_exponent
+from .qchar import QuantumParams, twist_exponent, weyl_products
 from .rootdata import Weight, make_root_datum
 
 
@@ -330,8 +330,8 @@ def trace_match(params: QuantumParams) -> dict:
     cV = twist_exponent(params.datum, V)
     halves = [(twist_exponent(params.datum, nu) - 2 * cV) / 2 for nu in summands]
     roots = [params.q_power(h) for h in halves]
-    dV = qdim(params, V)
-    weights = [qdim(params, nu) / dV ** 2 for nu in summands]
+    dV, *dims = weyl_products(params.alcove, [V, *summands], [params.z])[:, 0].tolist()
+    weights = [d / dV ** 2 for d in dims]
     qt = -params.q ** 2
     result = {"applicable": applicable, "matched": False, "choices": [],
               "tilde_matched": False, "q_tilde": qt}

@@ -27,7 +27,7 @@ from .verify import DEFAULT_GRID, format_results, run_suite
 
 
 # largest n^3 that `matrix` without --lhs prints: the JSON of 10**8 entries is
-# about 200 MB and its int64 table 800 MB; B(4,21) has n^3 = 74,088,000
+# about 200 MB and its int16 table 200 MB; B(4,21) has n^3 = 74,088,000
 MATRIX_TABLE_CAP = 10 ** 8
 
 

@@ -42,13 +42,19 @@ label nu is filled in alcove order from a generator g with nu - g dominant, by e
 matrix algebra: N_nu = N_{nu-g} N_g - sum_{sigma != nu} N_{g,nu-g}^sigma N_sigma,
 where every sigma precedes nu.  The product N_{nu-g} N_g runs in float64 and
 is cast back; the build asserts n (max N)^2 < 2**53, which makes it exact.
+The table is stored as int16 (2 bytes an entry, n^3 of them: 1.6 GB at
+B(5,23), n = 924, whose max N is 8,904); each row is formed in int64 and the
+whole table widens before a row that leaves the range is stored, so nothing
+wraps.  Every reader compares or indexes the table, or casts to int64 or
+float64 before arithmetic.
 
-``FusionTable.check_associativity`` needs only the same generator rows: the
-unit row, the recursion's reachability (every label is N_{g,nu-g}^nu = 1
-times nu plus earlier labels), and L_g L_b = sum_sigma N_{g,b}^sigma L_sigma
-for every generator g and label b imply associativity by induction.  It
-costs O(|G| n^4) flops through BLAS on blocks of the middle index, not the
-O(n^5) of contracting every pair, and never copies the n^3 table.  The
+``FusionTable.check_associativity`` certifies associativity from the same
+generator rows and the cyclic vector e_0 (the unit): L_0 = I, L_c e_0 = e_c
+for every c, the generator matrices commute, every label is reached in
+order, and every other label satisfies the recursion above.  That costs
+|G|^2 n^3 + n^4 flops through BLAS, against |G| n^4 for the generator
+identity and n^5 for contracting every pair (both oracles in
+``tests/oracles.py``), and no temporary is larger than n^2.  The
 whole-table readers ``check_sector_grading`` and ``to_json`` walk the first
 axis.
 """
@@ -58,7 +64,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate, combinations, groupby
 
 import numpy as np
 
@@ -71,10 +77,10 @@ from .rootdata import RootDatum, Weight, make_root_datum, sort_network
 # tenth over 1 << 13
 _CHUNK_ROWS = 1 << 13
 
-# bytes of the float64 slab coeffs[:, xs, :] that check_associativity casts
-# per block; its two products are the same size.  At B(4,21), 1 << 23 adds
-# 12 MiB to the peak RSS and 1 << 25 adds 140 MiB, for a 8% faster check
-_ASSOC_BLOCK_BYTES = 1 << 23
+# the dtype FusionTable.build starts the table in; it widens the whole table
+# when a row leaves this range.  int16 holds max N at every cell up to
+# B(5,23) (8,904) at a quarter of int64's n^3 bytes
+_TABLE_DTYPE = np.int16
 
 
 @dataclass(frozen=True)
@@ -491,9 +497,36 @@ def _exact_float_bound(n: int, top: int, what: str) -> None:
         raise AssertionError(f"float64 fusion products inexact: n={n}, max N of {what} = {top}")
 
 
+def _recursion_rhs(coeffs: np.ndarray, rest: int, f: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """coeffs[rest] @ coeffs[g] - sum_sigma row[sigma] coeffs[sigma] as int64: the
+    right side of the generator recursion, given f = coeffs[g] as float64 and
+    row = N_{g,rest}^ as int64 with its entry at nu set to 0.
+
+    The product runs in float64 (numpy has no BLAS route for integers) and is
+    exact under ``_exact_float_bound``; the sum runs in int64, one n x n slice
+    at a time, so nothing is formed in the table's narrow dtype.
+    """
+    out = (coeffs[rest].astype(np.float64) @ f).astype(np.int64)
+    for sigma in np.flatnonzero(row):
+        out -= row[sigma] * coeffs[sigma]
+    return out
+
+
+def _holding(coeffs: np.ndarray, top: int) -> np.ndarray:
+    """coeffs, or a copy in the narrowest of int16, int32 and int64 that holds
+    top when coeffs' own dtype cannot."""
+    if top <= np.iinfo(coeffs.dtype).max:
+        return coeffs
+    return coeffs.astype(next(t for t in (np.int16, np.int32, np.int64) if np.iinfo(t).max >= top))
+
+
 @dataclass(frozen=True)
 class FusionTable:
-    """All structure constants N_{lam,mu}^{nu} over the alcove, in canonical order."""
+    """All structure constants N_{lam,mu}^{nu} over the alcove, in canonical order.
+
+    ``coeffs`` is a narrow integer array (int16 unless a cell needs more, see
+    ``build``): compare or index it, or cast it before arithmetic.
+    """
 
     params: AlcoveParams
     labels: tuple[Weight, ...]
@@ -509,11 +542,14 @@ class FusionTable:
         coeffs[nu] is the transposed fusion matrix of nu; the recursion (see
         the module docstring) holds for it as written since the ring is
         commutative.  It needs N_{g,nu-g}^nu = 1 and every other term filled.
+        The table starts in _TABLE_DTYPE; each row is formed in int64, and
+        the whole table widens (``_holding``) before a row it cannot hold is
+        stored.
         """
         labels = alcove_enumerate(params)
         index = {w.doubled: i for i, w in enumerate(labels)}
         n = len(labels)
-        coeffs = np.zeros((n, n, n), dtype=np.int64)
+        coeffs = np.zeros((n, n, n), dtype=_TABLE_DTYPE)
         filled = np.zeros(n, dtype=bool)
         unit = index[(0,) * params.rank]
         coeffs[unit] = np.eye(n, dtype=np.int64)
@@ -521,11 +557,12 @@ class FusionTable:
         gens = sorted((index[g] for g in _generators(params.datum) if g in index),
                       key=lambda i: params.datum.weyl_dim(labels[i]))
         for g in gens:
-            coeffs[g] = fuse_matrix(params, labels[g]).T
+            row = fuse_matrix(params, labels[g]).T
+            coeffs = _holding(coeffs, row.max(initial=0))
+            coeffs[g] = row
             filled[g] = True
-        # coeffs[rest] @ coeffs[g] runs in float64 (numpy has no BLAS route for
-        # int64): exact while n (max N)^2 < 2**53, which the check after the
-        # loop confirms for every product it ran
+        # coeffs[rest] @ coeffs[g] runs in float64: exact while n (max N)^2 <
+        # 2**53, which the check after the loop confirms for every product it ran
         _exact_float_bound(n, coeffs[gens].max(initial=0), "the generator rows")
         fcoeffs = {g: coeffs[g].astype(np.float64) for g in gens}
         for v in range(n):
@@ -535,15 +572,16 @@ class FusionTable:
             # some fundamental weight lies below every nonzero dominant nu
             g, rest = next((g, index[d]) for g in gens
                            if (d := tuple(a - b for a, b in zip(nu, labels[g].doubled))) in index)
-            row = coeffs[g, rest].copy()
+            row = coeffs[g, rest].astype(np.int64)
             row[v] = 0
             terms = np.flatnonzero(row)
             if coeffs[g, rest, v] != 1 or not filled[rest] or not filled[terms].all():
                 raise AssertionError(f"generator recursion breaks at nu={labels[v]}, g={labels[g]}")
-            product = (coeffs[rest].astype(np.float64) @ fcoeffs[g]).astype(np.int64)
-            coeffs[v] = product - np.tensordot(row[terms], coeffs[terms], axes=1)
-            if (coeffs[v] < 0).any():
+            out = _recursion_rhs(coeffs, rest, fcoeffs[g], row)
+            if out.min() < 0:
                 raise AssertionError(f"negative fusion coefficient at nu={labels[v]}, g={labels[g]}")
+            coeffs = _holding(coeffs, out.max())
+            coeffs[v] = out
             filled[v] = True
         _exact_float_bound(n, coeffs.max(initial=0), "the table")
         coeffs.setflags(write=False)
@@ -563,8 +601,8 @@ class FusionTable:
         return int(self.coeffs[self.index(lam), self.index(mu), self.index(nu)])
 
     def fusion_matrix(self, lam: Weight) -> np.ndarray:
-        """N_lam with rows indexed by the output label: (N_lam)[nu, mu] = N_{lam,mu}^{nu}."""
-        return self.coeffs[self.index(lam)].T.copy()
+        """N_lam as int64 with rows indexed by the output label: (N_lam)[nu, mu] = N_{lam,mu}^{nu}."""
+        return self.coeffs[self.index(lam)].T.astype(np.int64, order="C")
 
     def to_json(self) -> str:
         """The table as compact JSON with sorted keys.
@@ -602,70 +640,92 @@ class FusionTable:
                    for a in range(self.size))
 
     def check_associativity(self) -> bool:
-        """(a b) c = a (b c) for all labels, decided exactly from the generator rows.
+        """(a b) c = a (b c) for all labels, certified exactly from a cyclic vector.
 
-        With (L_a)_{c,b} = N_{a,b}^c, L_a is left multiplication by a, so the
-        ring is associative iff L_{a y} = L_a L_y for all labels a and all
-        vectors y (L extended linearly).  Three parts are checked, G being the
-        generators (``_generators``) that lie in the alcove:
+        With (L_a)_{c,b} = N_{a,b}^c, L_a is left multiplication by a and
+        coeffs[a] = L_a^T, and the ring is associative iff L_a L_b =
+        sum_c N_{a,b}^c L_c for all labels a, b.  Four parts are checked, G
+        being the generators (``_generators``) that lie in the alcove and e_c
+        the basis vector of label c:
 
-        1. unit: N_0 = I, so L_0 = I;
-        2. reachability: every label nu other than 0 and G has some g in G
-           with nu - g a label before nu, N_{g,nu-g}^nu = 1, and every other
-           sigma with N_{g,nu-g}^sigma != 0 before nu in label order;
-        3. generator identity: L_g L_b = sum_sigma N_{g,b}^sigma L_sigma for
-           every g in G and every label b, checked as
-           coeffs[b] @ coeffs[g] == sum_sigma N_{g,b}^sigma coeffs[sigma].
+        1. unit and cyclic vector: L_0 = I (``check_unit``), and L_c e_0 = e_c
+           for every label c, i.e. coeffs[:, 0, :] = I;
+        2. the L_g, g in G, commute pairwise (``_generators_commute``);
+        3. reachability (``_generators_reach``): every label nu other than 0
+           and G has some g in G with nu - g a label before nu,
+           N_{g,nu-g}^nu = 1, and every other sigma with N_{g,nu-g}^sigma != 0
+           before nu in label order;
+        4. recursion (``_recursion_holds``): for each such nu, with the g of
+           3 whose row N_{g,nu-g}^: has the fewest terms, L_nu = L_g L_{nu-g}
+           - sum_{sigma != nu} N_{g,nu-g}^sigma L_sigma, checked as coeffs[nu]
+           == coeffs[nu-g] @ coeffs[g] - sum_sigma N_{g,nu-g}^sigma coeffs[sigma].
 
-        Proof that they suffice: the matrices M with L_{M y} = M L_y for all y
-        form an algebra T.  I is in T, and by 3 (linear in b) so is every L_g;
-        so T holds the algebra A generated by the L_g.  By 1, L_0 = I is in
-        A.  By 2 and 3, L_nu = L_g L_{nu-g} - sum_{sigma != nu} N_{g,nu-g}^sigma
-        L_sigma, so by induction in label order every L_nu is a polynomial in
-        the L_g and lies in A, hence in T: L_{a y} = L_a L_y for all a, y.
+        Proof that they suffice: let A be the algebra generated by I and the
+        L_g.  By 2, A is commutative.  By 1, L_0 = I lies in A, and by 3 and
+        4 so does every L_nu, by induction in label order.  By 1, e_0 is a
+        cyclic vector for A, and for a commutative A that makes P -> P e_0
+        injective on A: if P e_0 = 0, then P e_c = P L_c e_0 = L_c P e_0 = 0
+        for every c, so P = 0.  L_a L_b and sum_c N_{a,b}^c L_c both lie in A
+        and both take e_0 to sum_c N_{a,b}^c e_c, so they are equal.
 
-        Part 3 reads, entry by entry, sum_y N_{b,x}^y N_{g,y}^c =
-        sum_sigma N_{g,b}^sigma N_{sigma,x}^c.  It walks the middle index x
-        in blocks of _ASSOC_BLOCK_BYTES // (8 n^2) labels: with X the float64
-        slab coeffs[:, xs, :] and F = coeffs[g], the two sides are X @ F and
-        F @ X, one BLAS product each, and X serves every generator.  So no
-        temporary is larger than the block, and no product is inexact under
-        ``_exact_float_bound`` on this table's largest |entry|.
+        Cost: |G|^2 float64 products of n x n matrices for part 2 and one per
+        label for part 4, whose sum is formed in int64 one slice at a time
+        (``_recursion_rhs``): |G|^2 n^3 + n^4 flops, against |G| n^4 for the
+        generator identity L_g L_b = sum_sigma N_{g,b}^sigma L_sigma over every
+        b, and no temporary larger than n^2.  Every product is exact under
+        ``_exact_float_bound`` on the table's largest |entry|.
         """
         N, n = self.coeffs, self.size
-        if not self.check_unit():
+        unit = self.index(Weight.zero(self.params.rank))
+        if not (self.check_unit() and np.array_equal(N[:, unit, :], np.eye(n, dtype=np.int64))):
             return False
         gens = [self._index[g] for g in map(Weight, _generators(self.params.datum))
                 if g in self._index]
         if not self._generators_reach(gens):
             return False
         _exact_float_bound(n, max(int(N.max()), -int(N.min())), "the table")
-        F = [N[g].astype(np.float64) for g in gens]
-        block = max(1, _ASSOC_BLOCK_BYTES // (8 * n * n))
-        for lo in range(0, n, block):
-            X = N[:, lo:lo + block].astype(np.float64)
-            for f in F:
-                if not np.array_equal((X.reshape(-1, n) @ f).ravel(), (f @ X.reshape(n, -1)).ravel()):
-                    return False
+        return self._generators_commute(gens) and self._recursion_holds(gens)
+
+    def _generators_commute(self, gens: list[int]) -> bool:
+        """Part 2 of ``check_associativity``: coeffs[g] @ coeffs[h] ==
+        coeffs[h] @ coeffs[g] for every two generators, in float64."""
+        F = [self.coeffs[g].astype(np.float64) for g in gens]
+        return all(np.array_equal(f @ h, h @ f) for f, h in combinations(F, 2))
+
+    def _recursion_holds(self, gens: list[int]) -> bool:
+        """Part 4 of ``check_associativity``: coeffs[nu] is the right side of
+        the recursion from its reaching generator with the fewest terms, for
+        every label nu but the unit and the generators.  Needs part 3."""
+        N = self.coeffs
+        unit = self.index(Weight.zero(self.params.rank))
+        F = {g: N[g].astype(np.float64) for g in gens}
+        for v in range(self.size):
+            if v == unit or v in F:
+                continue
+            g, rest = min(self._reaching(v, gens), key=lambda gr: np.count_nonzero(N[gr]))
+            row = N[g, rest].astype(np.int64)
+            row[v] = 0
+            if not np.array_equal(N[v], _recursion_rhs(N, rest, F[g], row)):
+                return False
         return True
 
     def _generators_reach(self, gens: list[int]) -> bool:
-        """Part 2 of ``check_associativity``: every label nu but the unit and
+        """Part 3 of ``check_associativity``: every label nu but the unit and
         the generators has a g with g (nu - g) = nu + (labels before nu)."""
-        N = self.coeffs
         unit = self.index(Weight.zero(self.params.rank))
-        for v, nu in enumerate(self.labels):
-            if v == unit or v in gens:
-                continue
-            for g in gens:
-                rest = self._index.get(nu - self.labels[g])
-                if rest is None or rest > v or N[g, rest, v] != 1:
-                    continue
-                if (np.flatnonzero(N[g, rest]) <= v).all():
-                    break
-            else:
-                return False
-        return True
+        return all(v == unit or v in gens or next(self._reaching(v, gens), None) is not None
+                   for v in range(self.size))
+
+    def _reaching(self, v: int, gens: list[int]) -> Iterator[tuple[int, int]]:
+        """(g, rest) for each g in gens that reaches nu = labels[v]: rest, the
+        index of nu - g, comes before v, N_{g,nu-g}^nu = 1, and every other
+        sigma with N_{g,nu-g}^sigma != 0 comes before v."""
+        N, nu = self.coeffs, self.labels[v]
+        for g in gens:
+            rest = self._index.get(nu - self.labels[g])
+            if (rest is not None and rest <= v and N[g, rest, v] == 1
+                    and (np.flatnonzero(N[g, rest]) <= v).all()):
+                yield g, rest
 
     def check_sector_grading(self) -> bool:
         """N_{lam,mu}^{nu} = 0 unless p(nu) = p(lam) p(mu).

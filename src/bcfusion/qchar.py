@@ -233,7 +233,8 @@ def character_law_defect(f: np.ndarray, table: FusionTable) -> float:
     """max over label pairs of |f(lam)f(mu) - sum_nu N f(nu)| / (1 + |f(lam)f(mu)|),
     for f an array in alcove order."""
     lhs = np.outer(f, f)
-    rhs = np.array([s @ f for s in table.coeffs])  # one n x n slice at a time, never n^3
+    # one n x n slice at a time, never n^3; each integer slice is cast to float64 by @
+    rhs = np.array([s @ f for s in table.coeffs])
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
 
 

@@ -19,8 +19,7 @@ from .bmwdual import (eig_square_set_check, gamma_bratteli, generator_weight, ps
 from .errors import ConfigurationError
 from .fusion import AlcoveParams, FusionTable, bratteli_endo_dim, fuse_pairs, fuse_two_stage_pairs
 from .qchar import (QuantumParams, admissible_z, character_law_defect, dim_mu_vector,
-                    pf_certify_unique, positive_character, quantum_integer, qdim,
-                    weyl_products)
+                    pf_certify_unique, positive_character, quantum_integer, weyl_products)
 from .rootdata import Weight, make_root_datum, root_pairings
 from .symmetry import InvolutionData, phi_sign, verify_simple_current
 from .unitarity import audit
@@ -160,9 +159,9 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
     if diagrams_defined:
         V = generator_weight(k, ell)
         ok = True
-        for z in admissible_z(ell):
+        for z, dim_v in zip(zs, weyl_products(params, [V], zs)[0].tolist()):
             pz = QuantumParams(params, z)
-            lhs = abs(qdim(pz, V))
+            lhs = abs(dim_v)
             rhs = abs(quantum_integer(pz, 4 * k) / quantum_integer(pz, 2) + 1)
             ok = ok and abs(lhs - rhs) < ABS_TOL * (1 + rhs)
             # parameter change q~ = -q^2: [2k]_q~ / [1]_q~ = -[4k]_q / [2]_q

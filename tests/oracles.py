@@ -9,7 +9,8 @@ weights, the classical Racah-Speiser sum one Weyl image at a time, the
 dominant weights below a highest weight by a box scan, the alcove by a plain
 box scan, the affine reduction of a batch of rows by repeated finite sorts
 and reflections in the highest root (reduce_rows_loop), associativity by
-contracting every pair of fusion matrices,
+contracting every pair of fusion matrices and by the generator identity
+(associativity_generator_identity),
 Gamma(k, ell) by growing every diagram and sorting, the Psi graph by walking
 every pair of diagrams, the q-Weyl product through exact Fraction pairings,
 the q-Weyl product of one label at one z as a scalar loop over the roots
@@ -473,6 +474,45 @@ def associativity_full(table) -> bool:
         if not np.array_equal(lhs.transpose(1, 0, 2), rhs):
             return False
     return True
+
+
+def associativity_generator_identity(table) -> bool:
+    """Associativity from the generator rows by the generator identity, at
+    |G| n^4 flops: L_0 = I, every label nu other than 0 and the generators is
+    reached (some generator g with nu - g a label before nu,
+    N_{g,nu-g}^nu = 1 and every other term before nu), and
+    L_g L_b = sum_sigma N_{g,b}^sigma L_sigma for every generator g and label b.
+
+    With L_nu = L_g L_{nu-g} - sum_{sigma != nu} N_{g,nu-g}^sigma L_sigma, the
+    matrices M with L_{M y} = M L_y for every vector y form an algebra that
+    holds I and every L_g, hence every L_nu by induction in label order.  The
+    identity is checked for all b at once on the float64 table, whose entries
+    stay far below 2**53.
+    """
+    N = table.coeffs.astype(np.float64)
+    n, labels = table.size, table.labels
+    k, family = table.params.datum.rank, table.params.datum.family
+    index = {lab: i for i, lab in enumerate(labels)}
+    unit = index[Weight.zero(k)]
+    if not np.array_equal(N[unit], np.eye(n)):
+        return False
+    top = k - 1 if family == "B" else k
+    weights = [(2,) * i + (0,) * (k - i) for i in range(1, top + 1)]
+    weights += [(1,) * k] if family == "B" else []
+    gens = [index[Weight(g)] for g in weights if Weight(g) in index]
+    for v, nu in enumerate(labels):
+        if v == unit or v in gens:
+            continue
+        reached = False
+        for g in gens:
+            rest = index.get(nu - labels[g])
+            if rest is not None and rest < v and N[g, rest, v] == 1:
+                reached = reached or all(s <= v for s in np.flatnonzero(N[g, rest]))
+        if not reached:
+            return False
+    # entry [b, x, c]: sum_y N_{b,x}^y N_{g,y}^c against sum_sigma N_{g,b}^sigma N_{sigma,x}^c
+    return all(np.array_equal((N.reshape(-1, n) @ N[g]).ravel(), (N[g] @ N.reshape(n, -1)).ravel())
+               for g in gens)
 
 
 def psi_fusion_pairs(table) -> bool:

@@ -17,6 +17,7 @@ from bcfusion.verify import DEFAULT_GRID
 
 from conftest import w
 from oracles import (affine_reduce_bfs, alcove_box_scan, associativity_full,
+                     associativity_generator_identity,
                      char_product_decompose, classical_tensor_scalar, dominant_weights_up_to,
                      reduce_rows_loop, weyl_elements)
 
@@ -298,6 +299,18 @@ def test_table_matches_two_stage_everywhere(family, rank, ell):
     assert np.array_equal(table.coeffs, expected)
 
 
+def test_table_widens_past_its_dtype(monkeypatch):
+    """Started in int8 at B(4,19), whose max N is 280, the build widens the
+    whole table to int16 and equals the int64 build entry for entry."""
+    params = AlcoveParams(make_root_datum("B", 4), 19)
+    monkeypatch.setattr(fusion, "_TABLE_DTYPE", np.int64)
+    wide = FusionTable.build(params)
+    monkeypatch.setattr(fusion, "_TABLE_DTYPE", np.int8)
+    narrow = FusionTable.build(params)
+    assert wide.coeffs.max() == 280 and narrow.coeffs.dtype == np.int16
+    assert np.array_equal(narrow.coeffs, wide.coeffs)
+
+
 def test_table_invariants(table29, table211, table313):
     for table in (table29, table211, table313):
         assert table.check_unit()
@@ -337,11 +350,14 @@ def test_total_symmetry_fails_when_one_transposition_is_kept(table211, keep):
 @pytest.mark.parametrize("family,rank,ell", [
     *(("B", k, ell) for k, ell in DEFAULT_GRID if (k, ell) != (4, 17)), ("C", 3, 11), ("C", 4, 11)])
 def test_associativity_agrees_with_full_oracle(family, rank, ell):
+    """The certificate, the generator identity and the contraction of every pair."""
     table = _table(family, rank, ell)
-    assert table.check_associativity() is associativity_full(table) is True
+    assert table.check_associativity() is True
+    assert associativity_generator_identity(table) is True
+    assert associativity_full(table) is True
 
 
-@pytest.mark.parametrize("rank,ell,trials", [(2, 9, 40), (3, 13, 40), (4, 15, 40)])
+@pytest.mark.parametrize("rank,ell,trials", [(2, 9, 40), (3, 13, 40), (4, 15, 40), (4, 17, 20)])
 def test_symmetric_perturbations_fail_associativity(rank, ell, trials):
     """A +1 on every permutation of one (a, b, c) keeps total symmetry, not associativity."""
     table = _table("B", rank, ell)
@@ -419,12 +435,83 @@ def test_associativity_runs_the_unit_check(table313, monkeypatch):
 
 def test_associativity_asserts_its_float_bound(table29):
     last = table29.size - 1
-
-    def huge(coeffs):
-        coeffs[last, last, last] = 2 ** 30
-
+    coeffs = table29.coeffs.astype(np.int64)
+    coeffs[last, last, last] = 2 ** 30
     with pytest.raises(AssertionError, match="inexact"):
-        _perturbed(table29, huge).check_associativity()
+        FusionTable(table29.params, table29.labels, coeffs).check_associativity()
+
+
+def _parts(table):
+    """Parts 1 to 4 of check_associativity, each on its own."""
+    gens, _ = _reach_rows(table, 0)
+    unit = table.index(Weight.zero(table.params.rank))
+    cyclic = np.array_equal(table.coeffs[:, unit, :], np.eye(table.size, dtype=np.int64))
+    reach = table._generators_reach(gens)
+    return (table.check_unit() and cyclic, table._generators_commute(gens), reach,
+            reach and table._recursion_holds(gens))
+
+
+def _refilled(table, spoil):
+    """The table with its generator matrices spoiled, and every other label
+    but the unit refilled in order by the recursion of part 4."""
+    gens, _ = _reach_rows(table, 0)
+    coeffs = table.coeffs.astype(np.int64)
+    spoil(coeffs, gens)
+    bad = FusionTable(table.params, table.labels, coeffs)
+    unit = table.index(Weight.zero(table.params.rank))
+    for v in range(table.size):
+        if v != unit and v not in gens:
+            g, rest = min(bad._reaching(v, gens), key=lambda gr: np.count_nonzero(coeffs[gr]))
+            row = coeffs[g, rest].copy()
+            row[v] = 0
+            coeffs[v] = coeffs[rest] @ coeffs[g] - np.tensordot(row, coeffs, axes=1)
+    return bad
+
+
+def test_associativity_part_2_rejects_generators_that_do_not_commute(table313):
+    """One generator matrix spoiled below its diagonal and off the unit row:
+    parts 1, 3 and 4 hold, the ring is not associative, and only part 2 says so."""
+    a = table313.size // 2
+
+    def spoil(coeffs, gens):
+        coeffs[gens[0], a, a - 1] += 1
+
+    bad = _refilled(table313, spoil)
+    assert _parts(bad) == (True, False, True, True)
+    assert not bad.check_associativity()
+    assert not associativity_full(bad)
+
+
+def test_associativity_part_1_needs_the_cyclic_vector(table313):
+    """L_g + I in place of one generator matrix: the unit, the commuting
+    generators, reachability and the recursion all hold, but L_g e_0 is no
+    longer e_g, and the ring is not associative."""
+    def spoil(coeffs, gens):
+        coeffs[gens[0]] += np.eye(table313.size, dtype=np.int64)
+
+    bad = _refilled(table313, spoil)
+    assert bad.check_unit()
+    assert _parts(bad) == (False, True, True, True)
+    assert not bad.check_associativity()
+    assert not associativity_full(bad)
+
+
+def test_associativity_part_4_rejects_a_symmetric_perturbation(table313):
+    """A +1 on every permutation of (a, b, c), none of them the unit or a
+    generator, leaves the unit, the cyclic vector and the generator matrices
+    as they were: only the recursion of part 4 sees it."""
+    gens, _ = _reach_rows(table313, 0)
+    abc = [v for v in range(1, table313.size) if v not in gens][3:6]
+
+    def bump(coeffs):
+        for p in set(itertools.permutations(abc)):
+            coeffs[p] += 1
+
+    bad = _perturbed(table313, bump)
+    assert bad.check_total_symmetry()
+    assert _parts(bad) == (True, True, True, False)
+    assert not bad.check_associativity()
+    assert not associativity_full(bad)
 
 
 def test_sector_grading_rejects_a_wrong_parity_entry(table29):
