@@ -20,6 +20,7 @@ from .errors import ConfigurationError, DomainError, SingularParameterError
 from .fusion import AlcoveParams, FusionTable, _path_counts, alcove_enumerate, fuse, fuse_matrix
 from .qchar import QuantumParams, twist_exponent, weyl_products
 from .rootdata import Weight, make_root_datum
+from .symmetry import phi_weight
 
 
 @dataclass(frozen=True)
@@ -127,15 +128,9 @@ def bar_map(k: int, lam: FerrersDiagram) -> Weight:
     return Weight(tuple(2 * r for r in rows) + (0,) * (k - len(rows)))
 
 
-def alcove_gamma_weight(k: int, ell: int) -> Weight:
-    """gamma = ((ell-2k)/2, ..., (ell-2k)/2) in doubled coordinates."""
-    return Weight((ell - 2 * k,) * k)
-
-
 def generator_weight(k: int, ell: int) -> Weight:
-    """phi(Lambda_1) = gamma - reversed(Lambda_1), the BMW-side generator's image."""
-    g = ell - 2 * k
-    return Weight((g,) * (k - 1) + (g - 2,))
+    """phi(Lambda_1), the BMW-side generator's image."""
+    return phi_weight(k, ell, Weight((2,) + (0,) * (k - 1)))
 
 
 def psi(k: int, ell: int, lam: FerrersDiagram) -> Weight:
@@ -143,10 +138,7 @@ def psi(k: int, ell: int, lam: FerrersDiagram) -> Weight:
     if not in_gamma(k, ell, lam):
         raise DomainError(f"{lam} is not in Gamma({k},{ell})")
     bw = bar_map(k, lam)
-    if lam.size % 2 == 0:
-        return bw
-    gamma = alcove_gamma_weight(k, ell)
-    return gamma - Weight(tuple(reversed(bw.doubled)))
+    return bw if lam.size % 2 == 0 else phi_weight(k, ell, bw)
 
 
 def psi_table(k: int, ell: int) -> dict[FerrersDiagram, Weight]:
@@ -203,18 +195,18 @@ def gamma_bratteli(k: int, ell: int, n: int) -> tuple[dict[FerrersDiagram, int],
     return _path_counts(A, diagrams, diagrams.index(EMPTY), n)
 
 
-def verify_psi_fusion(table: FusionTable) -> bool:
+def verify_psi_fusion(k: int, ell: int, M: np.ndarray) -> bool:
     """Box rule vs fusion with V = V_phi(Lambda_1): mu ~ lam iff N_{V,Psi(lam)}^{Psi(mu)} = 1.
 
-    One compare of V's fusion matrix, permuted to diagram order by Psi, with
+    M is V's fusion matrix over ``alcove_enumerate`` order, (M)[nu, mu] =
+    N_{V,mu}^nu.  One compare of M, permuted to diagram order by Psi, with
     the box adjacency.  ``psi_table`` makes that permutation a bijection onto
-    every label, so a match also forces every entry of the matrix to be 0 or 1.
+    every label, so a match also forces every entry of M to be 0 or 1.
     """
-    k, ell = table.params.datum.rank, table.params.ell
     mapping = psi_table(k, ell)
     diagrams, A_box = box_graph(k, ell)
-    P = np.array([table.index(mapping[d]) for d in diagrams])
-    M = table.fusion_matrix(generator_weight(k, ell))
+    index = {w: i for i, w in enumerate(alcove_enumerate(AlcoveParams(make_root_datum("B", k), ell)))}
+    P = np.array([index[mapping[d]] for d in diagrams])
     return bool(np.array_equal(M[np.ix_(P, P)], A_box))
 
 
@@ -421,20 +413,22 @@ def ranklevel_check(k: int, ell: int) -> dict:
     return report
 
 
-def duality_report(k: int, ell: int, table: FusionTable | None = None) -> dict:
-    """JSON-able summary of the Gamma/Psi/rank-level checks at (k, ell)."""
-    if table is None:
-        table = FusionTable.build(AlcoveParams(make_root_datum("B", k), ell))
+def duality_report(k: int, ell: int) -> dict:
+    """JSON-able summary of the Gamma/Psi/rank-level checks at (k, ell).
+
+    Psi is checked against V's fusion matrix alone (``fuse_matrix``); no
+    fusion table is built."""
+    params = AlcoveParams(make_root_datum("B", k), ell)
     mapping = psi_table(k, ell)
     report = {
         "k": k,
         "ell": ell,
         "r": (ell - 2 * k - 1) // 2,
         "gamma_size": len(mapping),
-        "alcove_size": table.size,
+        "alcove_size": len(alcove_enumerate(params)),
         "psi": [[list(d.rows), list(w.doubled)] for d, w in sorted(
             mapping.items(), key=lambda p: (p[0].size, p[0].rows))],
-        "homeq_ok": verify_psi_fusion(table),
+        "homeq_ok": verify_psi_fusion(k, ell, fuse_matrix(params, generator_weight(k, ell))),
     }
     try:
         report["ranklevel"] = ranklevel_check(k, ell)

@@ -37,11 +37,13 @@ reflection loop it replaced and a breadth-first search of the orbit.
 
 A whole table fuses only the generator rows, one ``fuse_matrix`` each: the
 fundamental weights e_1 + ... + e_i (i < k) and the spin weight for type B,
-e_1 + ... + e_i (i <= r) for type C, those inside the alcove.  Every other
-label nu is filled in alcove order from a generator g with nu - g dominant, by exact integer
-matrix algebra: N_nu = N_{nu-g} N_g - sum_{sigma != nu} N_{g,nu-g}^sigma N_sigma,
-where every sigma precedes nu.  The product N_{nu-g} N_g runs in float64 and
-is cast back; the build asserts n (max N)^2 < 2**53, which makes it exact.
+e_1 + ... + e_i (i <= r) for type C, those inside the alcove
+(``_generator_indices``).  Every other label nu is filled in alcove order by
+one step of exact integer matrix algebra, ``_recursion_row``:
+N_nu = N_{nu-g} N_g - sum_{sigma != nu} N_{g,nu-g}^sigma N_sigma, from a
+generator g that reaches nu (``_reaching``: N_{g,nu-g}^nu = 1 and every
+sigma precedes nu).  The product N_{nu-g} N_g runs in float64 and is cast
+back; the build asserts n (max N)^2 < 2**53, which makes it exact.
 The table is stored as int16 (2 bytes an entry, n^3 of them: 1.6 GB at
 B(5,23), n = 924, whose max N is 8,904); each row is formed in int64 and the
 whole table widens before a row that leaves the range is stored, so nothing
@@ -50,8 +52,8 @@ float64 before arithmetic.
 
 ``FusionTable.check_associativity`` certifies associativity from the same
 generator rows and the cyclic vector e_0 (the unit): L_0 = I, L_c e_0 = e_c
-for every c, the generator matrices commute, every label is reached in
-order, and every other label satisfies the recursion above.  That costs
+for every c, the generator matrices commute, and every other label is
+reached in order and equals ``_recursion_row`` run on the table.  That costs
 |G|^2 n^3 + n^4 flops through BLAS, against |G| n^4 for the generator
 identity and n^5 for contracting every pair (both oracles in
 ``tests/oracles.py``), and no temporary is larger than n^2.  The
@@ -497,19 +499,55 @@ def _exact_float_bound(n: int, top: int, what: str) -> None:
         raise AssertionError(f"float64 fusion products inexact: n={n}, max N of {what} = {top}")
 
 
-def _recursion_rhs(coeffs: np.ndarray, rest: int, f: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """coeffs[rest] @ coeffs[g] - sum_sigma row[sigma] coeffs[sigma] as int64: the
-    right side of the generator recursion, given f = coeffs[g] as float64 and
-    row = N_{g,rest}^ as int64 with its entry at nu set to 0.
+def _generator_indices(datum: RootDatum, index: dict[Weight, int]) -> list[int]:
+    """The label indices of the generators (``_generators``) that lie in the alcove."""
+    return [index[g] for g in map(Weight, _generators(datum)) if g in index]
+
+
+def _reaching(N: np.ndarray, labels, index: dict[Weight, int], gens, v: int) -> Iterator[tuple[int, int]]:
+    """(g, rest) for each g in gens that reaches nu = labels[v]: rest, the
+    index of nu - g, comes before v, N_{g,nu-g}^nu = 1, and every other
+    sigma with N_{g,nu-g}^sigma != 0 comes before v."""
+    nu = labels[v]
+    for g in gens:
+        rest = index.get(nu - labels[g])
+        if (rest is not None and rest <= v and N[g, rest, v] == 1
+                and (np.flatnonzero(N[g, rest]) <= v).all()):
+            yield g, rest
+
+
+def _recursion_row(N: np.ndarray, labels, index: dict[Weight, int], F: dict, v: int) -> np.ndarray | None:
+    """The right side of the generator recursion for nu = labels[v] as int64,
+    N[nu-g] @ N[g] - sum_{sigma != nu} N_{g,nu-g}^sigma N[sigma], from the g
+    in F (generator index -> N[g] as float64) that reaches nu (``_reaching``)
+    with the fewest terms; None when no generator reaches nu.
 
     The product runs in float64 (numpy has no BLAS route for integers) and is
     exact under ``_exact_float_bound``; the sum runs in int64, one n x n slice
-    at a time, so nothing is formed in the table's narrow dtype.
+    at a time, so nothing is formed in the table's narrow dtype.  Only the
+    result is a fresh array; the temporaries are ``_step_buffers``.
     """
-    out = (coeffs[rest].astype(np.float64) @ f).astype(np.int64)
-    for sigma in np.flatnonzero(row):
-        out -= row[sigma] * coeffs[sigma]
+    g, rest = min(_reaching(N, labels, index, F, v), key=lambda gr: np.count_nonzero(N[gr]),
+                  default=(None, None))
+    if g is None:
+        return None
+    terms = np.flatnonzero(N[g, rest])
+    rest_f, prod, term = _step_buffers(len(N))
+    np.copyto(rest_f, N[rest])
+    out = np.matmul(rest_f, F[g], out=prod).astype(np.int64)
+    for sigma in terms[terms != v]:
+        out -= np.multiply(N[g, rest, sigma], N[sigma], out=term, dtype=np.int64)
     return out
+
+
+@lru_cache(maxsize=1)
+def _step_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch for ``_recursion_row`` at n labels, shared by every step: two
+    float64 n x n arrays and one int64.  With fresh temporaries of that size
+    glibc trims and regrows its heap on every step: 350,000 page faults in
+    the B(5,21) build and as many in its associativity check, against
+    8,000 and 1,000 with these."""
+    return np.empty((n, n)), np.empty((n, n)), np.empty((n, n), dtype=np.int64)
 
 
 def _holding(coeffs: np.ndarray, top: int) -> np.ndarray:
@@ -541,48 +579,35 @@ class FusionTable:
 
         coeffs[nu] is the transposed fusion matrix of nu; the recursion (see
         the module docstring) holds for it as written since the ring is
-        commutative.  It needs N_{g,nu-g}^nu = 1 and every other term filled.
-        The table starts in _TABLE_DTYPE; each row is formed in int64, and
-        the whole table widens (``_holding``) before a row it cannot hold is
-        stored.
+        commutative.  Labels are filled in order, so every term a reaching
+        generator needs is filled.  The table starts in _TABLE_DTYPE; each
+        row is formed in int64, and the whole table widens (``_holding``)
+        before a row it cannot hold is stored.  The float64 products are
+        exact while n (max N)^2 < 2**53, which the check after the loop
+        confirms for every product it ran.
         """
         labels = alcove_enumerate(params)
-        index = {w.doubled: i for i, w in enumerate(labels)}
+        index = {w: i for i, w in enumerate(labels)}
         n = len(labels)
         coeffs = np.zeros((n, n, n), dtype=_TABLE_DTYPE)
-        filled = np.zeros(n, dtype=bool)
-        unit = index[(0,) * params.rank]
+        unit = index[Weight.zero(params.rank)]
         coeffs[unit] = np.eye(n, dtype=np.int64)
-        filled[unit] = True
-        gens = sorted((index[g] for g in _generators(params.datum) if g in index),
-                      key=lambda i: params.datum.weyl_dim(labels[i]))
-        for g in gens:
+        F = {}
+        for g in _generator_indices(params.datum, index):
             row = fuse_matrix(params, labels[g]).T
             coeffs = _holding(coeffs, row.max(initial=0))
             coeffs[g] = row
-            filled[g] = True
-        # coeffs[rest] @ coeffs[g] runs in float64: exact while n (max N)^2 <
-        # 2**53, which the check after the loop confirms for every product it ran
-        _exact_float_bound(n, coeffs[gens].max(initial=0), "the generator rows")
-        fcoeffs = {g: coeffs[g].astype(np.float64) for g in gens}
+            F[g] = row.astype(np.float64)
         for v in range(n):
-            if filled[v]:
+            if v == unit or v in F:
                 continue
-            nu = labels[v].doubled
-            # some fundamental weight lies below every nonzero dominant nu
-            g, rest = next((g, index[d]) for g in gens
-                           if (d := tuple(a - b for a, b in zip(nu, labels[g].doubled))) in index)
-            row = coeffs[g, rest].astype(np.int64)
-            row[v] = 0
-            terms = np.flatnonzero(row)
-            if coeffs[g, rest, v] != 1 or not filled[rest] or not filled[terms].all():
-                raise AssertionError(f"generator recursion breaks at nu={labels[v]}, g={labels[g]}")
-            out = _recursion_rhs(coeffs, rest, fcoeffs[g], row)
+            out = _recursion_row(coeffs, labels, index, F, v)
+            if out is None:
+                raise AssertionError(f"no generator reaches nu={labels[v]}")
             if out.min() < 0:
-                raise AssertionError(f"negative fusion coefficient at nu={labels[v]}, g={labels[g]}")
+                raise AssertionError(f"negative fusion coefficient at nu={labels[v]}")
             coeffs = _holding(coeffs, out.max())
             coeffs[v] = out
-            filled[v] = True
         _exact_float_bound(n, coeffs.max(initial=0), "the table")
         coeffs.setflags(write=False)
         return cls(params, labels, coeffs)
@@ -645,20 +670,23 @@ class FusionTable:
         With (L_a)_{c,b} = N_{a,b}^c, L_a is left multiplication by a and
         coeffs[a] = L_a^T, and the ring is associative iff L_a L_b =
         sum_c N_{a,b}^c L_c for all labels a, b.  Four parts are checked, G
-        being the generators (``_generators``) that lie in the alcove and e_c
-        the basis vector of label c:
+        being the generators that lie in the alcove (``_generator_indices``)
+        and e_c the basis vector of label c:
 
         1. unit and cyclic vector: L_0 = I (``check_unit``), and L_c e_0 = e_c
            for every label c, i.e. coeffs[:, 0, :] = I;
-        2. the L_g, g in G, commute pairwise (``_generators_commute``);
-        3. reachability (``_generators_reach``): every label nu other than 0
-           and G has some g in G with nu - g a label before nu,
-           N_{g,nu-g}^nu = 1, and every other sigma with N_{g,nu-g}^sigma != 0
-           before nu in label order;
-        4. recursion (``_recursion_holds``): for each such nu, with the g of
-           3 whose row N_{g,nu-g}^: has the fewest terms, L_nu = L_g L_{nu-g}
+        2. the L_g, g in G, commute pairwise;
+        3. reachability (``_reaching``): every label nu other than 0 and G
+           has some g in G with nu - g a label before nu, N_{g,nu-g}^nu = 1,
+           and every other sigma with N_{g,nu-g}^sigma != 0 before nu in
+           label order;
+        4. recursion: for each such nu, with the g of 3 whose row
+           N_{g,nu-g}^: has the fewest terms, L_nu = L_g L_{nu-g}
            - sum_{sigma != nu} N_{g,nu-g}^sigma L_sigma, checked as coeffs[nu]
            == coeffs[nu-g] @ coeffs[g] - sum_sigma N_{g,nu-g}^sigma coeffs[sigma].
+
+        Parts 3 and 4 are one loop over ``_recursion_row``, the step that
+        ``build`` fills each label with: it is None where part 3 fails.
 
         Proof that they suffice: let A be the algebra generated by I and the
         L_g.  By 2, A is commutative.  By 1, L_0 = I lies in A, and by 3 and
@@ -669,63 +697,22 @@ class FusionTable:
         and both take e_0 to sum_c N_{a,b}^c e_c, so they are equal.
 
         Cost: |G|^2 float64 products of n x n matrices for part 2 and one per
-        label for part 4, whose sum is formed in int64 one slice at a time
-        (``_recursion_rhs``): |G|^2 n^3 + n^4 flops, against |G| n^4 for the
-        generator identity L_g L_b = sum_sigma N_{g,b}^sigma L_sigma over every
-        b, and no temporary larger than n^2.  Every product is exact under
+        label for part 4, whose sum is formed in int64 one slice at a time:
+        |G|^2 n^3 + n^4 flops, against |G| n^4 for the generator identity
+        L_g L_b = sum_sigma N_{g,b}^sigma L_sigma over every b, and no
+        temporary larger than n^2.  Every product is exact under
         ``_exact_float_bound`` on the table's largest |entry|.
         """
         N, n = self.coeffs, self.size
         unit = self.index(Weight.zero(self.params.rank))
         if not (self.check_unit() and np.array_equal(N[:, unit, :], np.eye(n, dtype=np.int64))):
             return False
-        gens = [self._index[g] for g in map(Weight, _generators(self.params.datum))
-                if g in self._index]
-        if not self._generators_reach(gens):
-            return False
         _exact_float_bound(n, max(int(N.max()), -int(N.min())), "the table")
-        return self._generators_commute(gens) and self._recursion_holds(gens)
-
-    def _generators_commute(self, gens: list[int]) -> bool:
-        """Part 2 of ``check_associativity``: coeffs[g] @ coeffs[h] ==
-        coeffs[h] @ coeffs[g] for every two generators, in float64."""
-        F = [self.coeffs[g].astype(np.float64) for g in gens]
-        return all(np.array_equal(f @ h, h @ f) for f, h in combinations(F, 2))
-
-    def _recursion_holds(self, gens: list[int]) -> bool:
-        """Part 4 of ``check_associativity``: coeffs[nu] is the right side of
-        the recursion from its reaching generator with the fewest terms, for
-        every label nu but the unit and the generators.  Needs part 3."""
-        N = self.coeffs
-        unit = self.index(Weight.zero(self.params.rank))
-        F = {g: N[g].astype(np.float64) for g in gens}
-        for v in range(self.size):
-            if v == unit or v in F:
-                continue
-            g, rest = min(self._reaching(v, gens), key=lambda gr: np.count_nonzero(N[gr]))
-            row = N[g, rest].astype(np.int64)
-            row[v] = 0
-            if not np.array_equal(N[v], _recursion_rhs(N, rest, F[g], row)):
-                return False
-        return True
-
-    def _generators_reach(self, gens: list[int]) -> bool:
-        """Part 3 of ``check_associativity``: every label nu but the unit and
-        the generators has a g with g (nu - g) = nu + (labels before nu)."""
-        unit = self.index(Weight.zero(self.params.rank))
-        return all(v == unit or v in gens or next(self._reaching(v, gens), None) is not None
-                   for v in range(self.size))
-
-    def _reaching(self, v: int, gens: list[int]) -> Iterator[tuple[int, int]]:
-        """(g, rest) for each g in gens that reaches nu = labels[v]: rest, the
-        index of nu - g, comes before v, N_{g,nu-g}^nu = 1, and every other
-        sigma with N_{g,nu-g}^sigma != 0 comes before v."""
-        N, nu = self.coeffs, self.labels[v]
-        for g in gens:
-            rest = self._index.get(nu - self.labels[g])
-            if (rest is not None and rest <= v and N[g, rest, v] == 1
-                    and (np.flatnonzero(N[g, rest]) <= v).all()):
-                yield g, rest
+        F = {g: N[g].astype(np.float64) for g in _generator_indices(self.params.datum, self._index)}
+        rows = ((v, _recursion_row(N, self.labels, self._index, F, v))
+                for v in range(n) if v != unit and v not in F)
+        return (all(np.array_equal(f @ h, h @ f) for f, h in combinations(F.values(), 2))
+                and all(out is not None and np.array_equal(N[v], out) for v, out in rows))
 
     def check_sector_grading(self) -> bool:
         """N_{lam,mu}^{nu} = 0 unless p(nu) = p(lam) p(mu).

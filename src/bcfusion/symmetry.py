@@ -3,7 +3,8 @@
 gamma = ((ell-2k)/2, ..., (ell-2k)/2) is the unique alcove label of maximal
 length and w1 is the Weyl element that reverses the coordinates; tensoring
 with V_gamma permutes the simple objects by phi, and phi flips every
-character at most by a sign.
+character at most by a sign.  ``phi_weight`` is the one place that computes
+phi; the diagram side's Psi and its generator phi(Lambda_1) call it too.
 """
 from __future__ import annotations
 
@@ -14,6 +15,12 @@ import numpy as np
 from .errors import DomainError
 from .fusion import AlcoveParams, FusionTable, alcove_enumerate
 from .rootdata import Weight
+
+
+def phi_weight(k: int, ell: int, lam: Weight) -> Weight:
+    """phi(lam) = gamma - w1(lam) at rank k and level ell, for any weight lam;
+    gamma = ((ell-2k)/2, ..., (ell-2k)/2) is phi of the zero weight."""
+    return Weight(tuple(ell - 2 * k - x for x in reversed(lam.doubled)))
 
 
 @dataclass(frozen=True)
@@ -28,13 +35,12 @@ class InvolutionData:
     def build(cls, alcove: AlcoveParams) -> "InvolutionData":
         if alcove.datum.family != "B":
             raise DomainError("the involution is defined on the type B alcove")
-        k = alcove.datum.rank
-        gamma = Weight((alcove.ell - 2 * k,) * k)
+        k, ell = alcove.datum.rank, alcove.ell
         labels = alcove_enumerate(alcove)
         index = {w: i for i, w in enumerate(labels)}
         perm = []
         for lam in labels:
-            img = gamma - Weight(lam.doubled[::-1])
+            img = phi_weight(k, ell, lam)
             if img not in index:
                 raise AssertionError(f"phi({lam}) = {img} escaped the alcove")
             perm.append(index[img])
@@ -43,13 +49,13 @@ class InvolutionData:
             raise AssertionError("phi is not an involution")
         if any(perm[i] == i for i in range(len(perm))):
             raise AssertionError("phi has a fixed point")
-        return cls(alcove, gamma, perm)
+        return cls(alcove, phi_weight(k, ell, Weight.zero(k)), perm)
 
     def phi(self, lam: Weight) -> Weight:
         """gamma - w1(lam), defined for alcove labels."""
         if not self.alcove.contains(lam):
             raise DomainError(f"{lam} is not in the alcove C_{self.alcove.ell}")
-        return self.gamma - Weight(lam.doubled[::-1])
+        return phi_weight(self.alcove.rank, self.alcove.ell, lam)
 
     def permutation_matrix(self) -> np.ndarray:
         n = len(self.perm)

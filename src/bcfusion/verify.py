@@ -133,9 +133,9 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
     if diagrams_defined:
         mapping = psi_table(k, ell)
         add("psi_bijection", len(mapping) == table.size)
-        add("psi_fusion_graph", verify_psi_fusion(table))
-
         V = generator_weight(k, ell)
+        add("psi_fusion_graph", verify_psi_fusion(k, ell, table.fusion_matrix(V)))
+
         ok = True
         for n in range(7):
             counts_b, total_b = bratteli_endo_dim(table, V, n)
@@ -157,7 +157,6 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
              "skipped: V (x) V degenerates (a summand leaves the alcove at this ell)")
 
     if diagrams_defined:
-        V = generator_weight(k, ell)
         ok = True
         for z, dim_v in zip(zs, weyl_products(params, [V], zs)[0].tolist()):
             pz = QuantumParams(params, z)

@@ -128,8 +128,8 @@ def test_criterion_07_psi_duality():
         table = FusionTable.build(params)
         mapping = psi_table(k, ell)          # raises unless a bijection onto C_ell
         assert len(mapping) == table.size == len(gamma_set(k, ell))
-        assert verify_psi_fusion(table)
         V = generator_weight(k, ell)
+        assert verify_psi_fusion(k, ell, table.fusion_matrix(V))
         for n in range(7):
             counts_b, total_b = bratteli_endo_dim(table, V, n)
             counts_g, total_g = gamma_bratteli(k, ell, n)

@@ -116,7 +116,13 @@ def test_box_neighbors():
 @pytest.mark.parametrize("k,ell", [(2, 7), (2, 9), (2, 11), (3, 13)])
 def test_psi_fusion_graph(k, ell):
     table = FusionTable.build(AlcoveParams(make_root_datum("B", k), ell))
-    assert verify_psi_fusion(table) and psi_fusion_pairs(table)
+    assert _psi_fusion(table) and psi_fusion_pairs(table)
+
+
+def _psi_fusion(table):
+    """verify_psi_fusion on the table's fusion matrix of V."""
+    k, ell = table.params.datum.rank, table.params.ell
+    return verify_psi_fusion(k, ell, table.fusion_matrix(generator_weight(k, ell)))
 
 
 def _with_v_row(table, edit):
@@ -134,7 +140,7 @@ def test_psi_fusion_graph_rejects_swapped_columns(table29):
         row[[0, spin]] = row[[spin, 0]]
 
     swapped = _with_v_row(table29, swap)
-    assert not verify_psi_fusion(swapped) and not psi_fusion_pairs(swapped)
+    assert not _psi_fusion(swapped) and not psi_fusion_pairs(swapped)
 
 
 def test_psi_fusion_graph_rejects_a_raised_entry(table29):
@@ -145,7 +151,7 @@ def test_psi_fusion_graph_rejects_a_raised_entry(table29):
         row[0, V] = 2
 
     raised = _with_v_row(table29, raise_one)
-    assert not verify_psi_fusion(raised) and not psi_fusion_pairs(raised)
+    assert not _psi_fusion(raised) and not psi_fusion_pairs(raised)
 
 
 def test_box_graph_is_built_once_and_read_only():
@@ -348,8 +354,8 @@ def test_transpose_lands_in_c_alcove():
         assert cw is not None and cw in labels
 
 
-def test_duality_report(table29):
-    report = duality_report(2, 9, table29)
+def test_duality_report():
+    report = duality_report(2, 9)
     assert report["k"] == 2 and report["ell"] == 9 and report["r"] == 2
     assert report["gamma_size"] == report["alcove_size"] == 12
     assert report["homeq_ok"]

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -377,11 +378,25 @@ def test_symmetric_perturbations_fail_associativity(rank, ell, trials):
 
 def _reach_rows(table, v):
     """The generators, and (g, nu - g) for each g with nu - g a label, nu = labels[v]."""
-    gens = [table.index(g) for g in map(Weight, _generators(table.params.datum))
-            if g in table.labels]
+    gens = fusion._generator_indices(table.params.datum, table._index)
     nu = table.labels[v]
     return gens, [(g, table.index(nu - table.labels[g])) for g in gens
                   if nu - table.labels[g] in table.labels]
+
+
+def _recursion_rows(table):
+    """(nu, the recursion's right side for nu or None) for every label nu but
+    the unit and the generators, with the generator matrices in float64."""
+    N, labels, index = table.coeffs, table.labels, table._index
+    unit = table.index(Weight.zero(table.params.rank))
+    F = {g: N[g].astype(np.float64) for g in fusion._generator_indices(table.params.datum, index)}
+    return F, [(v, fusion._recursion_row(N, labels, index, F, v))
+               for v in range(table.size) if v != unit and v not in F]
+
+
+def _reached(table, v):
+    """Whether some generator reaches labels[v]: part 3 for one label."""
+    return dict(_recursion_rows(table)[1])[v] is not None
 
 
 @pytest.mark.parametrize("edit", ["bumped", "later_sigma"])
@@ -389,7 +404,7 @@ def test_reachability_rejects_a_bad_generator_product(table313, edit):
     v = table313.size // 2
     gens, rests = _reach_rows(table313, v)
     assert v not in gens and rests
-    assert table313._generators_reach(gens)
+    assert _reached(table313, v)
 
     def spoil(coeffs):
         for g, rest in rests:
@@ -399,7 +414,7 @@ def test_reachability_rejects_a_bad_generator_product(table313, edit):
                 coeffs[g, rest, v + 1:] = np.maximum(coeffs[g, rest, v + 1:], 1)
 
     bad = _perturbed(table313, spoil)
-    assert not bad._generators_reach(gens)
+    assert not _reached(bad, v)
     assert not bad.check_associativity()
 
 
@@ -418,8 +433,20 @@ def test_relabelled_ring_fails_reachability(table313):
 
     relabelled = _perturbed(table313, relabel)
     assert associativity_full(relabelled) and relabelled.check_unit()
-    assert not relabelled._generators_reach(gens)
+    assert not _parts(relabelled)[2]
     assert not relabelled.check_associativity()
+
+
+def test_build_raises_where_no_generator_reaches(params29, table29, monkeypatch):
+    """Without the spin weight the vector alone reaches no half-integral
+    label: the build stops at the first one, and the certificate fails."""
+    spin = (1, 1)
+    assert spin in _generators(params29.datum)
+    monkeypatch.setattr(fusion, "_generators",
+                        lambda datum: [g for g in _generators(datum) if g != spin])
+    with pytest.raises(AssertionError, match=re.escape(f"no generator reaches nu={w('1/2', '1/2')}")):
+        FusionTable.build(params29)
+    assert table29.check_associativity() is False
 
 
 def test_associativity_runs_the_unit_check(table313, monkeypatch):
@@ -443,12 +470,14 @@ def test_associativity_asserts_its_float_bound(table29):
 
 def _parts(table):
     """Parts 1 to 4 of check_associativity, each on its own."""
-    gens, _ = _reach_rows(table, 0)
+    N = table.coeffs
     unit = table.index(Weight.zero(table.params.rank))
-    cyclic = np.array_equal(table.coeffs[:, unit, :], np.eye(table.size, dtype=np.int64))
-    reach = table._generators_reach(gens)
-    return (table.check_unit() and cyclic, table._generators_commute(gens), reach,
-            reach and table._recursion_holds(gens))
+    cyclic = np.array_equal(N[:, unit, :], np.eye(table.size, dtype=np.int64))
+    F, rows = _recursion_rows(table)
+    reach = all(out is not None for _, out in rows)
+    return (table.check_unit() and cyclic,
+            all(np.array_equal(f @ h, h @ f) for f, h in itertools.combinations(F.values(), 2)),
+            reach, reach and all(np.array_equal(N[v], out) for v, out in rows))
 
 
 def _refilled(table, spoil):
@@ -459,12 +488,10 @@ def _refilled(table, spoil):
     spoil(coeffs, gens)
     bad = FusionTable(table.params, table.labels, coeffs)
     unit = table.index(Weight.zero(table.params.rank))
+    F = {g: coeffs[g].astype(np.float64) for g in gens}
     for v in range(table.size):
-        if v != unit and v not in gens:
-            g, rest = min(bad._reaching(v, gens), key=lambda gr: np.count_nonzero(coeffs[gr]))
-            row = coeffs[g, rest].copy()
-            row[v] = 0
-            coeffs[v] = coeffs[rest] @ coeffs[g] - np.tensordot(row, coeffs, axes=1)
+        if v != unit and v not in F:
+            coeffs[v] = fusion._recursion_row(coeffs, table.labels, table._index, F, v)
     return bad
 
 

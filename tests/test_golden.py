@@ -1,7 +1,8 @@
 """Golden outputs: sha256 digests of exact CLI output, so a refactor that
 changes a byte fails here.  The matrix, verify and unitarity digests at rank
 2 and 3 were recorded before the qchar/symmetry/cli consolidation, the fuse
-digests and the (4,15) table before fuse became one batched numpy pass.
+digests and the (4,15) table before fuse became one batched numpy pass, the
+duality digests before the report stopped building a whole table.
 
 Only integers, booleans and strings are hashed (the fusion tables, the verify
 check names/verdicts/details, and the decisions of the unitarity audit), so
@@ -55,6 +56,14 @@ VERIFY = {
     (4, 15): "58c15868c32d7dd571d26018ec3f9ac9af4cade22839d7627db23d71227aaf3c",
 }
 
+# `bcfusion duality --format json`, recorded while the report still read V's
+# fusion matrix from a whole fusion table
+DUALITY = {
+    (2, 9): "4242f29a580c1cd5cb44f4bd201e07bfbcca36ab2899cb7da22c451ce91dc789",
+    (3, 13): "570208a7c022c356cb0aa3de102a4bb80bb6190b91861ffbb4bd16ad493c4aa9",
+    (4, 17): "b1c058bc1d257dd2e13af3f423e1fbd020a7e74b74b6238650c96c3869599184",
+}
+
 # [k, ell, conclusive, [[z, strict, distinct, witness], ...]] per cell, compact JSON
 UNITARITY_MAX_ELL_25 = "b6d37ce5698ace4be8ac90bd1989e4708843b7a2eafbb9aacc12f5f9dc89700c"
 
@@ -79,6 +88,12 @@ def test_fuse_json_golden(capsys, ell, lhs, rhs):
 def test_verify_json_golden(capsys, rank, ell):
     assert main(["verify", "--rank", str(rank), "--ell", str(ell), "--format", "json"]) == 0
     assert _sha(capsys.readouterr().out) == VERIFY[rank, ell]
+
+
+@pytest.mark.parametrize("rank,ell", sorted(DUALITY))
+def test_duality_json_golden(capsys, rank, ell):
+    assert main(["duality", "--rank", str(rank), "--ell", str(ell), "--format", "json"]) == 0
+    assert _sha(capsys.readouterr().out) == DUALITY[rank, ell]
 
 
 def test_unitarity_exact_fields_golden(capsys):
