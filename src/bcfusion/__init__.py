@@ -15,15 +15,14 @@ from .qchar import (PFCertificate, QuantumParams, admissible_z, chi, pf_certify_
                     weyl_denominator, weyl_products)
 from .rootdata import RootDatum, Weight, make_root_datum
 from .symmetry import InvolutionData, phi_sign, verify_simple_current
-from .bmwdual import (BmwParams, FerrersDiagram, bar_map, box_neighbors, braiding_eig_sq,
-                      dim_from_eigs, gamma_set, psi, ranklevel_check, verify_psi_fusion)
+from .bmwdual import (FerrersDiagram, bar_map, box_neighbors, braiding_eig_sq, dim_from_eigs,
+                      gamma_set, psi, ranklevel_check, verify_psi_fusion)
 from .unitarity import UnitarityReport, audit, dim_box, h
 
 __all__ = [
-    "AlcoveParams", "BmwParams", "CertificationError",
-    "ConfigurationError", "DimensionMismatchError", "DomainError", "FerrersDiagram",
-    "FusionTable", "InvalidRankError", "InvolutionData", "PFCertificate",
-    "QuantumParams", "RootDatum", "SingularParameterError", "UnitarityReport",
+    "AlcoveParams", "CertificationError", "ConfigurationError", "DimensionMismatchError",
+    "DomainError", "FerrersDiagram", "FusionTable", "InvalidRankError", "InvolutionData",
+    "PFCertificate", "QuantumParams", "RootDatum", "SingularParameterError", "UnitarityReport",
     "Weight", "WeightParseError", "admissible_z", "affine_reduce",
     "alcove_enumerate", "audit", "bar_map", "box_neighbors", "braiding_eig_sq",
     "bratteli_endo_dim", "chi", "classical_tensor", "dim_box",

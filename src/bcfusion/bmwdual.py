@@ -20,7 +20,7 @@ from .errors import ConfigurationError, DomainError, SingularParameterError
 from .fusion import AlcoveParams, FusionTable, _path_counts, alcove_enumerate, fuse, fuse_matrix
 from .qchar import QuantumParams, twist_exponent, weyl_products
 from .rootdata import Weight, make_root_datum
-from .symmetry import phi_weight
+from .symmetry import InvolutionData, phi_weight
 
 
 @dataclass(frozen=True)
@@ -212,26 +212,6 @@ def verify_psi_fusion(k: int, ell: int, M: np.ndarray) -> bool:
 
 # -- BMW scalar identities ---------------------------------------------------
 
-@dataclass(frozen=True)
-class BmwParams:
-    """Quantum parameters together with the BC-case BMW parameter r = -q^{2k}."""
-
-    qparams: QuantumParams
-
-    def __post_init__(self):
-        q, r = self.q, self.r
-        if abs(q * q + 1) < 1e-12 or min(abs(r - q), abs(r + q), abs(r - 1 / q), abs(r + 1 / q)) < 1e-12:
-            raise ConfigurationError("degenerate BMW parameters: cubic roots collide")
-
-    @property
-    def q(self) -> complex:
-        return self.qparams.q
-
-    @property
-    def r(self) -> complex:
-        return -self.qparams.q ** (2 * self.qparams.datum.rank)
-
-
 def markov_trace_g(q: complex, r: complex) -> complex:
     """(T2): tr(g_i) = r (q - q^-1) / (r - r^-1 + q - q^-1)."""
     den = r - 1 / r + q - 1 / q
@@ -416,10 +396,13 @@ def ranklevel_check(k: int, ell: int) -> dict:
 def duality_report(k: int, ell: int) -> dict:
     """JSON-able summary of the Gamma/Psi/rank-level checks at (k, ell).
 
-    Psi is checked against V's fusion matrix alone (``fuse_matrix``); no
-    fusion table is built."""
+    Psi is checked against V's fusion matrix alone, and no fusion table is
+    built.  V = phi(Lambda_1) is a large weight, so its matrix is read off the
+    small vector weight's instead: N_{V,mu}^nu = N_{Lambda_1,mu}^{phi(nu)},
+    which is the vector matrix with its rows permuted by phi."""
     params = AlcoveParams(make_root_datum("B", k), ell)
     mapping = psi_table(k, ell)
+    vector = fuse_matrix(params, params.datum.fundamental_weight_1)
     report = {
         "k": k,
         "ell": ell,
@@ -428,7 +411,7 @@ def duality_report(k: int, ell: int) -> dict:
         "alcove_size": len(alcove_enumerate(params)),
         "psi": [[list(d.rows), list(w.doubled)] for d, w in sorted(
             mapping.items(), key=lambda p: (p[0].size, p[0].rows))],
-        "homeq_ok": verify_psi_fusion(k, ell, fuse_matrix(params, generator_weight(k, ell))),
+        "homeq_ok": verify_psi_fusion(k, ell, vector[list(InvolutionData.build(params).perm)]),
     }
     try:
         report["ranklevel"] = ranklevel_check(k, ell)

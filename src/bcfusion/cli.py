@@ -3,6 +3,7 @@
 Exit codes: 0 success, 1 a verification suite failed, 2 usage or domain error,
 3 internal error (a broken invariant of the package itself, or any other
 unexpected exception such as MemoryError; KeyboardInterrupt still propagates).
+A stdout or stderr whose reader has gone ends the output and keeps the code.
 All numeric output is printed with 12 significant digits and JSON keys are
 ordered, so reports are diff-stable.
 """
@@ -67,10 +68,20 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _print(text: str, stream, lost=BrokenPipeError) -> None:
+    """Print text to stream and flush it.  A write that fails with ``lost`` (by
+    default, a reader that closed the pipe) ends the output: the stream's
+    descriptor is pointed at os.devnull, so the flush at exit cannot fail."""
+    try:
+        print(text, file=stream, flush=True)
+    except lost:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def _emit(text: str, path: str | None) -> None:
     """Print text, or write it to path; a path that cannot be written is a usage error."""
     if not path:
-        print(text)
+        _print(text, sys.stdout)
         return
     try:
         with open(path, "w") as fh:
@@ -299,14 +310,15 @@ def _run(args) -> int:
 
 def run_checked(func, *args) -> int:
     """func(*args) as an exit code: a usage or domain error (any ValueError)
-    prints one line and gives 2, any other exception gives 3."""
+    prints one line and gives 2, any other exception gives 3.  The line is
+    dropped if stderr cannot take it, so the code stays 2 or 3."""
     try:
         return func(*args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print(f"error: {exc}", sys.stderr, OSError)
         return 2
     except Exception as exc:  # never exit 1, which means "verification failed"
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _print(f"internal error: {type(exc).__name__}: {exc}", sys.stderr, OSError)
         return 3
 
 

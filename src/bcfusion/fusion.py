@@ -107,11 +107,6 @@ class AlcoveParams:
     def rank(self) -> int:
         return self.datum.rank
 
-    @property
-    def nondegenerate(self) -> bool:
-        """rho + Lambda_1 in C_ell; for B_k this reads 4k < ell."""
-        return self.contains(self.datum.rho + self.datum.fundamental_weight_1)
-
     def _pairing_theta(self, v_doubled: tuple[int, ...]) -> int:
         """<v, theta_check> as an exact integer (v in the weight lattice)."""
         if self.datum.family == "B":

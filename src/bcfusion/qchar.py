@@ -240,10 +240,10 @@ def character_law_defect(f: np.ndarray, table: FusionTable) -> float:
 
 @dataclass(frozen=True)
 class PFCertificate:
-    """Witness that the positive character is the only positive one."""
+    """Witness that the positive character is the only positive one; only
+    ``pf_certify_unique`` makes one, and only when exactly one eigenvector is."""
 
     s: int
-    positive_count: int
     eigenvalue: float
     eigenvector: np.ndarray = field(compare=False)  # in alcove order, 1 at the unit
 
@@ -292,4 +292,4 @@ def pf_certify_unique(table: FusionTable) -> PFCertificate:
     i = int(positive.argmax())
     pf_vec = scaled[:, i]
     unit = table.index(Weight.zero(table.params.rank))
-    return PFCertificate(found, 1, float(evals[i]), pf_vec / pf_vec[unit])
+    return PFCertificate(found, float(evals[i]), pf_vec / pf_vec[unit])

@@ -135,16 +135,12 @@ class RootDatum:
 
     @property
     def theta(self) -> Weight:
-        """Highest short root (the odd-ell convention)."""
+        """Highest short root (the odd-ell convention); <theta, theta> = 2, so
+        theta is also its own coroot theta_check."""
         k = self.rank
         if self.family == "B":
             return Weight((2,) + (0,) * (k - 1))
         return Weight((2, 2) + (0,) * (k - 2))
-
-    @property
-    def theta_check(self) -> Weight:
-        """Coroot of theta; equals theta since <theta,theta> = 2."""
-        return self.theta
 
     @property
     def fundamental_weight_1(self) -> Weight:
@@ -185,9 +181,6 @@ class RootDatum:
         if not mu.is_dominant:
             raise DomainError(f"{mu} is not dominant")
         return _orbit(mu.doubled)
-
-    def orbit_size(self, mu: Weight) -> int:
-        return len(_orbit(mu.doubled))
 
     # -- representation data ------------------------------------------------
 
@@ -295,19 +288,14 @@ def _orbit(doubled: tuple[int, ...]) -> np.ndarray:
     return rows
 
 
-def _fd(family: str, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    s = sum(x * y for x, y in zip(a, b))
-    return s if family == "B" else s // 2
-
-
 @lru_cache(maxsize=None)
 def _freudenthal(family: str, rank: int, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     datum = make_root_datum(family, rank)
     half = 1 if family == "B" else 2  # <a, b> = (a . b) / half in doubled coordinates
     rho = datum.rho.doubled
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    top_norm = _fd(family, lam, lam)
-    top_casimir = _fd(family, lam_rho, lam_rho)
+    top_norm = sum(x * x for x in lam) // half
+    top_casimir = sum(x * x for x in lam_rho) // half
 
     doms = _dominant_below(datum, lam)
     lex = np.array(doms, dtype=np.int64)

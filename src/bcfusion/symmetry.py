@@ -51,12 +51,6 @@ class InvolutionData:
             raise AssertionError("phi has a fixed point")
         return cls(alcove, phi_weight(k, ell, Weight.zero(k)), perm)
 
-    def phi(self, lam: Weight) -> Weight:
-        """gamma - w1(lam), defined for alcove labels."""
-        if not self.alcove.contains(lam):
-            raise DomainError(f"{lam} is not in the alcove C_{self.alcove.ell}")
-        return phi_weight(self.alcove.rank, self.alcove.ell, lam)
-
     def permutation_matrix(self) -> np.ndarray:
         n = len(self.perm)
         P = np.zeros((n, n), dtype=np.int64)

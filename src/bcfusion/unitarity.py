@@ -13,7 +13,6 @@ floats enter only the reported witness value and h(z), Dim(box), whose
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import islice
@@ -98,11 +97,6 @@ class UnitarityReport:
         generator for every z, and a negative even-sector witness everywhere."""
         return self.conclusive and self.all_distinct and self.all_witnessed
 
-    @property
-    def strict_everywhere_passed(self) -> bool:
-        """The literal all-z strict inequality (known to fail at z = ell - 1)."""
-        return self.conclusive and self.all_strict and self.all_witnessed
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
@@ -126,9 +120,6 @@ class UnitarityReport:
                 for row in self.per_z
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True)
 
     def format_table(self) -> str:
         head = f"unitarity audit k={self.k} ell={self.ell} " \

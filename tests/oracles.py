@@ -31,8 +31,7 @@ import numpy as np
 from bcfusion.bmwdual import (FerrersDiagram, box_neighbors, gamma_set, generator_weight, in_gamma,
                               psi_table)
 from bcfusion.errors import ConfigurationError, DimensionMismatchError, DomainError
-from bcfusion.rootdata import (RootDatum, Weight, _dominant_below, _fd, _positive_roots,
-                               make_root_datum)
+from bcfusion.rootdata import RootDatum, Weight, _dominant_below, _positive_roots, make_root_datum
 
 
 def _as_doubled(w):
@@ -213,7 +212,7 @@ def alcove_box_scan(family: str, rank: int, ell: int) -> set[tuple[int, ...]]:
             w = Weight(tup)
             if not w.is_dominant:
                 continue
-            if 2 * datum.form(w + rho, datum.theta_check) < 2 * ell:
+            if 2 * datum.form(w + rho, datum.theta) < 2 * ell:
                 out.add(tup)
     return out
 
@@ -412,11 +411,16 @@ def freudenthal_scalar(family: str, rank: int, lam: tuple[int, ...]) -> dict[tup
     """Freudenthal multiplicities of the dominant weights of V_lam, one (mu, root, j)
     term at a time, in the same (height, then lexicographic) key order as the package."""
     datum = make_root_datum(family, rank)
-    roots = [(r.doubled, _fd(family, r.doubled, r.doubled)) for r in _positive_roots(family, rank)]
+
+    def form2(a, b):  # 2<a, b> from doubled a and b, as RootDatum.form_doubled
+        s = sum(x * y for x, y in zip(a, b))
+        return s if family == "B" else s // 2
+
+    roots = [(r.doubled, form2(r.doubled, r.doubled)) for r in _positive_roots(family, rank)]
     rho = datum.rho.doubled
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    top_norm = _fd(family, lam, lam)
-    top_casimir = _fd(family, lam_rho, lam_rho)
+    top_norm = form2(lam, lam)
+    top_casimir = form2(lam_rho, lam_rho)
 
     doms = _dominant_below(datum, lam)
     # process by increasing height of lam - mu so higher multiplicities exist first
@@ -426,12 +430,12 @@ def freudenthal_scalar(family: str, rank: int, lam: tuple[int, ...]) -> dict[tup
         if mu == lam:
             continue
         mu_rho = tuple(a + b for a, b in zip(mu, rho))
-        denom = top_casimir - _fd(family, mu_rho, mu_rho)
+        denom = top_casimir - form2(mu_rho, mu_rho)
         num = 0
-        mu_norm = _fd(family, mu, mu)
+        mu_norm = form2(mu, mu)
         for a, a_norm in roots:
             # <mu, a> >= 0 for dominant mu, so |mu + j a|^2 grows with j
-            pair = _fd(family, mu, a)
+            pair = form2(mu, a)
             j = 1
             while mu_norm + j * (2 * pair + j * a_norm) <= top_norm:
                 w = tuple(x + j * y for x, y in zip(mu, a))

@@ -85,8 +85,8 @@ def test_criterion_05_positivity_uniqueness(table29, table211, table313):
         vec = positive_character(table.params)
         assert all(v > 0 for v in vec.values())
         assert character_law_defect(np.array(list(vec.values())), table) < 1e-7
-        cert = pf_certify_unique(table)
-        assert cert.positive_count == 1
+        cert = pf_certify_unique(table)  # raises unless exactly one eigenvector is positive
+        assert cert.eigenvector == pytest.approx(np.array(list(vec.values())), rel=1e-6, abs=1e-6)
     _report(5, True, "spin character at z=1 positive, satisfies the ring law to 1e-7, "
                      "and is the unique positive eigenvector (PF certificate)")
 

@@ -1,14 +1,13 @@
 import cmath
-import importlib.util
 import json
 import math
-from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcfusion.bmwdual import (BOX, EMPTY, BmwParams, FerrersDiagram, bar_map,
+from bcfusion.bmwdual import (BOX, EMPTY, FerrersDiagram, bar_map,
                               box_graph, box_neighbors, braiding_eig_sq,
                               diagram_as_c_weight, dim_from_eigs, duality_report,
                               eig_square_set_check, gamma_bratteli, gamma_set,
@@ -18,9 +17,10 @@ from bcfusion.bmwdual import (BOX, EMPTY, BmwParams, FerrersDiagram, bar_map,
 from bcfusion import bmwdual
 from bcfusion.cli import main
 from bcfusion.errors import ConfigurationError, DomainError, SingularParameterError
-from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, bratteli_endo_dim
+from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, bratteli_endo_dim, fuse_matrix
 from bcfusion.qchar import QuantumParams, admissible_z, quantum_integer
 from bcfusion.rootdata import make_root_datum
+from bcfusion.symmetry import InvolutionData
 from bcfusion.unitarity import audit
 
 from conftest import w
@@ -192,11 +192,10 @@ def test_bratteli_spin_example(table29):
 
 
 def test_bmw_trace_values(params29):
-    bp = BmwParams(QuantumParams(params29, 1))
-    q = bp.q
-    assert bp.r == pytest.approx(-q ** 4)
-    tr = markov_trace_g(bp.q, bp.r)
-    assert tr * (bp.r - 1 / bp.r + q - 1 / q) == pytest.approx(bp.r * (q - 1 / q), rel=1e-12)
+    q = QuantumParams(params29, 1).q
+    r = -q ** 4  # the BC-case BMW parameter r = -q^{2k}
+    tr = markov_trace_g(q, r)
+    assert tr * (r - 1 / r + q - 1 / q) == pytest.approx(r * (q - 1 / q), rel=1e-12)
     with pytest.raises(SingularParameterError):
         markov_trace_g(1.0 + 0j, 1.0 + 0j)
 
@@ -204,8 +203,8 @@ def test_bmw_trace_values(params29):
 def test_bmw_cubic_roots(params29):
     """{-q^{-2k}, q, -q^{-1}} are exactly the roots of (x - r^{-1})(x - q)(x + q^{-1})."""
     for z in admissible_z(9):
-        bp = BmwParams(QuantumParams(params29, z))
-        q, r = bp.q, bp.r
+        q = QuantumParams(params29, z).q
+        r = -q ** 4
         for root in (-q ** (-4), q, -1 / q):
             val = (root - 1 / r) * (root - q) * (root + 1 / q)
             assert abs(val) < 1e-12
@@ -365,18 +364,20 @@ def test_duality_report():
     assert rows == [1] and doubled == [5, 3]
 
 
+@pytest.mark.parametrize("k,ell", [(2, 9), (3, 13), (4, 17)])
+def test_generator_matrix_is_the_phi_permuted_vector_matrix(k, ell):
+    """N_{V,mu}^nu = N_{Lambda_1,mu}^{phi(nu)}: duality_report reads V's matrix off
+    the vector weight's instead of fusing the large weight V."""
+    params = AlcoveParams(make_root_datum("B", k), ell)
+    vector = fuse_matrix(params, params.datum.fundamental_weight_1)
+    permuted = vector[list(InvolutionData.build(params).perm)]
+    assert np.array_equal(permuted, fuse_matrix(params, generator_weight(k, ell)))
+
+
 def test_cli_duality_at_dual_rank_10(capsys):
     assert main(["duality", "--rank", "2", "--ell", "25", "--format", "json"]) == 0
     ranklevel = json.loads(capsys.readouterr().out)["ranklevel"]
     assert ranklevel["rank_c"] == 10 and ranklevel["graph_isomorphic"]
-
-
-def _duality_script():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "duality_report.py"
-    spec = importlib.util.spec_from_file_location("duality_report", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("failure", [{"cardinalities_equal": False, "graph_isomorphic": False},
@@ -387,11 +388,9 @@ def test_failed_ranklevel_check_fails_duality(monkeypatch, failure):
               "transpose_is_graph_iso": False, **failure}
     monkeypatch.setattr(bmwdual, "ranklevel_check", lambda k, ell: report)
     assert main(["duality", "--rank", "2", "--ell", "9"]) == 1
-    assert _duality_script().main(["2,9"]) == 1
 
 
 def test_skipped_ranklevel_check_passes_duality(capsys):
     # ell = 7 leaves dual rank 1, so the rank-level check is skipped
     assert main(["duality", "--rank", "2", "--ell", "7", "--format", "json"]) == 0
     assert "skipped" in json.loads(capsys.readouterr().out)["ranklevel"]
-    assert _duality_script().main(["2,7"]) == 0

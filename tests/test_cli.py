@@ -173,6 +173,7 @@ def test_cli_duality_is_type_b_only(capsys):
     (["unitarity", "--format", "csv"], "invalid choice"),
     *[([cmd, "--rank", "2", "--ell", "9", "--format", "csv"], "invalid choice")
       for cmd in ("alcove", "matrix", "verify", "duality")],
+    (["unitarity", "--max-ell", "10"], "selects no conclusive cell"),
 ])
 def test_cli_rejects_input_it_would_ignore(argv, message, capsys):
     with pytest.raises(SystemExit) as err:
@@ -296,6 +297,12 @@ def test_cli_output_is_checked_before_the_command_runs(monkeypatch, tmp_path, ca
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _child_env():
+    """The environment for a child interpreter that imports this checkout's bcfusion."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def _script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -310,22 +317,17 @@ def test_parse_cell():
             parse_cell(bad)
 
 
-@pytest.mark.parametrize("script,cell", [
-    ("run_verify_grid", "2,8"), ("run_verify_grid", "2,9,1"),
-    ("duality_report", "2,8"), ("duality_report", "2,9,1")])
+@pytest.mark.parametrize("script,cell", [("run_verify_grid", "2,8"), ("run_verify_grid", "2,9,1")])
 def test_script_rejects_a_bad_cell_with_exit_2(script, cell):
     """A malformed or inadmissible cell is a usage error, not a failed verification."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{script}.py"), cell],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("script,target", [("run_verify_grid", "run_suite"),
-                                           ("duality_report", "duality_report")])
+@pytest.mark.parametrize("script,target", [("run_verify_grid", "run_suite")])
 def test_script_internal_error_exits_3(monkeypatch, capsys, script, target):
     module = _script(script)
 
@@ -342,3 +344,36 @@ def test_grid_script_counts_skipped_checks_apart(capsys):
     assert _script("run_verify_grid").main(["2,5"]) == 0
     summary = capsys.readouterr().out.splitlines()[-1]
     assert summary == "grid done: 1 cells, 0 failing checks, 9 skipped"
+
+
+MAIN = "import sys; from bcfusion import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+def _into_closed_pipe(code, argv, stderr):
+    """Run ``python -c code argv`` with its stdout a pipe whose reader closes it
+    before the child writes; with stderr=subprocess.STDOUT stderr goes into the
+    same closed pipe.  Returns the exit code and what stderr carried, if read."""
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=_child_env(),
+                            stdout=subprocess.PIPE, stderr=stderr)
+    proc.stdout.close()
+    err = proc.stderr.read() if proc.stderr else None
+    return proc.wait(timeout=120), err
+
+
+def test_cli_closed_stdout_ends_the_output():
+    """A reader that closes stdout is not an internal error: verify still exits 0."""
+    status, err = _into_closed_pipe(MAIN, ["verify", "--rank", "2", "--ell", "9"], subprocess.PIPE)
+    assert (status, err) == (0, b"")
+
+
+@pytest.mark.parametrize("code,ell,status", [
+    (MAIN, "9", 0),
+    (MAIN, "8", 2),
+    ("import sys; from bcfusion import cli; cli.run_suite = None; sys.exit(cli.main(sys.argv[1:]))",
+     "9", 3),
+], ids=["pass", "usage-error", "internal-error"])
+def test_cli_closed_stderr_never_gives_exit_1(code, ell, status):
+    """With stderr in the same closed pipe, a message that cannot be written is
+    dropped and the exit code stays the command's own, never 1."""
+    assert _into_closed_pipe(code, ["verify", "--rank", "2", "--ell", ell],
+                             subprocess.STDOUT)[0] == status

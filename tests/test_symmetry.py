@@ -5,7 +5,7 @@ from bcfusion.errors import DomainError
 from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, fuse
 from bcfusion.qchar import QuantumParams, admissible_z, dim_mu_vector, qdim
 from bcfusion.rootdata import Weight, make_root_datum
-from bcfusion.symmetry import InvolutionData, phi_sign, verify_simple_current
+from bcfusion.symmetry import InvolutionData, phi_sign, phi_weight, verify_simple_current
 
 from conftest import w
 
@@ -20,21 +20,16 @@ def test_gamma_value(inv29):
 
 
 def test_phi_examples(inv29):
-    assert inv29.phi(Weight.zero(2)) == inv29.gamma
-    assert inv29.phi(w(1, 0)) == w("5/2", "3/2")
-    assert inv29.phi(w("1/2", "1/2")) == w(2, 2)
+    assert phi_weight(2, 9, Weight.zero(2)) == inv29.gamma
+    assert phi_weight(2, 9, w(1, 0)) == w("5/2", "3/2")
+    assert phi_weight(2, 9, w("1/2", "1/2")) == w(2, 2)
 
 
-def test_phi_is_involution_without_fixed_points(inv29, params29):
+def test_phi_is_involution_without_fixed_points(params29):
     for lam in alcove_enumerate(params29):
-        img = inv29.phi(lam)
+        img = phi_weight(2, 9, lam)
         assert img != lam
-        assert inv29.phi(img) == lam
-
-
-def test_phi_rejects_outside_alcove(inv29):
-    with pytest.raises(DomainError):
-        inv29.phi(w(3, 0))
+        assert phi_weight(2, 9, img) == lam
 
 
 def test_simple_current(table29, inv29, params29):
@@ -71,7 +66,7 @@ def test_current_multiplication_identity(table29, inv29):
     N_gamma = table29.fusion_matrix(inv29.gamma)
     for lam in table29.labels:
         N_lam = table29.fusion_matrix(lam)
-        assert np.array_equal(table29.fusion_matrix(inv29.phi(lam)), N_gamma @ N_lam)
+        assert np.array_equal(table29.fusion_matrix(phi_weight(2, 9, lam)), N_gamma @ N_lam)
         assert np.array_equal(N_gamma @ N_lam @ N_gamma, N_lam)
 
 
