@@ -4,6 +4,7 @@ import pytest
 
 from bcfusion import bmwdual, unitarity
 from bcfusion.bmwdual import BOX, bar_map, psi
+from bcfusion.cli import main
 from bcfusion.errors import DomainError
 from bcfusion.fusion import AlcoveParams
 from bcfusion.qchar import QuantumParams, positive_character, qdim, weyl_products
@@ -162,3 +163,17 @@ def test_report_serialization():
     table = report.format_table()
     assert "z = ell-1" in table  # boundary note present
     assert str(report.per_z[0].negative_even_witness) in table
+
+
+# the grid scan is `bcfusion unitarity --max-ell N`
+@pytest.mark.parametrize("max_ell", ["3", "9", "10"])
+def test_unitarity_scan_rejects_empty_grid(max_ell, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["unitarity", "--max-ell", max_ell])
+    assert err.value.code == 2
+    assert "selects no conclusive cell" in capsys.readouterr().err
+
+
+def test_unitarity_scan_smallest_grid(capsys):
+    assert main(["unitarity", "--max-ell", "11"]) == 0
+    assert capsys.readouterr().out == audit(2, 11).format_table() + "\n"
