@@ -6,12 +6,13 @@ Usage:
     python scripts/run_verify_grid.py 2,9 3,13 4,17   # explicit cells
 
 Exit codes as for the CLI: 0 every check passes, 1 a check fails, 2 a
-malformed or inadmissible cell, 3 an internal error.
+malformed or inadmissible cell, 3 an internal error.  A reader that closes
+stdout ends the output and keeps the code.
 """
 import sys
 import time
 
-from bcfusion.cli import parse_cell, run_checked
+from bcfusion.cli import _print, parse_cell, run_checked
 from bcfusion.verify import DEFAULT_GRID, format_results, run_suite
 
 
@@ -22,11 +23,12 @@ def main(argv) -> int:
         start = time.perf_counter()
         results = run_suite(k, ell)
         elapsed = time.perf_counter() - start
-        print(format_results(k, ell, results))
-        print(f"  ({elapsed:.1f}s)")
+        _print(format_results(k, ell, results), sys.stdout)
+        _print(f"  ({elapsed:.1f}s)", sys.stdout)
         failures += sum(not r.ok for r in results)
         skipped += sum(r.skipped for r in results)
-    print(f"grid done: {len(cells)} cells, {failures} failing checks, {skipped} skipped")
+    _print(f"grid done: {len(cells)} cells, {failures} failing checks, {skipped} skipped",
+           sys.stdout)
     return 1 if failures else 0
 
 

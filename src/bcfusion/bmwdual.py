@@ -1,12 +1,14 @@
 """Diagram labels, the bar/Psi correspondence, BMW scalar identities, and
 the type C rank-level duality check.
 
-The diagram side is built purely combinatorially (box rule on Ferrers
-diagrams), so comparing its fusion graph with the quantum-group side under
-Psi is a genuine two-sided test rather than a tautology.  Every graph claim
-reads one ``box_graph`` per (k, ell): the Psi graph and rank-level duality
-are each a fusion matrix permuted into diagram order (by Psi, resp. by
-transposition) and compared with it, and the Bratteli counts walk it.
+The diagram side is built purely combinatorially: Gamma(k, ell) by its row
+bounds and the box graph by a containment test on Ferrers diagrams (one
+diagram holds the other row by row and has one more box), so comparing its
+fusion graph with the quantum-group side under Psi is a genuine two-sided
+test rather than a tautology.  Every graph claim reads one ``box_graph`` per
+(k, ell): the Psi graph and rank-level duality are each a fusion matrix
+permuted into diagram order (by Psi, resp. by transposition) and compared
+with it, and the Bratteli counts walk it.
 """
 from __future__ import annotations
 
@@ -152,39 +154,21 @@ def psi_table(k: int, ell: int) -> dict[FerrersDiagram, Weight]:
     return mapping
 
 
-def box_neighbors(k: int, ell: int, lam: FerrersDiagram) -> tuple[FerrersDiagram, ...]:
-    """All diagrams of Gamma(k, ell) differing from lam by exactly one box."""
-    if not in_gamma(k, ell, lam):
-        raise DomainError(f"{lam} is not in Gamma({k},{ell})")
-    rows = lam.rows
-    out = []
-    for i in range(len(rows)):
-        if i == 0 or rows[i] < rows[i - 1]:
-            out.append(rows[:i] + (rows[i] + 1,) + rows[i + 1:])
-        if rows[i] > (rows[i + 1] if i + 1 < len(rows) else 0):
-            cand = rows[:i] + (rows[i] - 1,) + rows[i + 1:]
-            out.append(tuple(r for r in cand if r))
-    out.append(rows + (1,))
-    seen = []
-    for cand in out:
-        d = FerrersDiagram(cand)
-        if in_gamma(k, ell, d) and d not in seen:
-            seen.append(d)
-    return tuple(sorted(seen, key=lambda d: (d.size, d.rows)))
-
-
 @lru_cache(maxsize=None)
 def box_graph(k: int, ell: int) -> tuple[tuple[FerrersDiagram, ...], np.ndarray]:
     """Gamma(k, ell) with its one-box adjacency matrix, built once per (k, ell)
-    and returned read-only."""
+    and returned read-only.
+
+    mu is lam plus one box exactly when |mu| = |lam| + 1 and mu contains lam,
+    row by row; the rows are padded with zeros to the 2k+1 that col1 allows.
+    """
     diagrams = gamma_set(k, ell)
-    index = {d: i for i, d in enumerate(diagrams)}
-    A = np.zeros((len(diagrams), len(diagrams)), dtype=np.int64)
-    for d in diagrams:
-        for nb in box_neighbors(k, ell, d):
-            A[index[nb], index[d]] = 1
-    if not np.array_equal(A, A.T):
-        raise AssertionError("box adjacency is not symmetric")
+    rows = np.zeros((len(diagrams), 2 * k + 1), dtype=np.int64)
+    for i, d in enumerate(diagrams):
+        rows[i, :d.col1] = d.rows
+    sizes = rows.sum(axis=1)
+    below = (sizes[:, None] + 1 == sizes[None, :]) & (rows[:, None] <= rows[None, :]).all(axis=2)
+    A = (below | below.T).astype(np.int64)
     A.setflags(write=False)
     return diagrams, A
 
@@ -267,19 +251,15 @@ def eig_square_set_check(params: QuantumParams, table: FusionTable) -> dict:
     got = {nu: _eig_sq(params, table.coefficient(V, V, nu), V, V, nu) for nu in vsq_summands(k)}
     s = -1 if (k % 2 == 1 and params.q_ell_sign == -1) else 1
     target = [s * params.q_power(e) for e in (-8 * k, 4, -4)]
-    return {
-        "squares": got,
-        "target": target,
-        "match": _multiset_close(list(got.values()), target),
-    }
+    return {"squares": got, "match": _multiset_close(list(got.values()), target)}
 
 
-def _multiset_close(xs: list[complex], ys: list[complex], tol: float = 1e-9) -> bool:
+def _multiset_close(xs: list[complex], ys: list[complex]) -> bool:
     if len(xs) != len(ys):
         return False
     remaining = list(ys)
     for x in xs:
-        hit = next((i for i, y in enumerate(remaining) if abs(x - y) < tol), None)
+        hit = next((i for i, y in enumerate(remaining) if abs(x - y) < 1e-9), None)
         if hit is None:
             return False
         remaining.pop(hit)
@@ -305,8 +285,7 @@ def trace_match(params: QuantumParams) -> dict:
     dV, *dims = weyl_products(params.alcove, [V, *summands], [params.z])[:, 0].tolist()
     weights = [d / dV ** 2 for d in dims]
     qt = -params.q ** 2
-    result = {"applicable": applicable, "matched": False, "choices": [],
-              "tilde_matched": False, "q_tilde": qt}
+    result = {"applicable": applicable, "matched": False, "choices": [], "tilde_matched": False}
     for s0 in (1, -1):
         for s1 in (1, -1):
             t0, t1 = s0 * roots[0], s1 * roots[1]

@@ -119,8 +119,7 @@ def cmd_alcove(args) -> int:
 
 def cmd_fuse(args) -> int:
     params = _alcove_params(args)
-    res = fuse(params, parse_weight(args.lhs), parse_weight(args.rhs))
-    items = sorted(res.items(), key=lambda p: (sum(p[0].doubled), p[0].doubled))
+    items = fuse(params, parse_weight(args.lhs), parse_weight(args.rhs)).items()
     if args.format == "json":
         _emit(json.dumps({str(w): c for w, c in items}, sort_keys=True), args.output)
     elif args.format == "csv":

@@ -66,7 +66,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, combinations, groupby
+from itertools import accumulate, combinations, combinations_with_replacement, groupby
 
 import numpy as np
 
@@ -138,23 +138,14 @@ def _alcove_enumerate(family: str, rank: int, ell: int) -> tuple[Weight, ...]:
     # cap on the doubled first coordinate from <mu+rho, theta_check> < ell
     cap = ell - 2 * rank if family == "B" else 2 * ell - 4 * rank
     for par in parities:
-        for tup in _dominant_tuples(rank, par, cap):
+        # the weakly decreasing doubled tuples of this parity, first entry <= cap
+        top = cap - (cap - par) % 2
+        for tup in combinations_with_replacement(range(top, par - 1, -2), rank):
             w = Weight(tup)
             if params.contains(w):
                 out.append(w)
     out.sort(key=lambda w: (sum(w.doubled), w.doubled))
     return tuple(out)
-
-
-def _dominant_tuples(rank: int, parity: int, cap: int):
-    """Weakly decreasing nonnegative doubled tuples of fixed parity, first entry <= cap."""
-    def rec(prefix: tuple[int, ...], top: int):
-        if len(prefix) == rank:
-            yield prefix
-            return
-        for x in range(top - (top - parity) % 2, parity - 1, -2):
-            yield from rec(prefix + (x,), x)
-    yield from rec((), cap)
 
 
 def affine_reduce(params: AlcoveParams, xi: Weight) -> tuple[Weight | None, int]:
@@ -487,11 +478,11 @@ def _generators(datum: RootDatum) -> list[tuple[int, ...]]:
     return gens
 
 
-def _exact_float_bound(n: int, top: int, what: str) -> None:
+def _exact_float_bound(n: int, top: int) -> None:
     """Raise unless n * top**2 < 2**53, so float64 products of n x n matrices
     with nonnegative integer entries at most top are exact."""
     if n * int(top) ** 2 >= 2 ** 53:
-        raise AssertionError(f"float64 fusion products inexact: n={n}, max N of {what} = {top}")
+        raise AssertionError(f"float64 fusion products inexact: n={n}, max N of the table = {top}")
 
 
 def _generator_indices(datum: RootDatum, index: dict[Weight, int]) -> list[int]:
@@ -603,7 +594,7 @@ class FusionTable:
                 raise AssertionError(f"negative fusion coefficient at nu={labels[v]}")
             coeffs = _holding(coeffs, out.max())
             coeffs[v] = out
-        _exact_float_bound(n, coeffs.max(initial=0), "the table")
+        _exact_float_bound(n, coeffs.max(initial=0))
         coeffs.setflags(write=False)
         return cls(params, labels, coeffs)
 
@@ -702,7 +693,7 @@ class FusionTable:
         unit = self.index(Weight.zero(self.params.rank))
         if not (self.check_unit() and np.array_equal(N[:, unit, :], np.eye(n, dtype=np.int64))):
             return False
-        _exact_float_bound(n, max(int(N.max()), -int(N.min())), "the table")
+        _exact_float_bound(n, max(int(N.max()), -int(N.min())))
         F = {g: N[g].astype(np.float64) for g in _generator_indices(self.params.datum, self._index)}
         rows = ((v, _recursion_row(N, self.labels, self._index, F, v))
                 for v in range(n) if v != unit and v not in F)

@@ -244,16 +244,18 @@ class PFCertificate:
     ``pf_certify_unique`` makes one, and only when exactly one eigenvector is."""
 
     s: int
-    eigenvalue: float
     eigenvector: np.ndarray = field(compare=False)  # in alcove order, 1 at the unit
 
 
 def pf_certify_unique(table: FusionTable) -> PFCertificate:
-    """Perron-Frobenius certificate on M = N_spin^s + N_spin^{s+1}.
+    """Perron-Frobenius certificate on M = A^s + A^{s+1}, A = N_spin (type B)
+    or N_vector (type C).
 
-    Finds the smallest odd s making M entrywise positive, diagonalizes the
-    symmetric M, and counts eigenvectors that are strictly positive after
-    sign normalization.  Exactly one must remain.
+    Finds the smallest odd s making M entrywise positive, exactly: the 0/1
+    products below count paths, at most n per entry.  M > 0 makes M's top
+    eigenvalue simple.  M is a polynomial in the symmetric A, so the two share
+    eigenvectors, and they are read off ``eigh(A)``.  It counts eigenvectors
+    that are strictly positive after sign normalization; exactly one must remain.
     """
     datum = table.params.datum
     A = table.fusion_matrix(datum.spin_weight if datum.family == "B" else datum.fundamental_weight_1)
@@ -278,18 +280,13 @@ def pf_certify_unique(table: FusionTable) -> PFCertificate:
         s += 2
     if found is None:
         raise CertificationError(f"no odd s <= {2 * n} with N^s + N^(s+1) positive")
-    Af = A.astype(np.float64)
-    M = np.linalg.matrix_power(Af, found) + np.linalg.matrix_power(Af, found + 1)
-    if not (M > 0).all():
-        raise AssertionError("positivity pattern disagreed with boolean reachability")
-    evals, evecs = np.linalg.eigh(M)
+    evecs = np.linalg.eigh(A.astype(np.float64))[1]
     # each eigenvector scaled by its entry of largest modulus
     scaled = evecs / evecs[np.abs(evecs).argmax(axis=0), np.arange(n)]
     positive = (scaled > 1e-9).all(axis=0)
     if positive.sum() != 1:
         raise CertificationError(
             f"expected exactly one positive eigenvector, found {positive.sum()}")
-    i = int(positive.argmax())
-    pf_vec = scaled[:, i]
+    pf_vec = scaled[:, int(positive.argmax())]
     unit = table.index(Weight.zero(table.params.rank))
-    return PFCertificate(found, float(evals[i]), pf_vec / pf_vec[unit])
+    return PFCertificate(found, pf_vec / pf_vec[unit])

@@ -27,7 +27,6 @@ def phi_weight(k: int, ell: int, lam: Weight) -> Weight:
 class InvolutionData:
     """gamma and phi as a permutation of the alcove."""
 
-    alcove: AlcoveParams
     gamma: Weight
     perm: tuple[int, ...]
 
@@ -49,7 +48,7 @@ class InvolutionData:
             raise AssertionError("phi is not an involution")
         if any(perm[i] == i for i in range(len(perm))):
             raise AssertionError("phi has a fixed point")
-        return cls(alcove, phi_weight(k, ell, Weight.zero(k)), perm)
+        return cls(phi_weight(k, ell, Weight.zero(k)), perm)
 
     def permutation_matrix(self) -> np.ndarray:
         n = len(self.perm)

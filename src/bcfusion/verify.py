@@ -38,9 +38,9 @@ class CheckResult:
     skipped: bool = False  # did not run; ok stays True so the exit code ignores it
 
 
-def _rel_close(a: np.ndarray, b: np.ndarray, tol: float = REL_TOL) -> bool:
-    """|a - b| <= tol (1 + max(|a|, |b|)) at every entry."""
-    return bool(np.all(np.abs(a - b) <= tol * (1.0 + np.maximum(np.abs(a), np.abs(b)))))
+def _rel_close(a: np.ndarray, b: np.ndarray) -> bool:
+    """|a - b| <= REL_TOL (1 + max(|a|, |b|)) at every entry."""
+    return bool(np.all(np.abs(a - b) <= REL_TOL * (1.0 + np.maximum(np.abs(a), np.abs(b)))))
 
 
 def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:

@@ -11,8 +11,10 @@ box scan, the affine reduction of a batch of rows by repeated finite sorts
 and reflections in the highest root (reduce_rows_loop), associativity by
 contracting every pair of fusion matrices and by the generator identity
 (associativity_generator_identity),
-Gamma(k, ell) by growing every diagram and sorting, the Psi graph by walking
-every pair of diagrams, the q-Weyl product through exact Fraction pairings,
+Gamma(k, ell) by growing every diagram and sorting, the one-box neighbours of
+a diagram by adding and removing boxes (box_neighbors) and the box graph from
+them, the Psi graph by walking every pair of diagrams, the Perron-Frobenius
+vector by diagonalizing the matrix powers N^s + N^(s+1) (pf_certify_powers), the q-Weyl product through exact Fraction pairings,
 the q-Weyl product of one label at one z as a scalar loop over the roots
 (weyl_product_scalar), the signed-permutation group (WeylElement,
 weyl_elements) that the package never builds, and the Weyl alternating sum
@@ -28,9 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from bcfusion.bmwdual import (FerrersDiagram, box_neighbors, gamma_set, generator_weight, in_gamma,
-                              psi_table)
-from bcfusion.errors import ConfigurationError, DimensionMismatchError, DomainError
+from bcfusion.bmwdual import FerrersDiagram, gamma_set, generator_weight, in_gamma, psi_table
+from bcfusion.errors import (CertificationError, ConfigurationError, DimensionMismatchError,
+                             DomainError)
 from bcfusion.rootdata import RootDatum, Weight, _dominant_below, _positive_roots, make_root_datum
 
 
@@ -517,6 +519,80 @@ def associativity_generator_identity(table) -> bool:
     # entry [b, x, c]: sum_y N_{b,x}^y N_{g,y}^c against sum_sigma N_{g,b}^sigma N_{sigma,x}^c
     return all(np.array_equal((N.reshape(-1, n) @ N[g]).ravel(), (N[g] @ N.reshape(n, -1)).ravel())
                for g in gens)
+
+
+def box_neighbors(k: int, ell: int, lam: FerrersDiagram) -> tuple[FerrersDiagram, ...]:
+    """All diagrams of Gamma(k, ell) differing from lam by exactly one box."""
+    if not in_gamma(k, ell, lam):
+        raise DomainError(f"{lam} is not in Gamma({k},{ell})")
+    rows = lam.rows
+    out = []
+    for i in range(len(rows)):
+        if i == 0 or rows[i] < rows[i - 1]:
+            out.append(rows[:i] + (rows[i] + 1,) + rows[i + 1:])
+        if rows[i] > (rows[i + 1] if i + 1 < len(rows) else 0):
+            cand = rows[:i] + (rows[i] - 1,) + rows[i + 1:]
+            out.append(tuple(r for r in cand if r))
+    out.append(rows + (1,))
+    seen = []
+    for cand in out:
+        d = FerrersDiagram(cand)
+        if in_gamma(k, ell, d) and d not in seen:
+            seen.append(d)
+    return tuple(sorted(seen, key=lambda d: (d.size, d.rows)))
+
+
+def box_graph_neighbors(k: int, ell: int) -> tuple[tuple[FerrersDiagram, ...], np.ndarray]:
+    """Gamma(k, ell) with its one-box adjacency matrix, one ``box_neighbors``
+    call per diagram."""
+    diagrams = gamma_set(k, ell)
+    index = {d: i for i, d in enumerate(diagrams)}
+    A = np.zeros((len(diagrams), len(diagrams)), dtype=np.int64)
+    for d in diagrams:
+        for nb in box_neighbors(k, ell, d):
+            A[index[nb], index[d]] = 1
+    if not np.array_equal(A, A.T):
+        raise AssertionError("box adjacency is not symmetric")
+    return diagrams, A
+
+
+def pf_certify_powers(table) -> tuple[int, np.ndarray]:
+    """(s, eigenvector) of the Perron-Frobenius certificate from
+    ``eigh`` of M = A^s + A^(s+1) itself, A = N_spin (type B) or N_vector
+    (type C), with the float positivity of M checked against the 0/1 pattern."""
+    datum = table.params.datum
+    A = table.fusion_matrix(datum.spin_weight if datum.family == "B" else datum.fundamental_weight_1)
+    n = table.size
+    adj = (A > 0).astype(np.float64)
+
+    def step(pattern: np.ndarray) -> np.ndarray:
+        return ((pattern @ adj) > 0).astype(np.float64)
+
+    s, cur = 1, adj
+    nxt = step(cur)
+    found = None
+    while s <= 2 * n:
+        if ((cur + nxt) > 0).all():
+            found = s
+            break
+        cur = step(nxt)
+        nxt = step(cur)
+        s += 2
+    if found is None:
+        raise CertificationError(f"no odd s <= {2 * n} with N^s + N^(s+1) positive")
+    Af = A.astype(np.float64)
+    M = np.linalg.matrix_power(Af, found) + np.linalg.matrix_power(Af, found + 1)
+    if not (M > 0).all():
+        raise AssertionError("positivity pattern disagreed with boolean reachability")
+    evecs = np.linalg.eigh(M)[1]
+    scaled = evecs / evecs[np.abs(evecs).argmax(axis=0), np.arange(n)]
+    positive = (scaled > 1e-9).all(axis=0)
+    if positive.sum() != 1:
+        raise CertificationError(
+            f"expected exactly one positive eigenvector, found {positive.sum()}")
+    pf_vec = scaled[:, int(positive.argmax())]
+    unit = table.index(Weight.zero(table.params.rank))
+    return found, pf_vec / pf_vec[unit]
 
 
 def psi_fusion_pairs(table) -> bool:

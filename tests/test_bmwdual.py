@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bcfusion.bmwdual import (BOX, EMPTY, FerrersDiagram, bar_map,
-                              box_graph, box_neighbors, braiding_eig_sq,
+                              box_graph, braiding_eig_sq,
                               diagram_as_c_weight, dim_from_eigs, duality_report,
                               eig_square_set_check, gamma_bratteli, gamma_set,
                               generator_weight, in_gamma, iter_gamma, markov_trace_g,
@@ -24,7 +24,7 @@ from bcfusion.symmetry import InvolutionData
 from bcfusion.unitarity import audit
 
 from conftest import w
-from oracles import gamma_set_brute, psi_fusion_pairs
+from oracles import box_graph_neighbors, box_neighbors, gamma_set_brute, psi_fusion_pairs
 
 
 def d(*rows):
@@ -111,6 +111,16 @@ def test_box_neighbors():
     assert set(box_neighbors(2, 7, d(1))) == {EMPTY, d(1, 1)}  # [2] excluded by width cap
     for nb in box_neighbors(2, 9, d(2, 1)):
         assert abs(nb.size - 3) == 1 and in_gamma(2, 9, nb)
+
+
+@pytest.mark.parametrize("k,ell", [(2, 7), (2, 9), (3, 13), (4, 15), (4, 17), (5, 21)])
+def test_box_graph_matches_neighbor_oracle(k, ell):
+    """The containment test gives the graph that adding and removing boxes gives."""
+    diagrams, A = box_graph(k, ell)
+    expected_diagrams, expected = box_graph_neighbors(k, ell)
+    assert diagrams == expected_diagrams
+    assert A.dtype == expected.dtype and np.array_equal(A, expected)
+    assert not A.flags.writeable
 
 
 @pytest.mark.parametrize("k,ell", [(2, 7), (2, 9), (2, 11), (3, 13)])

@@ -366,6 +366,15 @@ def test_cli_closed_stdout_ends_the_output():
     assert (status, err) == (0, b"")
 
 
+def test_grid_script_closed_stdout_ends_the_output():
+    """The grid script prints as the CLI does: a closed stdout ends its output
+    and the exit code stays the grid's own."""
+    script = str(ROOT / "scripts" / "run_verify_grid.py")
+    code = f"import runpy; runpy.run_path({script!r}, run_name='__main__')"
+    status, err = _into_closed_pipe(code, ["2,9"], subprocess.PIPE)
+    assert (status, err) == (0, b"")
+
+
 @pytest.mark.parametrize("code,ell,status", [
     (MAIN, "9", 0),
     (MAIN, "8", 2),

@@ -33,7 +33,8 @@ def test_alcove_b2_ell9(params29):
                     w("5/2", "1/2"), w("5/2", "3/2"), w("5/2", "5/2")}
 
 
-@pytest.mark.parametrize("family,rank,ell", [("B", 2, 9), ("B", 2, 11), ("B", 3, 13), ("C", 2, 9), ("C", 3, 11)])
+@pytest.mark.parametrize("family,rank,ell", [("B", 2, 9), ("B", 2, 11), ("B", 3, 13), ("B", 4, 15),
+                                             ("B", 5, 13), ("C", 2, 9), ("C", 3, 11), ("C", 4, 13)])
 def test_alcove_matches_box_scan(family, rank, ell):
     params = AlcoveParams(make_root_datum(family, rank), ell)
     got = {lab.doubled for lab in alcove_enumerate(params)}

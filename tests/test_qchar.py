@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bcfusion.bmwdual import gamma_set, psi
 from bcfusion.errors import DimensionMismatchError, DomainError, SingularParameterError
-from bcfusion.fusion import AlcoveParams, alcove_enumerate, classical_tensor
+from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, classical_tensor
 from bcfusion.qchar import (QuantumParams, admissible_z, alternating_sum, character_law_defect,
                             chi, dim_mu_vector, pf_certify_unique, positive_character, qdim,
                             qdim_signs, quantum_integer, twist_exponent, weyl_denominator,
@@ -15,7 +15,8 @@ from bcfusion.qchar import (QuantumParams, admissible_z, alternating_sum, charac
 from bcfusion.rootdata import Weight, make_root_datum, root_pairings
 
 from conftest import w
-from oracles import alternating_sum_group, weyl_product_fraction, weyl_product_scalar
+from oracles import (alternating_sum_group, pf_certify_powers, weyl_product_fraction,
+                     weyl_product_scalar)
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +374,18 @@ def test_pf_certificate(table29, table211, table313):
         assert cert.s % 2 == 1
         assert list(vec) == list(table.labels)
         assert cert.eigenvector == pytest.approx(np.array(list(vec.values())), rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("family,rank,ell", [("B", 2, 9), ("B", 3, 13), ("B", 4, 15), ("B", 4, 17),
+                                             ("B", 4, 19), ("C", 3, 11), ("C", 4, 13)])
+def test_pf_eigenvector_matches_powers_route(family, rank, ell):
+    """eigh of the generator matrix gives the eigenvector that eigh of its
+    powers N^s + N^(s+1) gives, with the same s."""
+    table = FusionTable.build(AlcoveParams(make_root_datum(family, rank), ell))
+    cert = pf_certify_unique(table)
+    s, expected = pf_certify_powers(table)
+    assert cert.s == s
+    assert np.max(np.abs(cert.eigenvector - expected) / np.abs(expected)) < 1e-9
 
 
 def test_spin_fusion_matrix_symmetric(table29):

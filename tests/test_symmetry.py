@@ -54,7 +54,7 @@ def test_simple_current_rejects_a_perm_that_is_not_an_involution(table29, inv29)
     a, b, c = 0, 1, 2
     perm[a], perm[b], perm[c] = inv29.perm[b], inv29.perm[c], inv29.perm[a]
     assert any(perm[perm[i]] != i for i in range(len(perm)))
-    data = InvolutionData(inv29.alcove, inv29.gamma, tuple(perm))
+    data = InvolutionData(inv29.gamma, tuple(perm))
     coeffs = table29.coeffs.copy()
     coeffs[table29.index(inv29.gamma)] = data.permutation_matrix().T
     table = FusionTable(table29.params, table29.labels, coeffs)
