@@ -1,8 +1,12 @@
 """Diagram labels, the bar/Psi correspondence, BMW scalar identities, and
 the type C rank-level duality check.
 
-The diagram side is built purely combinatorially: Gamma(k, ell) by its row
-bounds and the box graph by a containment test on Ferrers diagrams (one
+The diagram side is built purely combinatorially.  Gamma(k, ell) comes from
+its row bounds: ``gamma_rows`` walks it as row tuples, one size at a time,
+with no object per diagram.  ``iter_gamma`` wraps each tuple in a
+``FerrersDiagram``, and the unitarity audit reads blocks of them as padded
+int64 arrays (``row_array``) whose bar map ``bar_rows`` takes in one array
+operation.  The box graph is a containment test on Ferrers diagrams (one
 diagram holds the other row by row and has one more box), so comparing its
 fusion graph with the quantum-group side under Psi is a genuine two-sided
 test rather than a tautology.  Every graph claim reads one ``box_graph`` per
@@ -15,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -76,19 +81,29 @@ def gamma_set(k: int, ell: int) -> tuple[FerrersDiagram, ...]:
 
 
 def iter_gamma(k: int, ell: int) -> Iterator[FerrersDiagram]:
-    """Gamma(k, ell) in (size, rows) order, walked lazily one size at a time.
+    """Gamma(k, ell) in (size, rows) order, walked lazily one size at a time:
+    each row tuple of ``gamma_rows`` as a ``FerrersDiagram``.  Raises
+    ``ConfigurationError`` when called, not on first iteration."""
+    return (FerrersDiagram(rows) for same_size in gamma_rows(k, ell) for rows in same_size)
 
-    Each size yields its partitions with rows in lex-ascending order.  A row
-    of length 1 costs one unit of the col1 + col2 <= 2k+1 budget and a longer
-    row two, and the walk only enters a branch whose remaining size still fits
-    the budget left, so every branch it enters ends in a diagram.  Gamma is an
-    order ideal of Young's lattice, so its sizes run without a gap from 0 to
-    the largest that fits the whole budget, where the walk stops.  Raises
+
+def gamma_rows(k: int, ell: int, step: int = 1) -> Iterator[list[tuple[int, ...]]]:
+    """The row tuples of Gamma(k, ell), one list per size, of sizes 0, step,
+    2 step, ... in turn; each list is in lex-ascending order, so their
+    concatenation with step 1 is Gamma in (size, rows) order.
+
+    A row of length 1 costs one unit of the col1 + col2 <= 2k+1 budget and a
+    longer row two, and the walk only enters a branch whose remaining size
+    still fits the budget left, so every branch it enters ends in a diagram.
+    Gamma is an order ideal of Young's lattice, so its sizes run without a gap
+    from 0 to the largest that fits the whole budget, where the walk stops.
+    A size the step skips is walked only as far as the sizes it takes need
+    its tails.  No object is built per diagram.  Raises
     ``ConfigurationError`` when called, not on first iteration.
     """
     if ell <= 2 * k + 1:
         raise ConfigurationError(f"need ell > 2k+1, got k={k}, ell={ell}")
-    return _size_ordered_walk(2 * k + 1, (ell - 2 * k - 1) // 2)
+    return _size_ordered_walk(2 * k + 1, (ell - 2 * k - 1) // 2, step)
 
 
 def _largest_fill(top: int, budget: int) -> int:
@@ -99,7 +114,7 @@ def _largest_fill(top: int, budget: int) -> int:
     return (budget // 2) * top + budget % 2
 
 
-def _size_ordered_walk(budget: int, width: int) -> Iterator[FerrersDiagram]:
+def _size_ordered_walk(budget: int, width: int, step: int) -> Iterator[list[tuple[int, ...]]]:
     tails: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
 
     def rows_of(size: int, top: int, budget: int) -> list[tuple[int, ...]]:
@@ -115,9 +130,17 @@ def _size_ordered_walk(budget: int, width: int) -> Iterator[FerrersDiagram]:
             tails[key] = out
         return tails[key]
 
-    for size in range(_largest_fill(width, budget) + 1):
-        for rows in rows_of(size, width, budget):
-            yield FerrersDiagram(rows)
+    for size in range(0, _largest_fill(width, budget) + 1, step):
+        yield rows_of(size, width, budget)
+
+
+def row_array(rows: list[tuple[int, ...]], width: int) -> np.ndarray:
+    """Row tuples as an (m, width) int64 array, each padded with zeros."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    out = np.zeros((len(rows), width), dtype=np.int64)
+    out[np.arange(width) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+    return out
 
 
 def bar_map(k: int, lam: FerrersDiagram) -> Weight:
@@ -128,6 +151,15 @@ def bar_map(k: int, lam: FerrersDiagram) -> Weight:
     m = min(2 * k + 1 - lam.col1, lam.col1)
     rows = lam.rows[:m]
     return Weight(tuple(2 * r for r in rows) + (0,) * (k - len(rows)))
+
+
+def bar_rows(k: int, rows: np.ndarray) -> np.ndarray:
+    """``bar_map`` on many diagrams at once: ``rows`` is an (m, 2k+1) int64
+    array of rows padded with zeros, each within col1 + col2 <= 2k+1 (every
+    diagram of Gamma is), and the result the (m, k) int64 doubled weights."""
+    col1 = (rows > 0).sum(axis=1)
+    m = np.minimum(2 * k + 1 - col1, col1)
+    return np.where(np.arange(k) < m[:, None], 2 * rows[:, :k], 0)
 
 
 def generator_weight(k: int, ell: int) -> Weight:
@@ -163,9 +195,7 @@ def box_graph(k: int, ell: int) -> tuple[tuple[FerrersDiagram, ...], np.ndarray]
     row by row; the rows are padded with zeros to the 2k+1 that col1 allows.
     """
     diagrams = gamma_set(k, ell)
-    rows = np.zeros((len(diagrams), 2 * k + 1), dtype=np.int64)
-    for i, d in enumerate(diagrams):
-        rows[i, :d.col1] = d.rows
+    rows = row_array([d.rows for d in diagrams], 2 * k + 1)
     sizes = rows.sum(axis=1)
     below = (sizes[:, None] + 1 == sizes[None, :]) & (rows[:, None] <= rows[None, :]).all(axis=2)
     A = (below | below.T).astype(np.int64)

@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,28 +141,48 @@ def _label_pairings(alcove: AlcoveParams, labels, zs, coroot: bool = False) -> n
     lattice weight, dominant (for those, every <mu + rho, alpha> > 0) and in the
     closed alcove, <mu + rho, theta_check> <= ell (theta is short: one column for
     both pairings).
+
+    ``labels`` is a list of Weights or an (m, rank) int64 array of doubled
+    coordinates; a list becomes that array on entry, and one array pass checks
+    every label.  An error names the first label that fails.
     """
     datum, ell = alcove.datum, alcove.ell
     if not all(1 <= z < ell and math.gcd(z, ell) == 1 for z in zs):
         raise DomainError(f"every z must be in [1, {ell - 1}] and coprime to ell={ell}: {zs}")
-    for mu in labels:
-        if mu.rank != datum.rank:
+    if not isinstance(labels, np.ndarray):
+        if any(mu.rank != datum.rank for mu in labels):
             raise DimensionMismatchError(f"every label must have rank {datum.rank}")
-        datum.check_lattice_weight(mu)
+        labels = np.array([mu.doubled for mu in labels], dtype=np.int64).reshape(-1, datum.rank)
+    if labels.ndim != 2 or labels.shape[1] != datum.rank:
+        raise DimensionMismatchError(f"every label must have rank {datum.rank}")
+    # uniform parity on B, every doubled entry even on C
+    parity = labels & 1
+    off_lattice = (parity != (0 if datum.family == "C" else parity[:, :1])).any(axis=1)
+    if off_lattice.any():
+        datum.check_lattice_weight(_weight(labels[off_lattice.argmax()]))  # raises
     rho = np.array(datum.rho.doubled, dtype=np.int64)
-    lab = np.array([mu.doubled for mu in labels], dtype=np.int64).reshape(-1, datum.rank)
-    pairings = root_pairings(datum, np.vstack([rho, lab + rho]), coroot)
-    theta = pairings[1:, datum.positive_roots.index(datum.theta)]
+    pairings = root_pairings(datum, np.vstack([rho, labels + rho]), coroot)
+    theta = pairings[1:, _theta_column(datum)]
     outside = (pairings[1:] <= 0).any(axis=1) | (theta > ell)
     if outside.any():
-        raise DomainError(f"{labels[int(outside.argmax())]} is not dominant in the closed "
+        raise DomainError(f"{_weight(labels[outside.argmax()])} is not dominant in the closed "
                           f"alcove at ell={ell}")
     return pairings
+
+
+@lru_cache(maxsize=None)
+def _theta_column(datum: RootDatum) -> int:
+    return datum.positive_roots.index(datum.theta)
+
+
+def _weight(row: np.ndarray) -> Weight:
+    return Weight(tuple(row.tolist()))
 
 
 def weyl_products(alcove: AlcoveParams, labels, zs, coroot: bool = False) -> np.ndarray:
     """prod_{alpha > 0} [<mu + rho, alpha>] / [<rho, alpha>] at q = exp(z pi i/ell):
     float64 of shape (len(labels), len(zs)), [n] = sin(n z pi/ell) / sin(z pi/ell).
+    ``labels`` are Weights or an (m, rank) int64 array of doubled coordinates.
 
     Without ``coroot`` this is qdim(mu).  With ``coroot`` (alpha_check in place
     of alpha) it is dim^{Lambda_k}(V_mu) on type B: the alternating sum over W
@@ -188,22 +209,32 @@ def qdim(params: QuantumParams, mu: Weight) -> float:
 
 
 def qdim_signs(alcove: AlcoveParams, labels, zs) -> np.ndarray:
-    """sign(qdim(mu)) at q = exp(z pi i/ell), exactly: int8 of shape (len(labels), len(zs)).
+    """sign(qdim(mu)) at q = exp(z pi i/ell), exactly: int8 of shape (len(labels), len(zs)),
+    for Weights or an (m, rank) int64 array of doubled coordinates.
 
     Each factor of the Weyl product is [n] / [m] with n = <mu + rho, alpha> and
     m = <rho, alpha> positive integers, and [n] has the sign of sin(n z pi/ell):
     with r = n z mod 2 ell, 0 when r is 0 or ell, +1 when r < ell and -1 when
     r > ell.  The sign of qdim is the product over the positive roots, 0 where
     some numerator vanishes.  No denominator does: m < ell at every level that
-    ``AlcoveParams`` admits.  The labels pass qdim's domain check, and one
-    integer numpy pass covers every (label, root, z); no float or tolerance enters.
+    ``AlcoveParams`` admits.  The labels pass qdim's domain check.  The rule is
+    tabulated once per call, for every pairing n up to the largest and every
+    z, as a code: 1 for a negative factor and R + 1 for a vanishing one, with R
+    the number of positive roots.  A label's codes summed over its roots then
+    exceed R exactly when a factor vanishes, and otherwise count its negative
+    factors.  One gather and one unsigned sum, in the narrowest dtype that
+    holds R (R + 1), cover every (label, root, z); no float or tolerance enters.
     """
     ell = alcove.ell
     pairings = _label_pairings(alcove, labels, zs)
-    r = pairings[:, :, None] * np.asarray(zs, dtype=np.int64) % (2 * ell)
-    odd = (r > ell).sum(axis=1) % 2
-    zero = (r[1:] % ell == 0).any(axis=1)
-    return np.where(zero, 0, 1 - 2 * (odd[1:] ^ odd[0])).astype(np.int8)
+    n_roots = pairings.shape[1]
+    # code[z, n]; the gather keeps the roots last, so the sum runs along contiguous memory
+    r = np.asarray(zs, dtype=np.int64)[:, None] * np.arange(pairings.max() + 1) % (2 * ell)
+    code = np.where(r % ell == 0, n_roots + 1, r > ell).astype(
+        np.min_scalar_type(n_roots * (n_roots + 1)))
+    total = np.take(code, pairings, axis=1).sum(axis=2, dtype=code.dtype).T
+    odd = (total[1:] ^ total[0]) & 1
+    return np.where(total[1:] > n_roots, 0, np.where(odd, -1, 1)).astype(np.int8)
 
 
 def dim_mu_vector(params: QuantumParams, mu: Weight, lambdas) -> np.ndarray:

@@ -436,20 +436,27 @@ def root_pairings(datum: RootDatum, vectors, coroot: bool = False) -> np.ndarray
 
     In doubled coordinates <v, alpha> = dot(v, alpha) / d with d = 2 on B and 4
     on C, and <v, alpha_check> = 2<v, alpha>/<alpha, alpha> = dot / (|alpha|^2 / 2)
-    on both.  Every pairing must be integral.
+    on both.  Each d is a power of two, so the division is an exact shift once
+    the bits below it are checked to be 0.  Every pairing must be integral.
     """
-    roots, d = _root_matrix(datum.family, datum.rank, coroot)
+    roots, low_bits, shift = _root_matrix(datum.family, datum.rank, coroot)
     dots = np.asarray(vectors, dtype=np.int64) @ roots
-    if (dots % d).any():
+    if (dots & low_bits).any():
         raise AssertionError("a root pairing is not an integer")
-    return dots // d
+    return dots >> shift
 
 
 @lru_cache(maxsize=None)
-def _root_matrix(family: str, rank: int, coroot: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(doubled positive roots as columns, divisor per column), read-only."""
+def _root_matrix(family: str, rank: int, coroot: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(doubled positive roots as columns, d - 1 and log2 d for the divisor d
+    of each column), read-only."""
     roots = np.array([a.doubled for a in _positive_roots(family, rank)], dtype=np.int64).T
     form_d = 2 if family == "B" else 4
     d = (roots * roots).sum(axis=0) // 2 if coroot else np.full(roots.shape[1], form_d)
-    roots.flags.writeable = d.flags.writeable = False
-    return roots, d
+    shift = np.log2(d).astype(np.int64)
+    if not np.array_equal(1 << shift, d):
+        raise AssertionError(f"a root pairing divisor of {family}_{rank} is not a power of two")
+    low_bits = d - 1
+    for a in (roots, low_bits, shift):
+        a.flags.writeable = False
+    return roots, low_bits, shift

@@ -10,16 +10,27 @@ category with these fusion rules.
 The witnesses are chosen by the exact integer signs of ``qchar.qdim_signs``;
 floats enter only the reported witness value and h(z), Dim(box), whose
 ``strict`` and ``distinct`` comparisons still use ``WITNESS_TOL``.
+
+The witness search walks Gamma's even sizes as integer rows, never as
+objects: ``bmwdual.gamma_rows`` hands out row tuples one size at a time, each
+block of them becomes one padded int64 array, ``bmwdual.bar_rows`` takes the
+bar map of the whole block in one array operation, and ``qdim_signs`` reads
+the doubled weights directly.  A block is decided in slices whose
+(rows x roots x open z) temporary stays within ``_SLICE_BYTES``, and the walk
+stops after the first slice that leaves no z open.  A ``FerrersDiagram`` is
+built only for a chosen witness.  The witness values come from one
+``weyl_products`` call over the distinct witnesses and the witnessed z, each
+z reading its own witness's entry.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
-from .bmwdual import FerrersDiagram, bar_map, iter_gamma
+from .bmwdual import FerrersDiagram, bar_map, bar_rows, gamma_rows, row_array
 from .errors import DomainError
 from .fusion import AlcoveParams
 from .qchar import admissible_z, qdim_signs, weyl_products
@@ -146,16 +157,17 @@ def audit(k: int, ell: int) -> UnitarityReport:
     The witness of each z is the first even-size tau of Gamma(k, ell), in
     (size, rows) order, whose exact sign (``qdim_signs``) is -1; no tolerance
     decides it.  ``witness_value`` is the float qdim of that label at that z,
-    all from one ``weyl_products`` call, and a value that is not negative is an
-    internal error.
+    all from one ``weyl_products`` call over the distinct witnesses and the
+    witnessed z, and a value that is not negative is an internal error.
     """
     conclusive = 2 * (2 * k + 1) < ell
     alcove = AlcoveParams(make_root_datum("B", k), ell)
     zs = admissible_z(ell)
     witnesses = _first_negative_even(k, alcove, zs)
-    # the (witness of z, z) diagonal of the products over witnessed z
-    values = dict(zip(witnesses, np.diag(weyl_products(
-        alcove, [bar_map(k, tau) for tau in witnesses.values()], list(witnesses))).tolist()))
+    # one product per (distinct witness, witnessed z); each z reads its witness's entry
+    distinct = list(dict.fromkeys(witnesses.values()))
+    products = weyl_products(alcove, [bar_map(k, tau) for tau in distinct], list(witnesses)).tolist()
+    values = {z: products[distinct.index(tau)][j] for j, (z, tau) in enumerate(witnesses.items())}
     box = dim_box(k, ell)
     rows = []
     for z in zs:
@@ -172,18 +184,26 @@ def audit(k: int, ell: int) -> UnitarityReport:
 
 # even-size diagrams in the first walked block; each later block doubles the walk
 _FIRST_BLOCK = 8
+# budget of qdim_signs' (rows x roots x open z) temporary in one slice of a
+# block, counted at 8 bytes an entry
+_SLICE_BYTES = 1 << 20
 
 
 def _first_negative_even(k: int, alcove: AlcoveParams,
                          zs: tuple[int, ...]) -> dict[int, FerrersDiagram]:
     """The first even-size tau of Gamma with sign(qdim(bar(tau))) = -1, per z.
 
-    Gamma is walked lazily in blocks of 8, 8, 16, 32, ... even-size diagrams,
-    each shared by every z still without a witness and decided by one
-    ``qdim_signs`` call; the walk stops once every z has one or Gamma ends.
-    A z with no witness is left out of the result.
+    Gamma's even sizes are walked lazily as row tuples (``gamma_rows``) in
+    blocks of 8, 8, 16, 32, ... diagrams.  Each block becomes one padded
+    (m, 2k+1) int64 row array and ``bar_rows`` its (m, k) doubled weights, and
+    ``qdim_signs`` decides it in slices whose temporary stays within
+    ``_SLICE_BYTES``, each shared by every z still without a witness.  The walk
+    stops after the first slice that leaves no z open, or when Gamma ends.  A
+    ``FerrersDiagram`` is built only for a witness, and a z with no witness is
+    left out of the result.
     """
-    even_sector = (tau for tau in iter_gamma(k, alcove.ell) if tau.size % 2 == 0)
+    even_sector = chain.from_iterable(gamma_rows(k, alcove.ell, step=2))
+    per_row = 8 * len(alcove.datum.positive_roots)
     found: dict[int, FerrersDiagram] = {}
     open_z, walked = list(zs), 0
     while open_z:
@@ -191,11 +211,16 @@ def _first_negative_even(k: int, alcove: AlcoveParams,
         if not block:
             break
         walked += len(block)
-        negative = qdim_signs(alcove, [bar_map(k, tau) for tau in block], open_z) == -1
-        for z, hit, i in zip(open_z, negative.any(axis=0), negative.argmax(axis=0)):
-            if hit:
-                found[z] = block[i]
-        open_z = [z for z in open_z if z not in found]
+        labels = bar_rows(k, row_array(block, 2 * k + 1))
+        start = 0
+        while open_z and start < len(block):
+            stop = start + max(1, _SLICE_BYTES // (per_row * len(open_z)))
+            negative = qdim_signs(alcove, labels[start:stop], open_z) == -1
+            for z, hit, i in zip(open_z, negative.any(axis=0), negative.argmax(axis=0)):
+                if hit:
+                    found[z] = FerrersDiagram(block[start + i])
+            open_z = [z for z in open_z if z not in found]
+            start = stop
     return found
 
 

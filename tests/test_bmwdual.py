@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcfusion.bmwdual import (BOX, EMPTY, FerrersDiagram, bar_map,
+from bcfusion.bmwdual import (BOX, EMPTY, FerrersDiagram, bar_map, bar_rows,
                               box_graph, braiding_eig_sq,
                               diagram_as_c_weight, dim_from_eigs, duality_report,
                               eig_square_set_check, gamma_bratteli, gamma_set,
-                              generator_weight, in_gamma, iter_gamma, markov_trace_g,
-                              psi, psi_table, ranklevel_check, trace_match, type_c_alcove,
-                              verify_psi_fusion, vsq_summands)
+                              gamma_rows, generator_weight, in_gamma, iter_gamma,
+                              markov_trace_g, psi, psi_table, ranklevel_check, row_array,
+                              trace_match, type_c_alcove, verify_psi_fusion, vsq_summands)
 from bcfusion import bmwdual
 from bcfusion.cli import main
 from bcfusion.errors import ConfigurationError, DomainError, SingularParameterError
 from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, bratteli_endo_dim, fuse_matrix
 from bcfusion.qchar import QuantumParams, admissible_z, quantum_integer
-from bcfusion.rootdata import make_root_datum
+from bcfusion.rootdata import Weight, make_root_datum
 from bcfusion.symmetry import InvolutionData
 from bcfusion.unitarity import audit
 
@@ -61,7 +61,7 @@ def test_gamma_set_27_single_column():
 
 def test_gamma_set_rejects_tiny_ell():
     # the walk is lazy, but the check is not: each call raises before any iteration
-    for call in (gamma_set, iter_gamma, audit):
+    for call in (gamma_set, iter_gamma, gamma_rows, audit):
         with pytest.raises(ConfigurationError, match=r"need ell > 2k\+1, got k=2, ell=5"):
             call(2, 5)
 
@@ -71,6 +71,27 @@ def test_gamma_set_matches_brute_force(k):
     # same diagrams in the same (size, rows) order as growing all of them and sorting
     for ell in range(2 * k + 3, 32):
         assert gamma_set(k, ell) == gamma_set_brute(k, ell), (k, ell)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_even_row_walk_matches_brute_force(k):
+    # the audit's walk: Gamma's even sizes as row tuples, in (size, rows) order
+    for ell in range(2 * k + 3, 32):
+        walked = [FerrersDiagram(rows) for same_size in gamma_rows(k, ell, step=2)
+                  for rows in same_size]
+        even = [tau for tau in gamma_set_brute(k, ell) if tau.size % 2 == 0]
+        assert walked == even, (k, ell)
+
+
+@pytest.mark.parametrize("k,ell", [(2, 7), (2, 11), (3, 13), (4, 17), (5, 21), (6, 27)])
+def test_array_bar_is_bar_map(k, ell):
+    diagrams = gamma_set_brute(k, ell)
+    rows = row_array([tau.rows for tau in diagrams], 2 * k + 1)
+    assert [tuple(r) for r in rows.tolist()] == [
+        tau.rows + (0,) * (2 * k + 1 - tau.col1) for tau in diagrams]
+    bars = bar_rows(k, rows)
+    assert bars.dtype == np.int64 and bars.shape == (len(diagrams), k)
+    assert [Weight(tuple(b)) for b in bars.tolist()] == [bar_map(k, tau) for tau in diagrams]
 
 
 @pytest.mark.parametrize("k,ell", [(2, 7), (2, 9), (2, 11), (3, 13), (3, 15)])

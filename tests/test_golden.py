@@ -6,11 +6,12 @@ duality digests before the report stopped building a whole table.
 
 Only integers, booleans and strings are hashed (the fusion tables, the verify
 check names/verdicts/details, and the decisions of the unitarity audit), so
-those digests do not depend on the platform's libm.  The one exception is
-the full `unitarity --max-ell 25` JSON, floats included, recorded before the
-audit walked Gamma lazily and qdim paired in integers: it pins every float
-of the audit to the value math.sin gives for it on the platform it was
-recorded on (CPython 3.11 on x86-64 Linux).
+those digests do not depend on the platform's libm.  The exceptions are the
+full `unitarity --max-ell 25` JSON, floats included, recorded before the
+audit walked Gamma lazily and qdim paired in integers, and the full
+`--max-ell 41` JSON, recorded before the audit walked Gamma as row arrays:
+they pin every float of the audit to the value math.sin and numpy's sin give
+for it on the platform they were recorded on (CPython 3.11 on x86-64 Linux).
 """
 import hashlib
 import json
@@ -70,6 +71,9 @@ UNITARITY_MAX_ELL_25 = "b6d37ce5698ace4be8ac90bd1989e4708843b7a2eafbb9aacc12f5f9
 # the whole `unitarity --max-ell 25 --format json` text, floats included
 UNITARITY_MAX_ELL_25_FULL = "753a0a62d952b9ee8ece1c6340d5162152740667881f6a96453ce33605b962f7"
 
+# the whole `unitarity --max-ell 41 --format json` text: 72 cells, 1,790 z-rows
+UNITARITY_MAX_ELL_41_FULL = "fc33cb6e2a1c6bd9841ba5712fe2fceca27c8dfee73e2f4a81105bb33414c9e4"
+
 
 @pytest.mark.parametrize("family,rank,ell", sorted(MATRIX))
 def test_matrix_json_golden(capsys, family, rank, ell):
@@ -108,3 +112,8 @@ def test_unitarity_exact_fields_golden(capsys):
 def test_unitarity_full_json_golden(capsys):
     assert main(["unitarity", "--max-ell", "25", "--format", "json"]) == 0
     assert _sha(capsys.readouterr().out) == UNITARITY_MAX_ELL_25_FULL
+
+
+def test_unitarity_max_ell_41_full_json_golden(capsys):
+    assert main(["unitarity", "--max-ell", "41", "--format", "json"]) == 0
+    assert _sha(capsys.readouterr().out) == UNITARITY_MAX_ELL_41_FULL

@@ -272,6 +272,50 @@ def test_weights_off_the_lattice_raise_domain_error(params29):
             weyl_products(params29, [mu], (1,), coroot=True)
 
 
+def _as_rows(labels, rank):
+    return np.array([mu.doubled for mu in labels], dtype=np.int64).reshape(-1, rank)
+
+
+@pytest.mark.parametrize("family,rank,ell", [("B", 2, 9), ("B", 3, 13), ("C", 3, 11),
+                                             ("B", 4, 17)])
+def test_qdim_signs_on_doubled_rows_is_the_weight_route(family, rank, ell):
+    alcove = AlcoveParams(make_root_datum(family, rank), ell)
+    labels = _closed_alcove(alcove)
+    zs = admissible_z(ell)
+    by_weight = qdim_signs(alcove, labels, zs)
+    assert np.array_equal(qdim_signs(alcove, _as_rows(labels, rank), zs), by_weight)
+    assert np.array_equal(qdim_signs(alcove, _as_rows(labels[::-1], rank), zs[::-1]),
+                          by_weight[::-1, ::-1])
+    assert np.array_equal(weyl_products(alcove, _as_rows(labels, rank), zs),
+                          weyl_products(alcove, labels, zs))
+
+
+@pytest.mark.parametrize("family,good,bad,error,message", [
+    ("B", (2, 0, 0), (2, 1, 0), DomainError, "1,1/2,0 is not in the weight lattice of B_3"),
+    ("C", (2, 0, 0), (3, 1, 1), DomainError, "3/2,1/2,1/2 is not in the weight lattice of C_3"),
+    ("B", (2, 0, 0), (2, 0), DimensionMismatchError, "every label must have rank 3"),
+    ("B", (2, 0, 0), (14, 0, 0), DomainError, "7,0,0 is not dominant in the closed alcove"),
+    ("B", (2, 0, 0), (0, 2, 0), DomainError, "0,1,0 is not dominant in the closed alcove"),
+    ("C", (2, 2, 0), (14, 0, 0), DomainError, "7,0,0 is not dominant in the closed alcove"),
+])
+def test_bad_label_raises_alike_on_both_routes(family, good, bad, error, message):
+    """A mixed-parity row, a wrong rank and a label outside the closed alcove:
+    the same class and message from a Weight list and from a doubled array,
+    naming the first bad label, which follows a good one."""
+    alcove = AlcoveParams(make_root_datum(family, 3), 11)
+    labels = [Weight(good), Weight(bad), Weight(bad[::-1])]
+    routes = [labels]
+    if len(bad) == len(good):
+        routes.append(_as_rows(labels, 3))
+    else:
+        routes.append(np.array([bad, bad], dtype=np.int64))
+    for route in routes:
+        for kernel in (qdim_signs, weyl_products):
+            with pytest.raises(error) as err:
+                kernel(alcove, route, (1, 2))
+            assert str(err.value).startswith(message), (route, str(err.value))
+
+
 def test_generator_dimension_identity(params29):
     """|qdim(phi(Lambda_1))| = |[4k]/[2] + 1| for every z (k = 2, ell = 9)."""
     V = w("5/2", "3/2")

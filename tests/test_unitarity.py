@@ -98,37 +98,49 @@ def test_audit_never_builds_all_of_gamma(monkeypatch):
 
     walked = []
 
-    def counted_walk(k, ell):
-        for tau in bmwdual.iter_gamma(k, ell):
-            walked.append(tau)
-            yield tau
+    def counted_walk(k, ell, step=1):
+        for same_size in bmwdual.gamma_rows(k, ell, step):
+            walked.extend(same_size)
+            yield same_size
 
     monkeypatch.setattr(bmwdual, "gamma_set", refuse)
     monkeypatch.setattr(unitarity, "gamma_set", refuse, raising=False)
-    monkeypatch.setattr(unitarity, "iter_gamma", counted_walk)
+    monkeypatch.setattr(unitarity, "gamma_rows", counted_walk)
     for k, ell in [(3, 15), (5, 23)]:
         walked.clear()
         assert audit(k, ell).passed
-        assert 0 < len(walked) < len(gamma_set_brute(k, ell))
+        gamma = gamma_set_brute(k, ell)
+        even = [tau for tau in gamma if tau.size % 2 == 0]
+        # every row list the walk handed out, whole sizes included
+        assert 0 < len(walked) < len(even) < len(gamma)
 
 
-@pytest.mark.parametrize("k,ell", [(2, 11), (3, 17), (2, 7)])
+@pytest.mark.parametrize("k,ell", [(2, 11), (3, 17), (2, 7), (5, 23)])
 def test_audit_evaluates_every_witness_in_one_kernel_call(monkeypatch, k, ell):
     calls = []
 
     def counted(alcove, labels, zs, coroot=False):
-        calls.append((list(labels), list(zs)))
-        return weyl_products(alcove, labels, zs, coroot)
+        calls.append((list(labels), list(zs), weyl_products(alcove, labels, zs, coroot)))
+        return calls[-1][2]
 
     monkeypatch.setattr(unitarity, "weyl_products", counted)
     report = audit(k, ell)
     witnessed = {row.z: bar_map(k, row.negative_even_witness)
                  for row in report.per_z if row.negative_even_witness is not None}
     assert len(calls) == 1
-    labels, zs = calls[0]
-    assert dict(zip(zs, labels)) == witnessed and len(zs) == len(witnessed)
+    labels, zs, values = calls[0]
+    # one row per distinct witness, one column per witnessed z
+    assert sorted(zs) == sorted(witnessed)
+    assert len(labels) == len(set(labels)) == len(set(witnessed.values()))
+    for row in report.per_z:
+        if row.z in witnessed:
+            assert row.witness_value == values[labels.index(witnessed[row.z]), zs.index(row.z)]
+            assert row.witness_value == weyl_products(
+                AlcoveParams(make_root_datum("B", k), ell), [witnessed[row.z]], [row.z])[0, 0]
     if (k, ell) == (2, 7):
         assert len(witnessed) < len(report.per_z)
+    if (k, ell) == (5, 23):
+        assert len(labels) < len(zs)
 
 
 def test_audit_2_9_not_conclusive():
