@@ -15,8 +15,8 @@ from .qchar import (PFCertificate, QuantumParams, admissible_z, chi, pf_certify_
                     weyl_denominator, weyl_products)
 from .rootdata import RootDatum, Weight, make_root_datum
 from .symmetry import InvolutionData, phi_sign, verify_simple_current
-from .bmwdual import (FerrersDiagram, bar_map, braiding_eig_sq, dim_from_eigs, gamma_set, psi,
-                      ranklevel_check, verify_psi_fusion)
+from .bmwdual import (FerrersDiagram, braiding_eig_sq, dim_from_eigs, gamma_set, ranklevel_check,
+                      verify_psi_fusion)
 from .unitarity import UnitarityReport, audit, dim_box, h
 
 __all__ = [
@@ -24,10 +24,10 @@ __all__ = [
     "DomainError", "FerrersDiagram", "FusionTable", "InvalidRankError", "InvolutionData",
     "PFCertificate", "QuantumParams", "RootDatum", "SingularParameterError", "UnitarityReport",
     "Weight", "WeightParseError", "admissible_z", "affine_reduce",
-    "alcove_enumerate", "audit", "bar_map", "braiding_eig_sq",
+    "alcove_enumerate", "audit", "braiding_eig_sq",
     "bratteli_endo_dim", "chi", "classical_tensor", "dim_box",
     "dim_from_eigs", "fuse", "fuse_two_stage", "gamma_set", "h", "make_root_datum",
-    "pf_certify_unique", "phi_sign", "positive_character", "psi", "qdim", "qdim_signs",
+    "pf_certify_unique", "phi_sign", "positive_character", "qdim", "qdim_signs",
     "quantum_integer", "ranklevel_check", "twist_exponent", "verify_psi_fusion",
     "verify_simple_current", "weyl_denominator", "weyl_products",
 ]

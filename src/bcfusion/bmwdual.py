@@ -1,18 +1,19 @@
 """Diagram labels, the bar/Psi correspondence, BMW scalar identities, and
 the type C rank-level duality check.
 
-The diagram side is built purely combinatorially.  Gamma(k, ell) comes from
-its row bounds: ``gamma_rows`` walks it as row tuples, one size at a time,
-with no object per diagram.  ``iter_gamma`` wraps each tuple in a
-``FerrersDiagram``, and the unitarity audit reads blocks of them as padded
-int64 arrays (``row_array``) whose bar map ``bar_rows`` takes in one array
-operation.  The box graph is a containment test on Ferrers diagrams (one
-diagram holds the other row by row and has one more box), so comparing its
-fusion graph with the quantum-group side under Psi is a genuine two-sided
-test rather than a tautology.  Every graph claim reads one ``box_graph`` per
-(k, ell): the Psi graph and rank-level duality are each a fusion matrix
-permuted into diagram order (by Psi, resp. by transposition) and compared
-with it, and the Bratteli counts walk it.
+The diagram side is built purely combinatorially.  ``gamma_rows`` walks
+Gamma(k, ell) from its row bounds as row tuples, one size at a time, and
+``gamma_set`` wraps them as ``FerrersDiagram``s.  Every map into an alcove
+is one array operation on padded (m, 2k+1) int64 rows (``row_array``)
+followed by ``fusion.label_positions``: bar is ``bar_rows``, Psi adds
+``symmetry.phi_rows`` on the odd sizes, and the type C side reads twice the
+column heights (``transpose_rows``).  The box graph is a containment test
+on Ferrers diagrams (one holds the other row by row and has one more box),
+so comparing its fusion graph with the quantum-group side under Psi is a
+genuine two-sided test rather than a tautology.  Every graph claim reads
+one ``box_graph`` per (k, ell): the Psi graph and rank-level duality are
+each a fusion matrix permuted into diagram order (by Psi, resp. by
+transposition) and compared with it, and the Bratteli counts walk it.
 """
 from __future__ import annotations
 
@@ -24,10 +25,11 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularParameterError
-from .fusion import AlcoveParams, FusionTable, _path_counts, alcove_enumerate, fuse, fuse_matrix
+from .fusion import (AlcoveParams, FusionTable, _path_counts, alcove_enumerate, fuse, fuse_matrix,
+                     label_positions)
 from .qchar import QuantumParams, twist_exponent, weyl_products
 from .rootdata import Weight, make_root_datum
-from .symmetry import InvolutionData, phi_weight
+from .symmetry import InvolutionData, phi_rows, phi_weight
 
 
 @dataclass(frozen=True)
@@ -50,18 +52,6 @@ class FerrersDiagram:
         """Height of the first column."""
         return len(self.rows)
 
-    @property
-    def col2(self) -> int:
-        """Height of the second column."""
-        return sum(1 for r in self.rows if r >= 2)
-
-    @property
-    def width(self) -> int:
-        return self.rows[0] if self.rows else 0
-
-    def transpose(self) -> "FerrersDiagram":
-        return FerrersDiagram(tuple(sum(1 for r in self.rows if r > i) for i in range(self.width)))
-
     def __str__(self) -> str:
         return "[" + ",".join(map(str, self.rows)) + "]" if self.rows else "[]"
 
@@ -70,21 +60,10 @@ BOX = FerrersDiagram((1,))
 EMPTY = FerrersDiagram(())
 
 
-def in_gamma(k: int, ell: int, lam: FerrersDiagram) -> bool:
-    """Membership in Gamma(k, ell): col1 + col2 <= 2k+1 and width <= (ell-2k-1)/2."""
-    return lam.col1 + lam.col2 <= 2 * k + 1 and 2 * lam.width <= ell - 2 * k - 1
-
-
 def gamma_set(k: int, ell: int) -> tuple[FerrersDiagram, ...]:
-    """All of Gamma(k, ell), ordered by (size, rows): the whole of ``iter_gamma``."""
-    return tuple(iter_gamma(k, ell))
-
-
-def iter_gamma(k: int, ell: int) -> Iterator[FerrersDiagram]:
-    """Gamma(k, ell) in (size, rows) order, walked lazily one size at a time:
-    each row tuple of ``gamma_rows`` as a ``FerrersDiagram``.  Raises
-    ``ConfigurationError`` when called, not on first iteration."""
-    return (FerrersDiagram(rows) for same_size in gamma_rows(k, ell) for rows in same_size)
+    """Gamma(k, ell), the diagrams with col1 + col2 <= 2k+1 and width <= (ell-2k-1)/2,
+    in (size, rows) order: ``gamma_rows``' tuples as ``FerrersDiagram``s."""
+    return tuple(FerrersDiagram(rows) for same_size in gamma_rows(k, ell) for rows in same_size)
 
 
 def gamma_rows(k: int, ell: int, step: int = 1) -> Iterator[list[tuple[int, ...]]]:
@@ -143,20 +122,10 @@ def row_array(rows: list[tuple[int, ...]], width: int) -> np.ndarray:
     return out
 
 
-def bar_map(k: int, lam: FerrersDiagram) -> Weight:
-    """Restrict an O(2k+1) diagram to so(2k+1): replace the first-column height
-    by min(2k+1 - col1, col1) and read the rows as a dominant integer weight."""
-    if lam.col1 + lam.col2 > 2 * k + 1:
-        raise DomainError(f"{lam} violates col1 + col2 <= 2k+1 for k={k}")
-    m = min(2 * k + 1 - lam.col1, lam.col1)
-    rows = lam.rows[:m]
-    return Weight(tuple(2 * r for r in rows) + (0,) * (k - len(rows)))
-
-
 def bar_rows(k: int, rows: np.ndarray) -> np.ndarray:
-    """``bar_map`` on many diagrams at once: ``rows`` is an (m, 2k+1) int64
-    array of rows padded with zeros, each within col1 + col2 <= 2k+1 (every
-    diagram of Gamma is), and the result the (m, k) int64 doubled weights."""
+    """The bar map from O(2k+1) to so(2k+1) diagrams: twice the first
+    min(2k+1 - col1, col1) rows of each row of ``rows``, (m, 2k+1) int64
+    padded with zeros and within col1 + col2 <= 2k+1, as (m, k) int64."""
     col1 = (rows > 0).sum(axis=1)
     m = np.minimum(2 * k + 1 - col1, col1)
     return np.where(np.arange(k) < m[:, None], 2 * rows[:, :k], 0)
@@ -167,23 +136,31 @@ def generator_weight(k: int, ell: int) -> Weight:
     return phi_weight(k, ell, Weight((2,) + (0,) * (k - 1)))
 
 
-def psi(k: int, ell: int, lam: FerrersDiagram) -> Weight:
-    """Psi: Gamma(k, ell) -> C_ell; bar for even diagrams, phi(bar) for odd ones."""
-    if not in_gamma(k, ell, lam):
-        raise DomainError(f"{lam} is not in Gamma({k},{ell})")
-    bw = bar_map(k, lam)
-    return bw if lam.size % 2 == 0 else phi_weight(k, ell, bw)
+@lru_cache(maxsize=None)
+def _gamma(k: int, ell: int) -> tuple[tuple[FerrersDiagram, ...], np.ndarray, np.ndarray]:
+    """Gamma(k, ell) once per (k, ell), from one ``gamma_set`` call: the
+    diagrams, their rows padded to 2k+1, and the ``alcove_enumerate`` index
+    of each Psi label (bar, then phi on the odd sizes), read-only.  Raises
+    unless Psi is a bijection onto C_ell."""
+    params = AlcoveParams(make_root_datum("B", k), ell)
+    diagrams = gamma_set(k, ell)
+    rows = row_array([d.rows for d in diagrams], 2 * k + 1)
+    labels = bar_rows(k, rows)
+    odd = rows.sum(axis=1) % 2 == 1
+    labels[odd] = phi_rows(k, ell, labels[odd])
+    positions = label_positions(params, labels)
+    if not np.array_equal(np.sort(positions), np.arange(len(alcove_enumerate(params)))):
+        raise AssertionError(f"Psi is not a bijection onto C_ell at (k,ell)=({k},{ell})")
+    for a in (rows, positions):
+        a.setflags(write=False)
+    return diagrams, rows, positions
 
 
 def psi_table(k: int, ell: int) -> dict[FerrersDiagram, Weight]:
-    """Psi on all of Gamma(k, ell), with bijectivity onto C_ell enforced."""
-    params = AlcoveParams(make_root_datum("B", k), ell)
-    labels = set(alcove_enumerate(params))
-    mapping = {d: psi(k, ell, d) for d in gamma_set(k, ell)}
-    images = set(mapping.values())
-    if len(images) != len(mapping) or images != labels:
-        raise AssertionError(f"Psi is not a bijection onto C_ell at (k,ell)=({k},{ell})")
-    return mapping
+    """Psi on all of Gamma(k, ell), a bijection onto C_ell."""
+    diagrams, _, positions = _gamma(k, ell)
+    labels = alcove_enumerate(AlcoveParams(make_root_datum("B", k), ell))
+    return {d: labels[p] for d, p in zip(diagrams, positions.tolist())}
 
 
 @lru_cache(maxsize=None)
@@ -194,8 +171,7 @@ def box_graph(k: int, ell: int) -> tuple[tuple[FerrersDiagram, ...], np.ndarray]
     mu is lam plus one box exactly when |mu| = |lam| + 1 and mu contains lam,
     row by row; the rows are padded with zeros to the 2k+1 that col1 allows.
     """
-    diagrams = gamma_set(k, ell)
-    rows = row_array([d.rows for d in diagrams], 2 * k + 1)
+    diagrams, rows, _ = _gamma(k, ell)
     sizes = rows.sum(axis=1)
     below = (sizes[:, None] + 1 == sizes[None, :]) & (rows[:, None] <= rows[None, :]).all(axis=2)
     A = (below | below.T).astype(np.int64)
@@ -214,14 +190,11 @@ def verify_psi_fusion(k: int, ell: int, M: np.ndarray) -> bool:
 
     M is V's fusion matrix over ``alcove_enumerate`` order, (M)[nu, mu] =
     N_{V,mu}^nu.  One compare of M, permuted to diagram order by Psi, with
-    the box adjacency.  ``psi_table`` makes that permutation a bijection onto
-    every label, so a match also forces every entry of M to be 0 or 1.
+    the box adjacency.  Psi's positions are a bijection onto every label, so
+    a match also forces every entry of M to be 0 or 1.
     """
-    mapping = psi_table(k, ell)
-    diagrams, A_box = box_graph(k, ell)
-    index = {w: i for i, w in enumerate(alcove_enumerate(AlcoveParams(make_root_datum("B", k), ell)))}
-    P = np.array([index[mapping[d]] for d in diagrams])
-    return bool(np.array_equal(M[np.ix_(P, P)], A_box))
+    P = _gamma(k, ell)[2]
+    return bool(np.array_equal(M[np.ix_(P, P)], box_graph(k, ell)[1]))
 
 
 # -- BMW scalar identities ---------------------------------------------------
@@ -359,11 +332,11 @@ def type_c_alcove(k: int, ell: int) -> AlcoveParams:
     return AlcoveParams(make_root_datum("C", r), ell)
 
 
-def diagram_as_c_weight(lam: FerrersDiagram, r: int) -> Weight | None:
-    """Read a diagram with at most r rows as a dominant C_r weight."""
-    if lam.col1 > r:
-        return None
-    return Weight(tuple(2 * x for x in lam.rows) + (0,) * (r - lam.col1))
+def transpose_rows(rows: np.ndarray, width: int) -> np.ndarray:
+    """The transposes of the diagrams of ``rows``, an (m, 2k+1) array padded
+    with zeros, each at most ``width`` wide: (m, width) int64 column heights,
+    column j the number of rows longer than j."""
+    return (rows[:, :, None] > np.arange(width)).sum(axis=1, dtype=np.int64)
 
 
 def ranklevel_check(k: int, ell: int) -> dict:
@@ -372,15 +345,16 @@ def ranklevel_check(k: int, ell: int) -> dict:
     Compares |Gamma(k, ell)| with the C alcove size, then checks the duality
     map itself: diagram transposition must send Gamma(k, ell) one-to-one onto
     the C alcove and carry the box graph onto the fusion graph of the vector
-    representation.  No other isomorphism is searched for, so the check fails
-    when transposition does; ``graph_isomorphic`` repeats that verdict.
+    representation; each diagram is at most r wide, so its transpose is a C_r
+    weight.  No other isomorphism is searched for, so the check fails when
+    transposition does; ``graph_isomorphic`` repeats that verdict.
     Needs ell > 2k+1 (Gamma defined) and dual rank (ell-2k-1)/2 >= 2.
     """
     if ell <= 2 * k + 1:
         raise ConfigurationError(f"need ell > 2k+1, got (k,ell)=({k},{ell})")
     paramsC = type_c_alcove(k, ell)
     r = paramsC.datum.rank
-    diagrams, A_box = box_graph(k, ell)
+    diagrams, rows, _ = _gamma(k, ell)
     labelsC = alcove_enumerate(paramsC)
     report = {
         "k": k, "ell": ell, "rank_c": r,
@@ -392,12 +366,10 @@ def ranklevel_check(k: int, ell: int) -> dict:
     }
     if not report["cardinalities_equal"]:
         return report
-    indexC = {w: i for i, w in enumerate(labelsC)}
-    perm = [indexC.get(diagram_as_c_weight(d.transpose(), r)) for d in diagrams]
-    if None not in perm and len(set(perm)) == len(perm):
-        P = np.array(perm)
+    P = label_positions(paramsC, 2 * transpose_rows(rows, r))
+    if np.array_equal(np.sort(P), np.arange(len(labelsC))):
         A_vec = fuse_matrix(paramsC, paramsC.datum.fundamental_weight_1)
-        iso = bool(np.array_equal(A_vec[np.ix_(P, P)], A_box))
+        iso = bool(np.array_equal(A_vec[np.ix_(P, P)], box_graph(k, ell)[1]))
         report["transpose_is_graph_iso"] = report["graph_isomorphic"] = iso
     return report
 
@@ -410,16 +382,17 @@ def duality_report(k: int, ell: int) -> dict:
     small vector weight's instead: N_{V,mu}^nu = N_{Lambda_1,mu}^{phi(nu)},
     which is the vector matrix with its rows permuted by phi."""
     params = AlcoveParams(make_root_datum("B", k), ell)
-    mapping = psi_table(k, ell)
+    diagrams, _, positions = _gamma(k, ell)
+    labels = alcove_enumerate(params)
     vector = fuse_matrix(params, params.datum.fundamental_weight_1)
     report = {
         "k": k,
         "ell": ell,
         "r": (ell - 2 * k - 1) // 2,
-        "gamma_size": len(mapping),
-        "alcove_size": len(alcove_enumerate(params)),
-        "psi": [[list(d.rows), list(w.doubled)] for d, w in sorted(
-            mapping.items(), key=lambda p: (p[0].size, p[0].rows))],
+        "gamma_size": len(diagrams),
+        "alcove_size": len(labels),
+        "psi": [[list(d.rows), list(labels[p].doubled)]
+                for d, p in zip(diagrams, positions.tolist())],
         "homeq_ok": verify_psi_fusion(k, ell, vector[list(InvolutionData.build(params).perm)]),
     }
     try:

@@ -18,7 +18,8 @@ their smaller factor, lays out that factor's distinct Weyl images once
 weight, from a template cached per pattern of equal and zero entries, never
 the whole Weyl group), shifts them by every partner's mu + rho and reduces
 the stacked rows in blocks of at most _CHUNK_ROWS.  ``fuse`` and
-``fuse_matrix`` are views of it.  There is no reduce cache.
+``fuse_matrix`` are views of it.  There is no reduce cache.  Reduced rows
+find their labels by ``label_positions``, the one array alcove lookup.
 
 The two-stage route (classical decomposition first, affine
 antisymmetrization second), ``fuse_two_stage_pairs``, is kept as an
@@ -28,7 +29,7 @@ whole pairs: the Weyl orbits from ``RootDatum.weyl_orbit`` (read-only
 arrays with their own enumeration) are stacked, shifted and made dominant
 by an ``argsort`` with the sign read off the sorting permutation, and it
 keeps its own label map.  It never calls ``_orbit_blocks``,
-``_reduce_rows``, ``sort_network`` or ``fuse_pairs``' label lookup, and
+``_reduce_rows``, ``sort_network`` or ``label_positions``, and
 ``fuse_pairs`` never calls ``weyl_orbit``, so a fault in either enumeration,
 sort or lookup cannot hide in both sides of the comparison.  The two routes
 share only ``_reduce_rows``, which the second stage applies to the
@@ -289,9 +290,9 @@ def fuse_pairs(params: AlcoveParams, pairs) -> np.ndarray:
     mu + rho for every other factor mu of its group and reduced by
     ``_reduce_rows``, in stacked blocks of at most _CHUNK_ROWS rows unless
     one orbit block is larger.  Each live row adds sign * multiplicity at
-    (pair, label), the label found by ``searchsorted`` on the labels' sorted
-    keys.  Everything is exact int64; nothing is cached between calls but
-    the label keys of the cell.
+    (pair, label), the label found by ``label_positions``.  Everything is
+    exact int64; nothing is cached between calls but the label keys of the
+    cell.
     """
     datum = params.datum
     out = np.zeros((len(pairs), len(alcove_enumerate(params))), dtype=np.int64)
@@ -316,16 +317,13 @@ def fuse_pairs(params: AlcoveParams, pairs) -> np.ndarray:
                     yield ((images + part[:, None]).reshape(-1, params.rank),
                            np.repeat(ids[lo:lo + step], len(images)), np.tile(mult, len(part)))
 
-    keys, order = _label_keys(datum.family, params.rank, params.ell)
     for V, pid, mult in _stacked(pieces()):
         signs, labels = _reduce_rows(params, V)
         live = signs != 0
-        # alcove labels have entries in [0, 2 ell)
-        got = np.ravel_multi_index(tuple(labels[live].T), (2 * params.ell,) * params.rank)
-        pos = np.minimum(np.searchsorted(keys, got), len(keys) - 1)
-        if not np.array_equal(keys[pos], got):
+        cols = label_positions(params, labels[live])
+        if (cols < 0).any():
             raise AssertionError("affine reduction reached a weight outside the alcove")
-        np.add.at(out, (pid[live], order[pos]), signs[live] * mult[live])
+        np.add.at(out, (pid[live], cols), signs[live] * mult[live])
     negative = np.flatnonzero((out < 0).any(axis=1))
     if negative.size:
         lam, mu = pairs[negative[0]]
@@ -333,14 +331,32 @@ def fuse_pairs(params: AlcoveParams, pairs) -> np.ndarray:
     return out
 
 
+def label_positions(params: AlcoveParams, rows: np.ndarray) -> np.ndarray:
+    """The ``alcove_enumerate`` index of each row of ``rows``, an (m, rank)
+    int64 array of doubled coordinates, or -1 where the row is not a label:
+    its key is found among the labels' sorted keys (``_label_keys``), and the
+    hit counts only if the whole row equals the label found."""
+    keys, order, columns, powers = _label_keys(params.datum.family, params.rank, params.ell)
+    pos = np.minimum(np.searchsorted(keys, rows @ powers), len(keys) - 1)
+    # a column at a time: one (m, rank) gather and .all(axis=1) cost three times as much
+    hit = np.logical_and.reduce([column[pos] == x for column, x in zip(columns, rows.T)])
+    return np.where(hit, order[pos], -1)
+
+
 @lru_cache(maxsize=None)
-def _label_keys(family: str, rank: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, order), read-only: the sorted ravel keys of the alcove labels on
-    the grid (2 ell)^rank, and the ``alcove_enumerate`` index of each."""
+def _label_keys(family: str, rank: int, ell: int) -> tuple[np.ndarray, ...]:
+    """(keys, order, columns, powers), read-only: the labels' sorted keys,
+    the ``alcove_enumerate`` index of each, their doubled coordinates as
+    (rank, n) columns in key order, and the key multipliers (2 ell + 1)^i.
+    A key is row @ powers in int64, which wraps once (2 ell + 1)^rank leaves
+    int64; the labels' keys must stay distinct."""
     labels = np.array([w.doubled for w in _alcove_enumerate(family, rank, ell)], dtype=np.int64)
-    raveled = np.ravel_multi_index(tuple(labels.T), (2 * ell,) * rank)
-    order = np.argsort(raveled)
-    out = raveled[order], order
+    powers = (2 * ell + 1) ** np.arange(rank, dtype=np.int64)
+    keyed = labels @ powers
+    order = np.argsort(keyed)
+    out = keyed[order], order, np.ascontiguousarray(labels[order].T), powers
+    if (out[0][1:] == out[0][:-1]).any():
+        raise AssertionError(f"two labels of {family}_{rank} at ell={ell} share a key")
     for a in out:
         a.setflags(write=False)
     return out

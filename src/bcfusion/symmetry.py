@@ -3,8 +3,9 @@
 gamma = ((ell-2k)/2, ..., (ell-2k)/2) is the unique alcove label of maximal
 length and w1 is the Weyl element that reverses the coordinates; tensoring
 with V_gamma permutes the simple objects by phi, and phi flips every
-character at most by a sign.  ``phi_weight`` is the one place that computes
-phi; the diagram side's Psi and its generator phi(Lambda_1) call it too.
+character at most by a sign.  ``phi_rows`` is the one place that computes
+phi, on an array of doubled weights; ``phi_weight`` is its one-weight view.
+The diagram side's Psi and its generator phi(Lambda_1) call them too.
 """
 from __future__ import annotations
 
@@ -13,14 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fusion import AlcoveParams, FusionTable, alcove_enumerate
+from .fusion import AlcoveParams, FusionTable, alcove_enumerate, label_positions
 from .rootdata import Weight
 
 
+def phi_rows(k: int, ell: int, rows: np.ndarray) -> np.ndarray:
+    """phi(lam) = gamma - w1(lam) at rank k and level ell for each row of
+    ``rows``, an (m, k) int64 array of doubled weights; gamma =
+    ((ell-2k)/2, ..., (ell-2k)/2) is phi of the zero weight."""
+    return ell - 2 * k - rows[:, ::-1]
+
+
 def phi_weight(k: int, ell: int, lam: Weight) -> Weight:
-    """phi(lam) = gamma - w1(lam) at rank k and level ell, for any weight lam;
-    gamma = ((ell-2k)/2, ..., (ell-2k)/2) is phi of the zero weight."""
-    return Weight(tuple(ell - 2 * k - x for x in reversed(lam.doubled)))
+    """phi of the one weight lam: ``phi_rows`` on a single row."""
+    return Weight(tuple(phi_rows(k, ell, np.array([lam.doubled], dtype=np.int64))[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -36,19 +43,17 @@ class InvolutionData:
             raise DomainError("the involution is defined on the type B alcove")
         k, ell = alcove.datum.rank, alcove.ell
         labels = alcove_enumerate(alcove)
-        index = {w: i for i, w in enumerate(labels)}
-        perm = []
-        for lam in labels:
-            img = phi_weight(k, ell, lam)
-            if img not in index:
-                raise AssertionError(f"phi({lam}) = {img} escaped the alcove")
-            perm.append(index[img])
-        perm = tuple(perm)
-        if any(perm[perm[i]] != i for i in range(len(perm))):
+        images = phi_rows(k, ell, np.array([w.doubled for w in labels], dtype=np.int64))
+        perm = label_positions(alcove, images)
+        if (perm < 0).any():
+            i = int(np.argmax(perm < 0))
+            raise AssertionError(
+                f"phi({labels[i]}) = {Weight(tuple(images[i].tolist()))} escaped the alcove")
+        if not np.array_equal(perm[perm], np.arange(len(perm))):
             raise AssertionError("phi is not an involution")
-        if any(perm[i] == i for i in range(len(perm))):
+        if (perm == np.arange(len(perm))).any():
             raise AssertionError("phi has a fixed point")
-        return cls(phi_weight(k, ell, Weight.zero(k)), perm)
+        return cls(phi_weight(k, ell, Weight.zero(k)), tuple(perm.tolist()))
 
     def permutation_matrix(self) -> np.ndarray:
         n = len(self.perm)

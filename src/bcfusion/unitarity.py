@@ -18,9 +18,10 @@ bar map of the whole block in one array operation, and ``qdim_signs`` reads
 the doubled weights directly.  A block is decided in slices whose
 (rows x roots x open z) temporary stays within ``_SLICE_BYTES``, and the walk
 stops after the first slice that leaves no z open.  A ``FerrersDiagram`` is
-built only for a chosen witness.  The witness values come from one
-``weyl_products`` call over the distinct witnesses and the witnessed z, each
-z reading its own witness's entry.
+built only for a chosen witness, and its label is the ``bar_rows`` row the
+search already holds.  The witness values come from one ``weyl_products``
+call over the distinct witness labels and the witnessed z, each z reading
+its own witness's entry.
 """
 from __future__ import annotations
 
@@ -30,11 +31,11 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .bmwdual import FerrersDiagram, bar_map, bar_rows, gamma_rows, row_array
+from .bmwdual import FerrersDiagram, bar_rows, gamma_rows, row_array
 from .errors import DomainError
 from .fusion import AlcoveParams
 from .qchar import admissible_z, qdim_signs, weyl_products
-from .rootdata import make_root_datum
+from .rootdata import Weight, make_root_datum
 
 WITNESS_TOL = 1e-9
 
@@ -165,14 +166,15 @@ def audit(k: int, ell: int) -> UnitarityReport:
     zs = admissible_z(ell)
     witnesses = _first_negative_even(k, alcove, zs)
     # one product per (distinct witness, witnessed z); each z reads its witness's entry
-    distinct = list(dict.fromkeys(witnesses.values()))
-    products = weyl_products(alcove, [bar_map(k, tau) for tau in distinct], list(witnesses)).tolist()
-    values = {z: products[distinct.index(tau)][j] for j, (z, tau) in enumerate(witnesses.items())}
+    distinct = list(dict.fromkeys(label for _, label in witnesses.values()))
+    products = weyl_products(alcove, distinct, list(witnesses)).tolist()
+    witnessed = {z: (tau, products[distinct.index(label)][j])
+                 for j, (z, (tau, label)) in enumerate(witnesses.items())}
     box = dim_box(k, ell)
     rows = []
     for z in zs:
         hz = h(k, ell, z)
-        witness, value = witnesses.get(z), values.get(z)
+        witness, value = witnessed.get(z, (None, None))
         if witness is not None and not value < 0:
             raise AssertionError(f"exact sign -1 but qdim = {value} at {witness}, z={z}")
         rows.append(ZAudit(z, hz, box,
@@ -190,8 +192,9 @@ _SLICE_BYTES = 1 << 20
 
 
 def _first_negative_even(k: int, alcove: AlcoveParams,
-                         zs: tuple[int, ...]) -> dict[int, FerrersDiagram]:
-    """The first even-size tau of Gamma with sign(qdim(bar(tau))) = -1, per z.
+                         zs: tuple[int, ...]) -> dict[int, tuple[FerrersDiagram, Weight]]:
+    """The first even-size tau of Gamma with sign(qdim(bar(tau))) = -1, per z,
+    with its doubled label bar(tau).
 
     Gamma's even sizes are walked lazily as row tuples (``gamma_rows``) in
     blocks of 8, 8, 16, 32, ... diagrams.  Each block becomes one padded
@@ -199,12 +202,13 @@ def _first_negative_even(k: int, alcove: AlcoveParams,
     ``qdim_signs`` decides it in slices whose temporary stays within
     ``_SLICE_BYTES``, each shared by every z still without a witness.  The walk
     stops after the first slice that leaves no z open, or when Gamma ends.  A
-    ``FerrersDiagram`` is built only for a witness, and a z with no witness is
-    left out of the result.
+    ``FerrersDiagram`` is built only for a witness, its label read off the
+    ``bar_rows`` row that decided it, and a z with no witness is left out of
+    the result.
     """
     even_sector = chain.from_iterable(gamma_rows(k, alcove.ell, step=2))
     per_row = 8 * len(alcove.datum.positive_roots)
-    found: dict[int, FerrersDiagram] = {}
+    found: dict[int, tuple[FerrersDiagram, Weight]] = {}
     open_z, walked = list(zs), 0
     while open_z:
         block = list(islice(even_sector, max(_FIRST_BLOCK, walked)))
@@ -218,7 +222,8 @@ def _first_negative_even(k: int, alcove: AlcoveParams,
             negative = qdim_signs(alcove, labels[start:stop], open_z) == -1
             for z, hit, i in zip(open_z, negative.any(axis=0), negative.argmax(axis=0)):
                 if hit:
-                    found[z] = FerrersDiagram(block[start + i])
+                    found[z] = (FerrersDiagram(block[start + i]),
+                                Weight(tuple(labels[start + i].tolist())))
             open_z = [z for z in open_z if z not in found]
             start = stop
     return found

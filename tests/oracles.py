@@ -11,10 +11,13 @@ box scan, the affine reduction of a batch of rows by repeated finite sorts
 and reflections in the highest root (reduce_rows_loop), associativity by
 contracting every pair of fusion matrices and by the generator identity
 (associativity_generator_identity),
-Gamma(k, ell) by growing every diagram and sorting, the one-box neighbours of
-a diagram by adding and removing boxes (box_neighbors) and the box graph from
-them, the Psi graph by walking every pair of diagrams, the Perron-Frobenius
-vector by diagonalizing the matrix powers N^s + N^(s+1) (pf_certify_powers), the q-Weyl product through exact Fraction pairings,
+Gamma(k, ell) by growing every diagram and sorting, membership in it, the
+bar map, phi, Psi and the transpose one diagram at a time (in_gamma,
+bar_map, phi_weight, psi, transpose, diagram_as_c_weight), the one-box
+neighbours of a diagram by adding and removing boxes (box_neighbors) and the
+box graph from them, the Psi graph by walking every pair of diagrams, the
+Perron-Frobenius vector by diagonalizing the matrix powers N^s + N^(s+1)
+(pf_certify_powers), the q-Weyl product through exact Fraction pairings,
 the q-Weyl product of one label at one z as a scalar loop over the roots
 (weyl_product_scalar), the signed-permutation group (WeylElement,
 weyl_elements) that the package never builds, and the Weyl alternating sum
@@ -30,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from bcfusion.bmwdual import FerrersDiagram, gamma_set, generator_weight, in_gamma, psi_table
+from bcfusion.bmwdual import BOX, FerrersDiagram
 from bcfusion.errors import (CertificationError, ConfigurationError, DimensionMismatchError,
                              DomainError)
 from bcfusion.rootdata import RootDatum, Weight, _dominant_below, _positive_roots, make_root_datum
@@ -327,6 +330,55 @@ def reduce_rows_loop(params, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return signs, labels
 
 
+def col2(lam: FerrersDiagram) -> int:
+    """Height of the second column."""
+    return sum(1 for r in lam.rows if r >= 2)
+
+
+def width(lam: FerrersDiagram) -> int:
+    return lam.rows[0] if lam.rows else 0
+
+
+def transpose(lam: FerrersDiagram) -> FerrersDiagram:
+    return FerrersDiagram(tuple(sum(1 for r in lam.rows if r > i) for i in range(width(lam))))
+
+
+def in_gamma(k: int, ell: int, lam: FerrersDiagram) -> bool:
+    """Membership in Gamma(k, ell): col1 + col2 <= 2k+1 and width <= (ell-2k-1)/2."""
+    return lam.col1 + col2(lam) <= 2 * k + 1 and 2 * width(lam) <= ell - 2 * k - 1
+
+
+def bar_map(k: int, lam: FerrersDiagram) -> Weight:
+    """Restrict an O(2k+1) diagram to so(2k+1): replace the first-column height
+    by min(2k+1 - col1, col1) and read the rows as a dominant integer weight."""
+    if lam.col1 + col2(lam) > 2 * k + 1:
+        raise DomainError(f"{lam} violates col1 + col2 <= 2k+1 for k={k}")
+    m = min(2 * k + 1 - lam.col1, lam.col1)
+    rows = lam.rows[:m]
+    return Weight(tuple(2 * r for r in rows) + (0,) * (k - len(rows)))
+
+
+def phi_weight(k: int, ell: int, lam: Weight) -> Weight:
+    """phi(lam) = gamma - w1(lam) at rank k and level ell, for any weight lam;
+    gamma = ((ell-2k)/2, ..., (ell-2k)/2) is phi of the zero weight."""
+    return Weight(tuple(ell - 2 * k - x for x in reversed(lam.doubled)))
+
+
+def psi(k: int, ell: int, lam: FerrersDiagram) -> Weight:
+    """Psi: Gamma(k, ell) -> C_ell; bar for even diagrams, phi(bar) for odd ones."""
+    if not in_gamma(k, ell, lam):
+        raise DomainError(f"{lam} is not in Gamma({k},{ell})")
+    bw = bar_map(k, lam)
+    return bw if lam.size % 2 == 0 else phi_weight(k, ell, bw)
+
+
+def diagram_as_c_weight(lam: FerrersDiagram, r: int) -> Weight | None:
+    """Read a diagram with at most r rows as a dominant C_r weight."""
+    if lam.col1 > r:
+        return None
+    return Weight(tuple(2 * x for x in lam.rows) + (0,) * (r - lam.col1))
+
+
 def gamma_set_brute(k: int, ell: int) -> tuple[FerrersDiagram, ...]:
     """All of Gamma(k, ell), ordered by (size, rows): every diagram grown one
     row at a time until it leaves Gamma, then sorted."""
@@ -545,7 +597,7 @@ def box_neighbors(k: int, ell: int, lam: FerrersDiagram) -> tuple[FerrersDiagram
 def box_graph_neighbors(k: int, ell: int) -> tuple[tuple[FerrersDiagram, ...], np.ndarray]:
     """Gamma(k, ell) with its one-box adjacency matrix, one ``box_neighbors``
     call per diagram."""
-    diagrams = gamma_set(k, ell)
+    diagrams = gamma_set_brute(k, ell)
     index = {d: i for i, d in enumerate(diagrams)}
     A = np.zeros((len(diagrams), len(diagrams)), dtype=np.int64)
     for d in diagrams:
@@ -599,11 +651,11 @@ def psi_fusion_pairs(table) -> bool:
     """mu ~ lam in the box rule iff N_{V,Psi(lam)}^{Psi(mu)} = 1, with every
     entry of N_V in {0, 1}, one pair of diagrams at a time."""
     k, ell = table.params.datum.rank, table.params.ell
-    mapping = psi_table(k, ell)
-    M = table.fusion_matrix(generator_weight(k, ell))
+    diagrams = gamma_set_brute(k, ell)
+    mapping = {d: psi(k, ell, d) for d in diagrams}
+    M = table.fusion_matrix(psi(k, ell, BOX))
     if not set(np.unique(M)) <= {0, 1}:
         return False
-    diagrams = gamma_set(k, ell)
     for lam in diagrams:
         nbrs = set(box_neighbors(k, ell, lam))
         j = table.index(mapping[lam])

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcfusion.bmwdual import (BOX, EMPTY, FerrersDiagram, bar_map, bar_rows,
+from bcfusion.bmwdual import (BOX, EMPTY, FerrersDiagram, bar_rows,
                               box_graph, braiding_eig_sq,
-                              diagram_as_c_weight, dim_from_eigs, duality_report,
+                              dim_from_eigs, duality_report,
                               eig_square_set_check, gamma_bratteli, gamma_set,
-                              gamma_rows, generator_weight, in_gamma, iter_gamma,
-                              markov_trace_g, psi, psi_table, ranklevel_check, row_array,
-                              trace_match, type_c_alcove, verify_psi_fusion, vsq_summands)
+                              gamma_rows, generator_weight,
+                              markov_trace_g, psi_table, ranklevel_check, row_array,
+                              trace_match, transpose_rows, type_c_alcove, verify_psi_fusion,
+                              vsq_summands)
 from bcfusion import bmwdual
 from bcfusion.cli import main
 from bcfusion.errors import ConfigurationError, DomainError, SingularParameterError
@@ -24,7 +25,8 @@ from bcfusion.symmetry import InvolutionData
 from bcfusion.unitarity import audit
 
 from conftest import w
-from oracles import box_graph_neighbors, box_neighbors, gamma_set_brute, psi_fusion_pairs
+from oracles import (bar_map, box_graph_neighbors, box_neighbors, col2, diagram_as_c_weight,
+                     gamma_set_brute, in_gamma, psi, psi_fusion_pairs, transpose, width)
 
 
 def d(*rows):
@@ -41,9 +43,9 @@ def test_ferrers_validation():
         FerrersDiagram((1, 2))
     with pytest.raises(DomainError):
         FerrersDiagram((2, 0))
-    assert d(3, 1).col1 == 2 and d(3, 1).col2 == 1 and d(3, 1).size == 4
-    assert d(3, 1).transpose() == d(2, 1, 1)
-    assert EMPTY.transpose() == EMPTY
+    assert d(3, 1).col1 == 2 and col2(d(3, 1)) == 1 and d(3, 1).size == 4
+    assert transpose(d(3, 1)) == d(2, 1, 1)
+    assert transpose(EMPTY) == EMPTY
 
 
 def test_gamma_set_29():
@@ -52,7 +54,7 @@ def test_gamma_set_29():
     assert got == (EMPTY, d(1), d(1, 1), d(2), d(1, 1, 1), d(2, 1),
                    d(1, 1, 1, 1), d(2, 1, 1), d(2, 2), d(1, 1, 1, 1, 1),
                    d(2, 1, 1, 1), d(2, 2, 1))
-    assert all(lam.col1 + lam.col2 <= 5 and lam.width <= 2 for lam in got)
+    assert all(lam.col1 + col2(lam) <= 5 and width(lam) <= 2 for lam in got)
 
 
 def test_gamma_set_27_single_column():
@@ -61,7 +63,7 @@ def test_gamma_set_27_single_column():
 
 def test_gamma_set_rejects_tiny_ell():
     # the walk is lazy, but the check is not: each call raises before any iteration
-    for call in (gamma_set, iter_gamma, gamma_rows, audit):
+    for call in (gamma_set, gamma_rows, audit):
         with pytest.raises(ConfigurationError, match=r"need ell > 2k\+1, got k=2, ell=5"):
             call(2, 5)
 
@@ -117,6 +119,30 @@ def test_psi_examples():
     assert psi(2, 7, d(1, 1, 1)) == w("1/2", "1/2")
     with pytest.raises(DomainError):
         psi(2, 9, d(3))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_array_psi_is_the_diagram_psi(k):
+    # every cell of rank k up to ell = 23, in Gamma's (size, rows) order
+    for ell in range(2 * k + 3, 24, 2):
+        expected = [(tau, psi(k, ell, tau)) for tau in gamma_set_brute(k, ell)]
+        assert list(psi_table(k, ell).items()) == expected, (k, ell)
+
+
+@pytest.mark.parametrize("phi", [lambda k, ell, rows: rows,
+                                 lambda k, ell, rows: ell - 2 * k - rows[:, ::-1] + 2 * ell],
+                         ids=["phi_left_out", "odd_sizes_escape"])
+def test_psi_that_is_not_a_bijection_raises(monkeypatch, phi):
+    """Without phi the odd sizes land on labels the even sizes already take;
+    with phi moved off the alcove they land nowhere.  Both raise."""
+    bmwdual._gamma.cache_clear()
+    monkeypatch.setattr(bmwdual, "phi_rows", phi)
+    try:
+        with pytest.raises(AssertionError,
+                           match=r"Psi is not a bijection onto C_ell at \(k,ell\)=\(2,9\)"):
+            psi_table(2, 9)
+    finally:
+        bmwdual._gamma.cache_clear()
 
 
 @pytest.mark.parametrize("k,ell", [(2, 7), (2, 9), (2, 11), (3, 13)])
@@ -380,8 +406,38 @@ def test_transpose_lands_in_c_alcove():
     paramsC = type_c_alcove(2, 9)
     labels = set(alcove_enumerate(paramsC))
     for lam in gamma_set(2, 9):
-        cw = diagram_as_c_weight(lam.transpose(), 2)
+        cw = diagram_as_c_weight(transpose(lam), 2)
         assert cw is not None and cw in labels
+
+
+@pytest.mark.parametrize("k,ell", [(2, 9), (2, 11), (3, 13), (3, 25), (2, 27), (4, 21)])
+def test_array_transpose_is_the_diagram_transpose(k, ell):
+    r = (ell - 2 * k - 1) // 2
+    diagrams = gamma_set_brute(k, ell)
+    heights = transpose_rows(row_array([tau.rows for tau in diagrams], 2 * k + 1), r)
+    assert heights.dtype == np.int64 and heights.shape == (len(diagrams), r)
+    assert [Weight(tuple(2 * x for x in row)) for row in heights.tolist()] == [
+        diagram_as_c_weight(transpose(tau), r) for tau in diagrams]
+
+
+@pytest.mark.parametrize("broken", ["columns_reversed", "two_diagrams_swapped"])
+def test_a_broken_transpose_fails_ranklevel_and_duality(monkeypatch, broken):
+    """Reversed column heights leave the C alcove; swapping the transposes of
+    [1,1,1,1] and [2,2], of one size but with other neighbours, keeps a
+    bijection that does not carry the box graph."""
+    real = bmwdual.transpose_rows
+    diagrams = gamma_set(2, 9)
+    swap = np.arange(len(diagrams))
+    i, j = diagrams.index(d(1, 1, 1, 1)), diagrams.index(d(2, 2))
+    swap[[i, j]] = swap[[j, i]]
+
+    patched = {"columns_reversed": lambda rows, width: real(rows, width)[:, ::-1],
+               "two_diagrams_swapped": lambda rows, width: real(rows, width)[swap]}
+    monkeypatch.setattr(bmwdual, "transpose_rows", patched[broken])
+    report = ranklevel_check(2, 9)
+    assert report["cardinalities_equal"]
+    assert not report["transpose_is_graph_iso"] and not report["graph_isomorphic"]
+    assert main(["duality", "--rank", "2", "--ell", "9"]) == 1
 
 
 def test_duality_report():

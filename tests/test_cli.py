@@ -248,6 +248,19 @@ def test_cli_duality(capsys):
     assert payload["homeq_ok"] and payload["gamma_size"] == 12
 
 
+def test_cli_verify_at_dual_rank_11(capsys):
+    # C_11 at ell = 27, where the labels' (2 ell)^11 grid no longer fits in int64
+    assert main(["verify", "--rank", "2", "--ell", "27"]) == 0
+    assert capsys.readouterr().out.startswith("verify B_2 at ell=27: 22/22 checks pass\n")
+
+
+@pytest.mark.parametrize("ell,rank_c", [(27, 11), (33, 14)])
+def test_cli_duality_past_the_int64_grid(capsys, ell, rank_c):
+    assert main(["duality", "--rank", "2", "--ell", str(ell), "--format", "json"]) == 0
+    ranklevel = json.loads(capsys.readouterr().out)["ranklevel"]
+    assert ranklevel["rank_c"] == rank_c and ranklevel["graph_isomorphic"]
+
+
 def test_cli_unitarity(capsys, tmp_path):
     out = tmp_path / "audit.json"
     assert main(["unitarity", "--rank", "2", "--ell", "11", "--format", "json",

@@ -12,7 +12,8 @@ from bcfusion import fusion, rootdata
 from bcfusion.errors import ConfigurationError, DomainError
 from bcfusion.fusion import (AlcoveParams, FusionTable, affine_reduce, alcove_enumerate,
                              _generators, _reduce_rows, bratteli_endo_dim, classical_tensor, fuse,
-                             fuse_matrix, fuse_pairs, fuse_two_stage, fuse_two_stage_pairs)
+                             fuse_matrix, fuse_pairs, fuse_two_stage, fuse_two_stage_pairs,
+                             label_positions)
 from bcfusion.rootdata import Weight, make_root_datum
 from bcfusion.verify import DEFAULT_GRID
 
@@ -169,7 +170,7 @@ def test_classical_tensor_shares_no_kernel_with_fuse(monkeypatch, params313):
     expected = {(lam, mu): classical_tensor_scalar(params313.datum, lam, mu)
                 for lam, mu in zip(labels, reversed(labels))}
     reduced = fuse_two_stage_pairs(params313, list(expected))
-    for name in ("_orbit_blocks", "_orbit_template", "_stacked", "_label_keys"):
+    for name in ("_orbit_blocks", "_orbit_template", "_stacked", "_label_keys", "label_positions"):
         monkeypatch.setattr(fusion, name, forbidden)
     # the second stage reduces with the shared kernel and nothing else of fuse's
     assert np.array_equal(fuse_two_stage_pairs(params313, list(expected)), reduced)
@@ -851,6 +852,29 @@ def test_pair_kernels_assert_their_output(monkeypatch, params29):
     for kernel in (fuse_pairs, fuse_two_stage_pairs):
         with pytest.raises(AssertionError, match="outside the alcove"):
             kernel(params29, pairs)
+
+
+@pytest.mark.parametrize("family,rank,ell", [("B", 2, 9), ("B", 4, 15), ("B", 5, 13), ("C", 3, 11),
+                                             ("C", 11, 27), ("C", 20, 45)])
+def test_label_positions_is_the_label_dict(family, rank, ell):
+    """The array lookup agrees with a {doubled: index} dict on the labels and
+    on shifted, negative and off-grid rows.  Each label plus (2 ell + 1, -1,
+    0, ...) has that label's key but is off the grid, so only the row compare
+    rejects it.  The keys of C_11 at 27 and C_20 at 45 wrap in int64."""
+    params = AlcoveParams(make_root_datum(family, rank), ell)
+    labels = np.array([lab.doubled for lab in alcove_enumerate(params)], dtype=np.int64)
+    index = {row: c for c, row in enumerate(map(tuple, labels.tolist()))}
+    same_key = np.zeros(rank, dtype=np.int64)
+    same_key[:2] = 2 * ell + 1, -1
+    rng = np.random.default_rng(0)
+    rows = np.concatenate([labels, labels + 2 * np.eye(rank, dtype=np.int64)[-1], -labels,
+                           labels + same_key, labels + 2 * ell,
+                           rng.integers(-3 * ell, 3 * ell, size=(500, rank))])
+    got = label_positions(params, rows)
+    assert got.tolist() == [index.get(row, -1) for row in map(tuple, rows.tolist())]
+    assert np.array_equal(got[:len(labels)], np.arange(len(labels)))
+    assert (got[3 * len(labels):5 * len(labels)] == -1).all()
+    assert ((2 * ell + 1) ** rank > 2 ** 63) == ((family, rank) in {("C", 11), ("C", 20)})
 
 
 def test_type_c_fusion_table():

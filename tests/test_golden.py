@@ -63,6 +63,10 @@ DUALITY = {
     (2, 9): "4242f29a580c1cd5cb44f4bd201e07bfbcca36ab2899cb7da22c451ce91dc789",
     (3, 13): "570208a7c022c356cb0aa3de102a4bb80bb6190b91861ffbb4bd16ad493c4aa9",
     (4, 17): "b1c058bc1d257dd2e13af3f423e1fbd020a7e74b74b6238650c96c3869599184",
+    # recorded before Psi, phi and the transpose became index arrays; at (2, 7)
+    # the rank-level check is skipped
+    (5, 21): "9922ff68198fafb4265ff88e2eb4682c8679bea96cabc9dbaff8f2feefe9f9ba",
+    (2, 7): "7528561f3b516b20b420cafc0736b68a6f7b31ccf8c2de4c36c2dcfa7125d398",
 }
 
 # [k, ell, conclusive, [[z, strict, distinct, witness], ...]] per cell, compact JSON

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcfusion.bmwdual import gamma_set, psi
+from bcfusion.bmwdual import gamma_set
 from bcfusion.errors import DimensionMismatchError, DomainError, SingularParameterError
 from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, classical_tensor
 from bcfusion.qchar import (QuantumParams, admissible_z, alternating_sum, character_law_defect,
@@ -15,7 +15,7 @@ from bcfusion.qchar import (QuantumParams, admissible_z, alternating_sum, charac
 from bcfusion.rootdata import Weight, make_root_datum, root_pairings
 
 from conftest import w
-from oracles import (alternating_sum_group, pf_certify_powers, weyl_product_fraction,
+from oracles import (alternating_sum_group, pf_certify_powers, psi, weyl_product_fraction,
                      weyl_product_scalar)
 
 

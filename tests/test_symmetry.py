@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
+from bcfusion import symmetry
 from bcfusion.errors import DomainError
 from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, fuse
 from bcfusion.qchar import QuantumParams, admissible_z, dim_mu_vector, qdim
 from bcfusion.rootdata import Weight, make_root_datum
-from bcfusion.symmetry import InvolutionData, phi_sign, phi_weight, verify_simple_current
+from bcfusion.symmetry import InvolutionData, phi_rows, phi_sign, phi_weight, verify_simple_current
 
+import oracles
 from conftest import w
 
 
@@ -30,6 +34,35 @@ def test_phi_is_involution_without_fixed_points(params29):
         img = phi_weight(2, 9, lam)
         assert img != lam
         assert phi_weight(2, 9, img) == lam
+
+
+@pytest.mark.parametrize("k,ell", [(2, 9), (3, 13), (4, 17), (5, 21)])
+def test_phi_rows_is_phi_weight_on_every_label(k, ell):
+    labels = alcove_enumerate(AlcoveParams(make_root_datum("B", k), ell))
+    images = phi_rows(k, ell, np.array([lam.doubled for lam in labels], dtype=np.int64))
+    assert images.dtype == np.int64 and images.shape == (len(labels), k)
+    got = [Weight(tuple(row)) for row in images.tolist()]
+    assert got == [phi_weight(k, ell, lam) for lam in labels]
+    assert got == [oracles.phi_weight(k, ell, lam) for lam in labels]
+
+
+def test_a_phi_that_lets_labels_escape_names_the_first(monkeypatch, params29):
+    """Two labels' images are moved off the alcove by 2 ell in every entry;
+    the build names the first of them and its image."""
+    labels = alcove_enumerate(params29)
+    real = symmetry.phi_rows
+    moved = np.array([labels[3].doubled, labels[7].doubled])
+
+    def leaky(k, ell, rows):
+        out = real(k, ell, rows)
+        out[(rows[:, None] == moved).all(axis=2).any(axis=1)] += 2 * ell
+        return out
+
+    monkeypatch.setattr(symmetry, "phi_rows", leaky)
+    image = Weight(tuple(x + 18 for x in oracles.phi_weight(2, 9, labels[3]).doubled))
+    with pytest.raises(AssertionError,
+                       match=re.escape(f"phi({labels[3]}) = {image} escaped the alcove")):
+        InvolutionData.build(params29)
 
 
 def test_simple_current(table29, inv29, params29):

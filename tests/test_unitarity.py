@@ -3,7 +3,7 @@ import math
 import pytest
 
 from bcfusion import bmwdual, unitarity
-from bcfusion.bmwdual import BOX, bar_map, psi
+from bcfusion.bmwdual import BOX
 from bcfusion.cli import main
 from bcfusion.errors import DomainError
 from bcfusion.fusion import AlcoveParams
@@ -11,7 +11,7 @@ from bcfusion.qchar import QuantumParams, positive_character, qdim, weyl_product
 from bcfusion.rootdata import make_root_datum
 from bcfusion.unitarity import WITNESS_TOL, audit, audit_grid, dim_box, h
 
-from oracles import gamma_set_brute
+from oracles import bar_map, gamma_set_brute, psi
 
 
 def test_h_values():
