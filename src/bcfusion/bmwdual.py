@@ -2,7 +2,8 @@
 the type C rank-level duality check.
 
 The diagram side is built purely combinatorially.  ``gamma_rows`` walks
-Gamma(k, ell) from its row bounds as row tuples, one size at a time, and
+Gamma(k, ell) as row tuples, one size at a time, each size the children of
+the one before under the parent rule (remove a box of the last row), and
 ``gamma_set`` wraps them as ``FerrersDiagram``s.  Every map into an alcove
 is one array operation on padded (m, 2k+1) int64 rows (``row_array``)
 followed by ``fusion.label_positions``: bar is ``bar_rows``, Psi adds
@@ -66,51 +67,43 @@ def gamma_set(k: int, ell: int) -> tuple[FerrersDiagram, ...]:
     return tuple(FerrersDiagram(rows) for same_size in gamma_rows(k, ell) for rows in same_size)
 
 
-def gamma_rows(k: int, ell: int, step: int = 1) -> Iterator[list[tuple[int, ...]]]:
-    """The row tuples of Gamma(k, ell), one list per size, of sizes 0, step,
-    2 step, ... in turn; each list is in lex-ascending order, so their
-    concatenation with step 1 is Gamma in (size, rows) order.
+def gamma_rows(k: int, ell: int) -> Iterator[list[tuple[int, ...]]]:
+    """The row tuples of Gamma(k, ell), one lex-ascending list per size 0, 1,
+    2, ... in turn, so their concatenation is Gamma in (size, rows) order.
 
-    A row of length 1 costs one unit of the col1 + col2 <= 2k+1 budget and a
-    longer row two, and the walk only enters a branch whose remaining size
-    still fits the budget left, so every branch it enters ends in a diagram.
-    Gamma is an order ideal of Young's lattice, so its sizes run without a gap
-    from 0 to the largest that fits the whole budget, where the walk stops.
-    A size the step skips is walked only as far as the sizes it takes need
-    its tails.  No object is built per diagram.  Raises
+    Every nonempty diagram has one parent, itself less a box of its last row,
+    and Gamma is an order ideal of Young's lattice, so each size is the
+    children of the size before; the walk stops at the first size with none.
+    A parent has at most two children: a new last row of one box, when
+    col1 + col2 < 2k+1, and one more box on its last row, when that row is
+    the first or shorter than the one above, is shorter than the width, and
+    is longer than 1 or col1 + col2 < 2k+1.  Parents in lex order, each
+    giving its new-row child first, keep every size lex-ascending: two
+    parents of one size first differ before the earlier one's last row, and
+    a child changes only its parent's last row or the row after it.  Raises
     ``ConfigurationError`` when called, not on first iteration.
     """
     if ell <= 2 * k + 1:
         raise ConfigurationError(f"need ell > 2k+1, got k={k}, ell={ell}")
-    return _size_ordered_walk(2 * k + 1, (ell - 2 * k - 1) // 2, step)
+    return _parent_rule_walk(2 * k + 1, (ell - 2 * k - 1) // 2)
 
 
-def _largest_fill(top: int, budget: int) -> int:
-    """The largest size that rows of length <= top fit in ``budget``: pairs of
-    units go to rows of length top, an odd unit left over to a row of 1."""
-    if top < 2:
-        return top * budget
-    return (budget // 2) * top + budget % 2
-
-
-def _size_ordered_walk(budget: int, width: int, step: int) -> Iterator[list[tuple[int, ...]]]:
-    tails: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
-
-    def rows_of(size: int, top: int, budget: int) -> list[tuple[int, ...]]:
-        """The lex-ascending row tuples of ``size`` with rows <= top within
-        ``budget``; shared between every prefix that leaves the same three."""
-        key = (size, top, budget)
-        if key not in tails:
-            out = [()] if not size else []
-            for part in range(1, min(top, size) + 1):
-                left = budget - (1 if part == 1 else 2)
-                if left >= 0 and size - part <= _largest_fill(part, left):
-                    out.extend([(part,) + tail for tail in rows_of(size - part, part, left)])
-            tails[key] = out
-        return tails[key]
-
-    for size in range(0, _largest_fill(width, budget) + 1, step):
-        yield rows_of(size, width, budget)
+def _parent_rule_walk(budget: int, width: int) -> Iterator[list[tuple[int, ...]]]:
+    size: list[tuple[int, ...]] = [()]
+    while size:
+        yield size
+        children = []
+        for rows in size:
+            # col1 + col2: a row of 1 box costs one unit of the budget, a longer row two
+            cost = 2 * len(rows) - rows.count(1)
+            if cost < budget and width:
+                children.append(rows + (1,))
+            if rows:
+                last = rows[-1]
+                if (last < width and (len(rows) == 1 or last < rows[-2])
+                        and (last > 1 or cost < budget)):
+                    children.append(rows[:-1] + (last + 1,))
+        size = children
 
 
 def row_array(rows: list[tuple[int, ...]], width: int) -> np.ndarray:

@@ -455,24 +455,20 @@ def fuse_two_stage_pairs(params: AlcoveParams, pairs) -> np.ndarray:
     """Oracle path for ``fuse_pairs``, same layout: classical decomposition,
     then affine antisymmetrization of each chunk of ``_classical_rows``.
 
-    Its label map is its own: the distinct reduced labels of a chunk are
-    looked up in a dict of the alcove labels.
+    Its label map is its own: each live reduced row is looked up in a dict
+    of the alcove labels.
     """
     labels = alcove_enumerate(params)
     index = {w.doubled: c for c, w in enumerate(labels)}
     rho = np.array(params.datum.rho.doubled, dtype=np.int64)
-    dims = (2 * params.ell,) * params.rank
     out = np.zeros((len(pairs), len(labels)), dtype=np.int64)
     for ids, classical, mults in _classical_rows(params.datum, pairs):
         signs, reduced = _reduce_rows(params, classical + rho)
         live = signs != 0
-        keys, where = np.unique(np.ravel_multi_index(tuple(reduced[live].T), dims),
-                                return_inverse=True)
-        found = [index.get(t) for t in map(tuple, np.stack(np.unravel_index(keys, dims), 1).tolist())]
+        found = [index.get(t) for t in map(tuple, reduced[live].tolist())]
         if None in found:
             raise AssertionError("affine antisymmetrization reached a weight outside the alcove")
-        cols = np.array(found, dtype=np.int64)
-        np.add.at(out, (ids[live], cols[where]), signs[live] * mults[live])
+        np.add.at(out, (ids[live], np.array(found, dtype=np.int64)), signs[live] * mults[live])
     return out
 
 

@@ -13,9 +13,10 @@ floats enter only the reported witness value and h(z), Dim(box), whose
 
 The witness search walks Gamma's even sizes as integer rows, never as
 objects: ``bmwdual.gamma_rows`` hands out row tuples one size at a time, each
-block of them becomes one padded int64 array, ``bmwdual.bar_rows`` takes the
-bar map of the whole block in one array operation, and ``qdim_signs`` reads
-the doubled weights directly.  A block is decided in slices whose
+size the children of the one before, and the search takes every other size.
+Each block of even-size rows becomes one padded int64 array,
+``bmwdual.bar_rows`` takes the bar map of the whole block in one array
+operation, and ``qdim_signs`` reads the doubled weights directly.  A block is decided in slices whose
 (rows x roots x open z) temporary stays within ``_SLICE_BYTES``, and the walk
 stops after the first slice that leaves no z open.  A ``FerrersDiagram`` is
 built only for a chosen witness, and its label is the ``bar_rows`` row the
@@ -196,17 +197,18 @@ def _first_negative_even(k: int, alcove: AlcoveParams,
     """The first even-size tau of Gamma with sign(qdim(bar(tau))) = -1, per z,
     with its doubled label bar(tau).
 
-    Gamma's even sizes are walked lazily as row tuples (``gamma_rows``) in
-    blocks of 8, 8, 16, 32, ... diagrams.  Each block becomes one padded
-    (m, 2k+1) int64 row array and ``bar_rows`` its (m, k) doubled weights, and
-    ``qdim_signs`` decides it in slices whose temporary stays within
-    ``_SLICE_BYTES``, each shared by every z still without a witness.  The walk
-    stops after the first slice that leaves no z open, or when Gamma ends.  A
-    ``FerrersDiagram`` is built only for a witness, its label read off the
-    ``bar_rows`` row that decided it, and a z with no witness is left out of
-    the result.
+    Gamma's even sizes are every other list of ``gamma_rows``, which grows
+    each size from the one before, so the odd sizes are walked too but never
+    decided.  They are taken lazily in blocks of 8, 8, 16, 32, ... diagrams.
+    Each block becomes one padded (m, 2k+1) int64 row array and ``bar_rows``
+    its (m, k) doubled weights, and ``qdim_signs`` decides it in slices whose
+    temporary stays within ``_SLICE_BYTES``, each shared by every z still
+    without a witness.  The walk stops after the first slice that leaves no z
+    open, or when Gamma ends.  A ``FerrersDiagram`` is built only for a
+    witness, its label read off the ``bar_rows`` row that decided it, and a z
+    with no witness is left out of the result.
     """
-    even_sector = chain.from_iterable(gamma_rows(k, alcove.ell, step=2))
+    even_sector = chain.from_iterable(islice(gamma_rows(k, alcove.ell), 0, None, 2))
     per_row = 8 * len(alcove.datum.positive_roots)
     found: dict[int, tuple[FerrersDiagram, Weight]] = {}
     open_z, walked = list(zs), 0

@@ -11,7 +11,8 @@ box scan, the affine reduction of a batch of rows by repeated finite sorts
 and reflections in the highest root (reduce_rows_loop), associativity by
 contracting every pair of fusion matrices and by the generator identity
 (associativity_generator_identity),
-Gamma(k, ell) by growing every diagram and sorting, membership in it, the
+Gamma(k, ell) by growing every diagram and sorting, its size counts by
+column heights (gamma_counts), membership in it, the
 bar map, phi, Psi and the transpose one diagram at a time (in_gamma,
 bar_map, phi_weight, psi, transpose, diagram_as_c_weight), the one-box
 neighbours of a diagram by adding and removing boxes (box_neighbors) and the
@@ -400,6 +401,33 @@ def gamma_set_brute(k: int, ell: int) -> tuple[FerrersDiagram, ...]:
 
     rec((), width_cap)
     return tuple(sorted(out, key=lambda d: (d.size, d.rows)))
+
+
+def gamma_counts(k: int, ell: int, sizes) -> list[int]:
+    """The number of diagrams of Gamma(k, ell) of each size in ``sizes``,
+    counted by column heights c1 >= c2 >= ... >= c_w, w = (ell-2k-1)/2: every
+    c1 >= c2 with c1 + c2 <= 2k+1, and the rest a partition into at most
+    w - 2 parts, each at most c2.  No diagram is built."""
+    budget, w = 2 * k + 1, (ell - 2 * k - 1) // 2
+
+    @lru_cache(maxsize=None)
+    def bounded(n: int, parts: int, top: int) -> int:
+        """Partitions of n into at most ``parts`` parts, each at most ``top``."""
+        if n < 0:
+            return 0
+        if n == 0:
+            return 1
+        if parts <= 0 or top <= 0:
+            return 0
+        return bounded(n, parts, top - 1) + bounded(n - top, parts - 1, top)
+
+    def count(size: int) -> int:
+        if w < 2:
+            return int(size <= budget * w)
+        return sum(bounded(size - c1 - c2, w - 2, c2)
+                   for c1 in range(budget + 1) for c2 in range(min(c1, budget - c1) + 1))
+
+    return [count(size) for size in sizes]
 
 
 def weyl_product_fraction(params, lam: Weight, coroot: bool) -> float:

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from bcfusion.unitarity import audit
 
 from conftest import w
 from oracles import (bar_map, box_graph_neighbors, box_neighbors, col2, diagram_as_c_weight,
-                     gamma_set_brute, in_gamma, psi, psi_fusion_pairs, transpose, width)
+                     gamma_counts, gamma_set_brute, in_gamma, psi, psi_fusion_pairs, transpose, width)
 
 
 def d(*rows):
@@ -79,10 +80,28 @@ def test_gamma_set_matches_brute_force(k):
 def test_even_row_walk_matches_brute_force(k):
     # the audit's walk: Gamma's even sizes as row tuples, in (size, rows) order
     for ell in range(2 * k + 3, 32):
-        walked = [FerrersDiagram(rows) for same_size in gamma_rows(k, ell, step=2)
+        walked = [FerrersDiagram(rows) for same_size in islice(gamma_rows(k, ell), 0, None, 2)
                   for rows in same_size]
         even = [tau for tau in gamma_set_brute(k, ell) if tau.size % 2 == 0]
         assert walked == even, (k, ell)
+
+
+@pytest.mark.parametrize("k,ell", [(2, 9), (5, 21), (7, 61), (9, 121)])
+def test_walk_matches_column_counts_on_deep_sizes(k, ell):
+    # past where gamma_set_brute can go: each size lex-ascending, in Gamma, and as many as counted
+    sizes = list(islice(gamma_rows(k, ell), 30))
+    counts = gamma_counts(k, ell, range(len(sizes)))
+    for size, (same_size, count) in enumerate(zip(sizes, counts)):
+        assert all(a < b for a, b in zip(same_size, same_size[1:])), (k, ell, size)
+        diagrams = [FerrersDiagram(rows) for rows in same_size]
+        assert all(d.size == size and in_gamma(k, ell, d) for d in diagrams), (k, ell, size)
+        assert len(same_size) == count, (k, ell, size)
+
+
+@pytest.mark.parametrize("k,ell", [(2, 7), (3, 15), (4, 17)])
+def test_walk_stops_where_the_count_reaches_zero(k, ell):
+    lengths = [len(same_size) for same_size in gamma_rows(k, ell)]
+    assert gamma_counts(k, ell, range(len(lengths) + 1)) == lengths + [0]
 
 
 @pytest.mark.parametrize("k,ell", [(2, 7), (2, 11), (3, 13), (4, 17), (5, 21), (6, 27)])

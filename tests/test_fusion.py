@@ -262,6 +262,15 @@ def test_fuse_matches_two_stage_at_ell_21(rank):
         assert fuse(params, lam, mu) == fuse_two_stage(params, lam, mu)
 
 
+def test_fuse_matches_two_stage_at_high_rank():
+    """C_11 at ell = 27: reduced labels past the (2 ell)^rank int64 range."""
+    params = AlcoveParams(make_root_datum("C", 11), 27)
+    vector = params.datum.fundamental_weight_1
+    fused = fuse(params, vector, vector)
+    assert len(fused) == 3
+    assert fuse_two_stage(params, vector, vector) == fused
+
+
 def test_fuse_has_no_reduce_cache(params29):
     with pytest.raises(TypeError, match="no reduce cache"):
         fuse(params29, w(1, 0), w(1, 0), _cache={})

@@ -98,8 +98,8 @@ def test_audit_never_builds_all_of_gamma(monkeypatch):
 
     walked = []
 
-    def counted_walk(k, ell, step=1):
-        for same_size in bmwdual.gamma_rows(k, ell, step):
+    def counted_walk(k, ell):
+        for same_size in bmwdual.gamma_rows(k, ell):
             walked.extend(same_size)
             yield same_size
 
@@ -111,7 +111,7 @@ def test_audit_never_builds_all_of_gamma(monkeypatch):
         assert audit(k, ell).passed
         gamma = gamma_set_brute(k, ell)
         even = [tau for tau in gamma if tau.size % 2 == 0]
-        # every row list the walk handed out, whole sizes included
+        # every row the walk generated, odd sizes included
         assert 0 < len(walked) < len(even) < len(gamma)
 
 
