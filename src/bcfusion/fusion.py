@@ -16,8 +16,8 @@ once into an exact (pairs, labels) int64 array.  It groups the pairs by
 their smaller factor, lays out that factor's distinct Weyl images once
 (``_orbit_blocks``: each orbit the distinct signed permutations of its
 weight, from a template cached per pattern of equal and zero entries, never
-the whole Weyl group), shifts them by every partner's mu + rho and reduces
-the stacked rows in blocks of at most _CHUNK_ROWS.  ``fuse`` and
+the whole Weyl group), shifts each block of them by a run of partners'
+mu + rho, at most _CHUNK_ROWS rows at a time, and reduces those.  ``fuse`` and
 ``fuse_matrix`` are views of it.  There is no reduce cache.  Reduced rows
 find their labels by ``label_positions``, the one array alcove lookup.
 
@@ -262,8 +262,9 @@ def _classical_chunk(datum: RootDatum, chunk: list):
     odd = ((v < 0).sum(axis=1) + (order[:, i] > order[:, j]).sum(axis=1)) % 2
     terms = np.where(odd, -mult, mult)[live]
     labs = w[live] - rho
-    # labels are dominant, so the entries of every row lie in [0, labs[:, 0].max()]
-    dims = (len(chunk),) + (int(labs[:, 0].max(initial=0)) + 1,) * datum.rank
+    # each column raveled on its own range [0, max]; row-major raveling is
+    # lexicographic in (pair, label) whatever the dims
+    dims = (len(chunk), *(labs.max(axis=0, initial=0) + 1).tolist())
     keys, where = np.unique(np.ravel_multi_index((local[live], *labs.T), dims), return_inverse=True)
     totals = np.zeros(len(keys), dtype=np.int64)
     np.add.at(totals, where, terms)
@@ -285,11 +286,11 @@ def fuse_pairs(params: AlcoveParams, pairs) -> np.ndarray:
     """N_{lam,mu}^nu for every pair (lam, mu): row p, column nu in ``alcove_enumerate`` order.
 
     The one Racah-Speiser kernel.  The pairs are grouped by their smaller
-    factor (by Weyl dimension); for each distinct smaller lam, the distinct
-    Weyl images of its dominant weights (``_orbit_blocks``) are shifted by
-    mu + rho for every other factor mu of its group and reduced by
-    ``_reduce_rows``, in stacked blocks of at most _CHUNK_ROWS rows unless
-    one orbit block is larger.  Each live row adds sign * multiplicity at
+    factor (by Weyl dimension); for each distinct smaller lam, each block of
+    distinct Weyl images of its dominant weights (``_orbit_blocks``) is
+    shifted by mu + rho for a run of the other factors mu of its group, at
+    most _CHUNK_ROWS rows unless one orbit block is larger, and reduced by
+    ``_reduce_rows``.  Each live row adds sign * multiplicity at
     (pair, label), the label found by ``label_positions``.  Everything is
     exact int64; nothing is cached between calls but the label keys of the
     cell.
@@ -305,25 +306,21 @@ def fuse_pairs(params: AlcoveParams, pairs) -> np.ndarray:
             lam, mu = mu, lam
         groups.setdefault(lam, []).append((p, mu))
     rho = np.array(datum.rho.doubled, dtype=np.int64)
-
-    def pieces():
-        for lam, members in groups.items():
-            ids = np.array([p for p, _ in members], dtype=np.int64)
-            shifts = np.array([mu.doubled for _, mu in members], dtype=np.int64) + rho
-            for images, mult in _orbit_blocks(datum.dominant_weight_multiplicities(lam)):
-                step = max(1, _CHUNK_ROWS // len(images))
-                for lo in range(0, len(ids), step):
-                    part = shifts[lo:lo + step]
-                    yield ((images + part[:, None]).reshape(-1, params.rank),
-                           np.repeat(ids[lo:lo + step], len(images)), np.tile(mult, len(part)))
-
-    for V, pid, mult in _stacked(pieces()):
-        signs, labels = _reduce_rows(params, V)
-        live = signs != 0
-        cols = label_positions(params, labels[live])
-        if (cols < 0).any():
-            raise AssertionError("affine reduction reached a weight outside the alcove")
-        np.add.at(out, (pid[live], cols), signs[live] * mult[live])
+    for lam, members in groups.items():
+        ids = np.array([p for p, _ in members], dtype=np.int64)
+        shifts = np.array([mu.doubled for _, mu in members], dtype=np.int64) + rho
+        for images, mult in _orbit_blocks(datum.dominant_weight_multiplicities(lam)):
+            m = len(images)
+            step = max(1, _CHUNK_ROWS // m)
+            for lo in range(0, len(ids), step):
+                V = (images + shifts[lo:lo + step, None]).reshape(-1, params.rank)
+                signs, labels = _reduce_rows(params, V)
+                # row r of V is images[r % m] shifted for pair ids[lo + r // m]
+                live = np.flatnonzero(signs)
+                cols = label_positions(params, labels[live])
+                if (cols < 0).any():
+                    raise AssertionError("affine reduction reached a weight outside the alcove")
+                np.add.at(out, (ids[lo + live // m], cols), signs[live] * mult[live % m])
     negative = np.flatnonzero((out < 0).any(axis=1))
     if negative.size:
         lam, mu = pairs[negative[0]]

@@ -2,7 +2,9 @@
 
 Every pairing <v, alpha> is an exact integer from ``rootdata.root_pairings``;
 character values are floating point from there.  ``qdim_signs`` decides the
-sign of qdim, and ``chi_vector`` a vanishing Weyl denominator, in integers.
+sign of qdim, ``chi_vector`` a vanishing Weyl denominator, and
+``pf_certify_unique`` that N_spin is irreducible (so the positive character
+is the only one), in integers; no eigensolver enters.
 
 Evaluation happens at q = exp(z*pi*i/ell) with gcd(z, ell) = 1, so q^2 is a
 primitive ell-th root of unity and q^ell = (-1)^z.
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -271,11 +273,10 @@ def character_law_defect(f: np.ndarray, table: FusionTable) -> float:
 
 @dataclass(frozen=True)
 class PFCertificate:
-    """Witness that the positive character is the only positive one; only
-    ``pf_certify_unique`` makes one, and only when exactly one eigenvector is."""
+    """Witness that N_spin is irreducible, so the positive character is the
+    only positive one; only ``pf_certify_unique`` makes one."""
 
     s: int
-    eigenvector: np.ndarray = field(compare=False)  # in alcove order, 1 at the unit
 
 
 def pf_certify_unique(table: FusionTable) -> PFCertificate:
@@ -283,10 +284,12 @@ def pf_certify_unique(table: FusionTable) -> PFCertificate:
     or N_vector (type C).
 
     Finds the smallest odd s making M entrywise positive, exactly: the 0/1
-    products below count paths, at most n per entry.  M > 0 makes M's top
-    eigenvalue simple.  M is a polynomial in the symmetric A, so the two share
-    eigenvectors, and they are read off ``eigh(A)``.  It counts eigenvectors
-    that are strictly positive after sign normalization; exactly one must remain.
+    products below count paths, at most n per entry.  M > 0 makes A
+    irreducible (spin fusion flips the parity sector, so on type B A is
+    bipartite and never primitive).  An irreducible nonnegative matrix has one
+    nonnegative eigenvector up to scale, and a positive character f satisfies
+    A f = f(spin) f with f(unit) = 1, so there is at most one positive
+    character.  No s <= 2n is a ``CertificationError``.
     """
     datum = table.params.datum
     A = table.fusion_matrix(datum.spin_weight if datum.family == "B" else datum.fundamental_weight_1)
@@ -301,23 +304,10 @@ def pf_certify_unique(table: FusionTable) -> PFCertificate:
     # cur = positivity pattern of A^s (paths of exactly length s), s odd
     s, cur = 1, adj
     nxt = step(cur)
-    found = None
     while s <= 2 * n:
         if ((cur + nxt) > 0).all():
-            found = s
-            break
+            return PFCertificate(s)
         cur = step(nxt)
         nxt = step(cur)
         s += 2
-    if found is None:
-        raise CertificationError(f"no odd s <= {2 * n} with N^s + N^(s+1) positive")
-    evecs = np.linalg.eigh(A.astype(np.float64))[1]
-    # each eigenvector scaled by its entry of largest modulus
-    scaled = evecs / evecs[np.abs(evecs).argmax(axis=0), np.arange(n)]
-    positive = (scaled > 1e-9).all(axis=0)
-    if positive.sum() != 1:
-        raise CertificationError(
-            f"expected exactly one positive eigenvector, found {positive.sum()}")
-    pf_vec = scaled[:, int(positive.argmax())]
-    unit = table.index(Weight.zero(table.params.rank))
-    return PFCertificate(found, pf_vec / pf_vec[unit])
+    raise CertificationError(f"no odd s <= {2 * n} with N^s + N^(s+1) positive")

@@ -16,9 +16,10 @@ objects: ``bmwdual.gamma_rows`` hands out row tuples one size at a time, each
 size the children of the one before, and the search takes every other size.
 Each block of even-size rows becomes one padded int64 array,
 ``bmwdual.bar_rows`` takes the bar map of the whole block in one array
-operation, and ``qdim_signs`` reads the doubled weights directly.  A block is decided in slices whose
-(rows x roots x open z) temporary stays within ``_SLICE_BYTES``, and the walk
-stops after the first slice that leaves no z open.  A ``FerrersDiagram`` is
+operation, and one ``qdim_signs`` call decides it from the doubled weights.
+The blocks double, but never past the rows whose (rows x roots x open z)
+temporary fits in ``_SLICE_BYTES``, and the walk stops after the first
+block that leaves no z open.  A ``FerrersDiagram`` is
 built only for a chosen witness, and its label is the ``bar_rows`` row the
 search already holds.  The witness values come from one ``weyl_products``
 call over the distinct witness labels and the witnessed z, each z reading
@@ -187,8 +188,8 @@ def audit(k: int, ell: int) -> UnitarityReport:
 
 # even-size diagrams in the first walked block; each later block doubles the walk
 _FIRST_BLOCK = 8
-# budget of qdim_signs' (rows x roots x open z) temporary in one slice of a
-# block, counted at 8 bytes an entry
+# cap on a block: budget of qdim_signs' (rows x roots x open z) temporary,
+# counted at 8 bytes an entry
 _SLICE_BYTES = 1 << 20
 
 
@@ -199,35 +200,32 @@ def _first_negative_even(k: int, alcove: AlcoveParams,
 
     Gamma's even sizes are every other list of ``gamma_rows``, which grows
     each size from the one before, so the odd sizes are walked too but never
-    decided.  They are taken lazily in blocks of 8, 8, 16, 32, ... diagrams.
-    Each block becomes one padded (m, 2k+1) int64 row array and ``bar_rows``
-    its (m, k) doubled weights, and ``qdim_signs`` decides it in slices whose
-    temporary stays within ``_SLICE_BYTES``, each shared by every z still
-    without a witness.  The walk stops after the first slice that leaves no z
-    open, or when Gamma ends.  A ``FerrersDiagram`` is built only for a
-    witness, its label read off the ``bar_rows`` row that decided it, and a z
-    with no witness is left out of the result.
+    decided.  They are taken lazily in blocks of 8, 8, 16, 32, ... diagrams,
+    each capped at the rows whose temporary stays within ``_SLICE_BYTES`` for
+    the z still without a witness (at least one row).  Each block becomes one
+    padded (m, 2k+1) int64 row array and ``bar_rows`` its (m, k) doubled
+    weights, and one ``qdim_signs`` call decides it for every open z.  The
+    walk stops after the first block that leaves no z open, or when Gamma
+    ends.  A ``FerrersDiagram`` is built only for a witness, its label read
+    off the ``bar_rows`` row that decided it, and a z with no witness is left
+    out of the result.
     """
     even_sector = chain.from_iterable(islice(gamma_rows(k, alcove.ell), 0, None, 2))
     per_row = 8 * len(alcove.datum.positive_roots)
     found: dict[int, tuple[FerrersDiagram, Weight]] = {}
     open_z, walked = list(zs), 0
     while open_z:
-        block = list(islice(even_sector, max(_FIRST_BLOCK, walked)))
+        cap = max(1, _SLICE_BYTES // (per_row * len(open_z)))
+        block = list(islice(even_sector, min(max(_FIRST_BLOCK, walked), cap)))
         if not block:
             break
         walked += len(block)
         labels = bar_rows(k, row_array(block, 2 * k + 1))
-        start = 0
-        while open_z and start < len(block):
-            stop = start + max(1, _SLICE_BYTES // (per_row * len(open_z)))
-            negative = qdim_signs(alcove, labels[start:stop], open_z) == -1
-            for z, hit, i in zip(open_z, negative.any(axis=0), negative.argmax(axis=0)):
-                if hit:
-                    found[z] = (FerrersDiagram(block[start + i]),
-                                Weight(tuple(labels[start + i].tolist())))
-            open_z = [z for z in open_z if z not in found]
-            start = stop
+        negative = qdim_signs(alcove, labels, open_z) == -1
+        for z, hit, i in zip(open_z, negative.any(axis=0), negative.argmax(axis=0)):
+            if hit:
+                found[z] = (FerrersDiagram(block[i]), Weight(tuple(labels[i].tolist())))
+        open_z = [z for z in open_z if z not in found]
     return found
 
 

@@ -108,8 +108,10 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
     weyl_sum = dim_mu_vector(QuantumParams(params, 1), spin, labels)
     add("positive_character_weyl_sum", np.all(np.abs(dim - weyl_sum) < ABS_TOL * (1 + np.abs(dim))))
 
+    # N_spin irreducible (the certificate) and Dim a positive eigenvector of it,
+    # so Dim is its Perron-Frobenius vector and the only positive character
     cert = pf_certify_unique(table)
-    ok = np.all(np.abs(cert.eigenvector - dim) < 1e-6 * (1 + np.abs(dim)))
+    ok = (dim > 0).all() and _rel_close(table.fusion_matrix(spin) @ dim, dim[table.index(spin)] * dim)
     add("perron_frobenius_unique", ok, f"s={cert.s}")
 
     # |dim^mu| is phi-invariant for half-integral mu, across z; only mu with a

@@ -23,7 +23,7 @@ from bcfusion.rootdata import make_root_datum
 from bcfusion.symmetry import InvolutionData, phi_sign, verify_simple_current
 from bcfusion.unitarity import audit_grid
 
-from oracles import char_product_decompose, dominant_weights_up_to
+from oracles import char_product_decompose, dominant_weights_up_to, pf_certify_powers
 
 INSTANCES = ((2, 9), (2, 11), (3, 13))
 
@@ -85,8 +85,10 @@ def test_criterion_05_positivity_uniqueness(table29, table211, table313):
         vec = positive_character(table.params)
         assert all(v > 0 for v in vec.values())
         assert character_law_defect(np.array(list(vec.values())), table) < 1e-7
-        cert = pf_certify_unique(table)  # raises unless exactly one eigenvector is positive
-        assert cert.eigenvector == pytest.approx(np.array(list(vec.values())), rel=1e-6, abs=1e-6)
+        cert = pf_certify_unique(table)  # raises unless N_spin is irreducible
+        assert cert.s % 2 == 1
+        _, eigenvector = pf_certify_powers(table)
+        assert eigenvector == pytest.approx(np.array(list(vec.values())), rel=1e-6, abs=1e-6)
     _report(5, True, "spin character at z=1 positive, satisfies the ring law to 1e-7, "
                      "and is the unique positive eigenvector (PF certificate)")
 

@@ -271,6 +271,17 @@ def test_fuse_matches_two_stage_at_high_rank():
     assert fuse_two_stage(params, vector, vector) == fused
 
 
+def test_fuse_matches_two_stage_past_the_classical_key_range():
+    """C_20 at ell = 45, the vector weight with (5, 0, ..., 0): a classical key
+    raveled on (largest entry + 1)^rank would leave int64."""
+    params = AlcoveParams(make_root_datum("C", 20), 45)
+    vector = params.datum.fundamental_weight_1
+    mu = Weight.from_entries((5,) + (0,) * 19)
+    fused = fuse(params, vector, mu)
+    assert fused
+    assert fuse_two_stage(params, vector, mu) == fused
+
+
 def test_fuse_has_no_reduce_cache(params29):
     with pytest.raises(TypeError, match="no reduce cache"):
         fuse(params29, w(1, 0), w(1, 0), _cache={})

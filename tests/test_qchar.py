@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcfusion.bmwdual import gamma_set
-from bcfusion.errors import DimensionMismatchError, DomainError, SingularParameterError
+from bcfusion.errors import (CertificationError, DimensionMismatchError, DomainError,
+                             SingularParameterError)
 from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, classical_tensor
 from bcfusion.qchar import (QuantumParams, admissible_z, alternating_sum, character_law_defect,
                             chi, dim_mu_vector, pf_certify_unique, positive_character, qdim,
@@ -417,19 +418,29 @@ def test_pf_certificate(table29, table211, table313):
         cert = pf_certify_unique(table)
         assert cert.s % 2 == 1
         assert list(vec) == list(table.labels)
-        assert cert.eigenvector == pytest.approx(np.array(list(vec.values())), rel=1e-6, abs=1e-6)
+        _, eigenvector = pf_certify_powers(table)
+        assert eigenvector == pytest.approx(np.array(list(vec.values())), rel=1e-6, abs=1e-6)
+
+
+def test_pf_certificate_rejects_a_reducible_spin_matrix(table29):
+    """With the spin slice replaced by the identity, no N^s + N^(s+1) is positive."""
+    coeffs = table29.coeffs.copy()
+    coeffs[table29.index(table29.params.datum.spin_weight)] = np.eye(table29.size, dtype=coeffs.dtype)
+    with pytest.raises(CertificationError):
+        pf_certify_unique(FusionTable(table29.params, table29.labels, coeffs))
 
 
 @pytest.mark.parametrize("family,rank,ell", [("B", 2, 9), ("B", 3, 13), ("B", 4, 15), ("B", 4, 17),
                                              ("B", 4, 19), ("C", 3, 11), ("C", 4, 13)])
 def test_pf_eigenvector_matches_powers_route(family, rank, ell):
-    """eigh of the generator matrix gives the eigenvector that eigh of its
-    powers N^s + N^(s+1) gives, with the same s."""
+    """The certificate's s is the one the powers route N^s + N^(s+1) finds, and
+    that route's eigenvector is the coroot Weyl product at z = 1."""
     table = FusionTable.build(AlcoveParams(make_root_datum(family, rank), ell))
     cert = pf_certify_unique(table)
-    s, expected = pf_certify_powers(table)
+    s, eigenvector = pf_certify_powers(table)
     assert cert.s == s
-    assert np.max(np.abs(cert.eigenvector - expected) / np.abs(expected)) < 1e-9
+    expected = weyl_products(table.params, table.labels, (1,), coroot=True)[:, 0]
+    assert np.max(np.abs(eigenvector - expected) / np.abs(expected)) < 1e-9
 
 
 def test_spin_fusion_matrix_symmetric(table29):

@@ -7,7 +7,7 @@ from bcfusion.bmwdual import BOX
 from bcfusion.cli import main
 from bcfusion.errors import DomainError
 from bcfusion.fusion import AlcoveParams
-from bcfusion.qchar import QuantumParams, positive_character, qdim, weyl_products
+from bcfusion.qchar import QuantumParams, positive_character, qdim, qdim_signs, weyl_products
 from bcfusion.rootdata import make_root_datum
 from bcfusion.unitarity import WITNESS_TOL, audit, audit_grid, dim_box, h
 
@@ -113,6 +113,27 @@ def test_audit_never_builds_all_of_gamma(monkeypatch):
         even = [tau for tau in gamma if tau.size % 2 == 0]
         # every row the walk generated, odd sizes included
         assert 0 < len(walked) < len(even) < len(gamma)
+
+
+@pytest.mark.parametrize("k,ell", [(3, 17), (4, 21), (5, 23)])
+def test_witness_blocks_stay_within_the_byte_budget(monkeypatch, k, ell):
+    """With _SLICE_BYTES a few KiB, every qdim_signs call of the witness search
+    fits the budget unless it decides one row, and the report is unchanged."""
+    expected = audit(k, ell).to_json_dict()
+    budget = 1 << 13
+    n_roots = len(make_root_datum("B", k).positive_roots)
+    calls = []
+
+    def recorded(alcove, labels, zs):
+        calls.append((len(labels), len(zs)))
+        return qdim_signs(alcove, labels, zs)
+
+    monkeypatch.setattr(unitarity, "_SLICE_BYTES", budget)
+    monkeypatch.setattr(unitarity, "qdim_signs", recorded)
+    assert audit(k, ell).to_json_dict() == expected
+    assert calls
+    for rows, n_z in calls:
+        assert rows == 1 or rows * n_roots * n_z * 8 <= budget
 
 
 @pytest.mark.parametrize("k,ell", [(2, 11), (3, 17), (2, 7), (5, 23)])

@@ -1,5 +1,6 @@
 import pytest
 
+from bcfusion import verify
 from bcfusion.bmwdual import box_graph
 from bcfusion.fusion import FusionTable
 from bcfusion.rootdata import Weight
@@ -42,6 +43,23 @@ def test_generator_rules_read_the_table(monkeypatch, generator, check):
     monkeypatch.setattr(FusionTable, "build", classmethod(bumped))
     results = {r.name: r.ok for r in run_suite(2, 9)}
     assert not results[check]
+
+
+def test_perron_frobenius_unique_reads_dim(monkeypatch):
+    """perron_frobenius_unique fails once Dim is no eigenvector of N_spin: one
+    non-unit entry scaled by 1 + 1e-4."""
+    exact = verify.positive_character
+
+    def perturbed(params):
+        dim = exact(params)
+        last = list(dim)[-1]
+        dim[last] *= 1 + 1e-4
+        return dim
+
+    monkeypatch.setattr(verify, "positive_character", perturbed)
+    results = {r.name: r for r in run_suite(2, 9)}
+    assert not results["perron_frobenius_unique"].ok
+    assert results["perron_frobenius_unique"].detail.startswith("s=")
 
 
 def test_suite_on_degenerate_instance():
