@@ -25,16 +25,18 @@ The two-stage route (classical decomposition first, affine
 antisymmetrization second), ``fuse_two_stage_pairs``, is kept as an
 independent oracle with the same layout.  Its first stage,
 ``_classical_rows``, is its own exact integer numpy pass over chunks of
-whole pairs: the Weyl orbits from ``RootDatum.weyl_orbit`` (read-only
-arrays with their own enumeration) are stacked, shifted and made dominant
-by an ``argsort`` with the sign read off the sorting permutation, and it
-keeps its own label map.  It never calls ``_orbit_blocks``,
-``_reduce_rows``, ``sort_network`` or ``label_positions``, and
-``fuse_pairs`` never calls ``weyl_orbit``, so a fault in either enumeration,
-sort or lookup cannot hide in both sides of the comparison.  The two routes
-share only ``_reduce_rows``, which the second stage applies to the
-classical summands; ``tests/oracles.py`` checks that kernel against the
-reflection loop it replaced and a breadth-first search of the orbit.
+whole pairs (a pair larger than a chunk in slices): the Weyl orbits from
+``RootDatum.weyl_orbit`` (read-only arrays with their own enumeration) are
+stacked and shifted, one contiguous row per coordinate, and made dominant
+by comparing each pair of coordinates once (``_classical_chunk``), which
+gives the sign, the walls and each entry's slot; it keeps its own label
+map.  It never calls ``_orbit_blocks``, ``_reduce_rows``, ``sort_network``
+or ``label_positions``, and ``fuse_pairs`` never calls ``weyl_orbit``, so a
+fault in either enumeration, sort or lookup cannot hide in both sides of the
+comparison.  The two routes share only ``_reduce_rows``, which the second
+stage applies to the classical summands; ``tests/oracles.py`` checks that
+kernel against the reflection loop it replaced and a breadth-first search of
+the orbit.
 
 A whole table fuses only the generator rows, one ``fuse_matrix`` each: the
 fundamental weights e_1 + ... + e_i (i < k) and the spin weight for type B,
@@ -211,13 +213,15 @@ def _classical_rows(datum: RootDatum, pairs) -> Iterator[tuple[np.ndarray, np.nd
     Yields (ids, labels, mults): ids (m,) the position of the pair in
     ``pairs``, labels (m, k) in doubled coordinates, mults (m,) positive.
     Each chunk holds at most _CHUNK_ROWS Weyl images unless one pair has
-    more, so every pair's totals are complete when it is yielded.  One exact
-    int64 pass of Racah-Speiser over P(lam) per chunk: every Weyl image of
-    every dominant weight (from ``datum.weyl_orbit``) is shifted by mu + rho
-    and made dominant by sorting |v| in descending order; rows on a wall (a
-    zero or a repeated |entry|) drop out, and the sign is the parity of the
-    negative entries plus that of the sorting permutation.  It shares no
-    code with ``fuse_pairs``, which it is an oracle for.
+    more, and every pair's totals are complete when it is yielded.  One exact
+    int64 pass of Racah-Speiser over P(lam): every Weyl image of every
+    dominant weight (from ``datum.weyl_orbit``) is shifted by mu + rho and
+    made dominant (``_classical_chunk``); rows on a wall (a zero or a
+    repeated |entry|) drop out, and the sign is the parity of the negative
+    entries plus that of the inversions of |v|.  A pair with more than
+    _CHUNK_ROWS images is summed a slice of _CHUNK_ROWS images at a time
+    (``_classical_totals``), so no temporary grows with the pair.  It shares
+    no code with ``fuse_pairs``, which it is an oracle for.
     """
     groups: dict[Weight, list[tuple[int, Weight]]] = {}
     for p, (lam, mu) in enumerate(pairs):
@@ -236,44 +240,104 @@ def _classical_rows(datum: RootDatum, pairs) -> Iterator[tuple[np.ndarray, np.nd
                          [len(orbit) for orbit in orbits])
         for p, mu in members:
             if chunk and rows + len(images) > _CHUNK_ROWS:
-                yield _classical_chunk(datum, chunk)
+                yield _classical_totals(datum, chunk)
                 chunk, rows = [], 0
             chunk.append((p, lam, mu, images, mult))
             rows += len(images)
     if chunk:
-        yield _classical_chunk(datum, chunk)
+        yield _classical_totals(datum, chunk)
 
 
-def _classical_chunk(datum: RootDatum, chunk: list):
-    """The classical totals of the pairs (id, lam, mu, images, mults) of one
-    chunk of ``_classical_rows``."""
-    ids, lams, mus, images, mults = zip(*chunk)
+def _classical_totals(datum: RootDatum, chunk: list):
+    """(ids, labels, mults) of one chunk of ``_classical_rows``, the pairs
+    (id, lam, mu, images, mults), without its zero totals.
+
+    A chunk of one pair runs ``_classical_chunk`` on slices of at most
+    _CHUNK_ROWS of its images.  The slices' (label, total) rows are merged on
+    the same key whenever more than _CHUNK_ROWS of them are pending, so no
+    temporary grows with the pair.  A slice may leave a label negative that
+    a later one makes up, so only the merged totals are checked for a
+    negative multiplicity.
+    """
+    ids, lams, mus, _, _ = zip(*chunk)
+    if len(chunk) > 1:
+        columns, totals = _classical_chunk(datum, chunk)
+    else:
+        (p, lam, mu, images, mult), = chunk
+        parts = []
+        for lo in range(0, len(images), _CHUNK_ROWS):
+            piece = (p, lam, mu, images[lo:lo + _CHUNK_ROWS], mult[lo:lo + _CHUNK_ROWS])
+            parts.append(_classical_chunk(datum, [piece]))
+            if sum(len(t) for _, t in parts) > _CHUNK_ROWS:
+                parts = [_merged(parts)]
+        columns, totals = _merged(parts) if len(parts) > 1 else parts[0]
+    if (totals < 0).any():
+        c = columns[0][np.argmax(totals < 0)]
+        raise AssertionError(f"negative classical multiplicity in {lams[c]} (x) {mus[c]}")
+    nonzero = totals != 0
+    return np.array(ids)[columns[0][nonzero]], np.stack(columns[1:], axis=1)[nonzero], totals[nonzero]
+
+
+def _classical_chunk(datum: RootDatum, chunk: list) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The signed classical terms of the pairs (id, lam, mu, images, mults) of
+    one chunk, summed (``_summed``) on the columns (chunk-local pair index,
+    label's doubled coordinates); totals may be zero or negative.
+
+    It works on the shifted images v in the transposed (k, M) layout, one
+    contiguous row per coordinate.  The sign parity starts as that of the
+    negative entries of each column; with a = |v|, each coordinate pair
+    i < j toggles it where a[i] < a[j] (an inversion of the descending
+    order), a column stays live only if it has no zero and no two equal
+    entries, and each entry's slot in the dominant image is the number of
+    entries above it.  The live columns are scattered into that image one
+    coordinate at a time.  It counts ranks where ``_reduce_rows`` runs a
+    sorting network, and shares no code with it.
+    """
+    _, _, mus, images, mults = zip(*chunk)
+    k = datum.rank
     rho = np.array(datum.rho.doubled, dtype=np.int64)
     sizes = [len(x) for x in images]
     shifts = np.array([mu.doubled for mu in mus], dtype=np.int64) + rho
-    v = np.concatenate(images) + np.repeat(shifts, sizes, axis=0)
-    mult = np.concatenate(mults)
-    local = np.repeat(np.arange(len(chunk)), sizes)
-    a = np.abs(v)
-    order = np.argsort(-a, axis=1, kind="stable")
-    w = np.take_along_axis(a, order, axis=1)
-    live = (w[:, -1] > 0) & (w[:, :-1] > w[:, 1:]).all(axis=1)
-    i, j = np.triu_indices(datum.rank, 1)
-    odd = ((v < 0).sum(axis=1) + (order[:, i] > order[:, j]).sum(axis=1)) % 2
-    terms = np.where(odd, -mult, mult)[live]
-    labs = w[live] - rho
-    # each column raveled on its own range [0, max]; row-major raveling is
-    # lexicographic in (pair, label) whatever the dims
-    dims = (len(chunk), *(labs.max(axis=0, initial=0) + 1).tolist())
-    keys, where = np.unique(np.ravel_multi_index((local[live], *labs.T), dims), return_inverse=True)
+    a = np.empty((k, sum(sizes)), dtype=np.int64)
+    for x, s, lo in zip(images, shifts, accumulate(sizes, initial=0)):
+        np.add(x.T, s[:, None], out=a[:, lo:lo + len(x)])
+    odd = np.logical_xor.reduce(a < 0, axis=0)
+    np.abs(a, out=a)
+    live = np.logical_and.reduce(a > 0, axis=0)
+    # slots count to k - 1; int16 runs the loop faster than intp at rank 7
+    place = np.zeros(a.shape, dtype=np.int16)
+    for i, j in combinations(range(k), 2):
+        below = a[i] < a[j]
+        odd ^= below
+        live &= a[i] != a[j]
+        place[i] += below
+        place[j] += ~below
+    cols = np.flatnonzero(live)
+    w = np.empty((k, len(cols)), dtype=np.int64)
+    at = np.arange(len(cols))
+    for i in range(k):
+        w[place[i, cols], at] = a[i, cols]
+    mult = np.concatenate(mults)[cols]
+    local = np.repeat(np.arange(len(chunk)), sizes)[cols]
+    return _summed((local, *(w - rho[:, None])), np.where(odd[cols], -mult, mult))
+
+
+def _summed(columns, terms: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(columns, totals): the distinct rows of ``columns``, equal-length
+    nonnegative integer arrays, in lexicographic order, and the sum of
+    ``terms`` over each.  Each column is raveled on its own range [0, max],
+    so row-major raveling is lexicographic whatever the dims."""
+    dims = tuple(int(c.max(initial=0)) + 1 for c in columns)
+    keys, where = np.unique(np.ravel_multi_index(columns, dims), return_inverse=True)
     totals = np.zeros(len(keys), dtype=np.int64)
     np.add.at(totals, where, terms)
-    out = np.unravel_index(keys, dims)
-    if (totals < 0).any():
-        c = out[0][np.argmax(totals < 0)]
-        raise AssertionError(f"negative classical multiplicity in {lams[c]} (x) {mus[c]}")
-    nonzero = totals != 0
-    return np.array(ids)[out[0][nonzero]], np.stack(out[1:], axis=1)[nonzero], totals[nonzero]
+    return np.unravel_index(keys, dims), totals
+
+
+def _merged(parts: list) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """One ``_summed`` result from several, summed again on the same columns."""
+    return _summed([np.concatenate(c) for c in zip(*(columns for columns, _ in parts))],
+                   np.concatenate([totals for _, totals in parts]))
 
 
 def classical_tensor(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bmwdual import (eig_square_set_check, gamma_bratteli, generator_weight, psi_table,
                       ranklevel_check, trace_match, verify_psi_fusion, vsq_summands)
-from .errors import ConfigurationError
+from .errors import CertificationError, ConfigurationError
 from .fusion import AlcoveParams, FusionTable, bratteli_endo_dim, fuse_pairs, fuse_two_stage_pairs
 from .qchar import (QuantumParams, admissible_z, character_law_defect, dim_mu_vector,
                     pf_certify_unique, positive_character, quantum_integer, weyl_products)
@@ -109,10 +109,15 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
     add("positive_character_weyl_sum", np.all(np.abs(dim - weyl_sum) < ABS_TOL * (1 + np.abs(dim))))
 
     # N_spin irreducible (the certificate) and Dim a positive eigenvector of it,
-    # so Dim is its Perron-Frobenius vector and the only positive character
-    cert = pf_certify_unique(table)
-    ok = (dim > 0).all() and _rel_close(table.fusion_matrix(spin) @ dim, dim[table.index(spin)] * dim)
-    add("perron_frobenius_unique", ok, f"s={cert.s}")
+    # so Dim is its Perron-Frobenius vector and the only positive character;
+    # a table whose N_spin has no certificate fails the check, not the run
+    try:
+        cert = pf_certify_unique(table)
+    except CertificationError as exc:
+        add("perron_frobenius_unique", False, str(exc))
+    else:
+        ok = (dim > 0).all() and _rel_close(table.fusion_matrix(spin) @ dim, dim[table.index(spin)] * dim)
+        add("perron_frobenius_unique", ok, f"s={cert.s}")
 
     # |dim^mu| is phi-invariant for half-integral mu, across z; only mu with a
     # regular evaluation point qualify (vanishing factors are z-independent)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bcfusion import cli
@@ -198,6 +199,29 @@ def test_cli_internal_error_exit_3(exc, monkeypatch, capsys):
     assert main(["verify", "--rank", "2", "--ell", "9"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == [f"internal error: {exc.__name__}: broken invariant"] * 2
+
+
+def test_cli_verify_fails_an_uncertified_spin_matrix(monkeypatch, capsys):
+    """A table whose spin slice is the identity has no irreducibility
+    certificate: verify reports perron_frobenius_unique as FAIL, runs the
+    other checks and exits 1, not 3."""
+    build = FusionTable.build.__func__
+
+    def identity_spin(cls, params):
+        table = build(cls, params)
+        coeffs = table.coeffs.copy()
+        coeffs[table.index(params.datum.spin_weight)] = np.eye(table.size, dtype=coeffs.dtype)
+        return cls(params, table.labels, coeffs)
+
+    monkeypatch.setattr(FusionTable, "build", classmethod(identity_spin))
+    assert main(["verify", "--rank", "2", "--ell", "9"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert "  [FAIL] perron_frobenius_unique  (no odd s <= 24 with N^s + N^(s+1) positive)" in lines
+    assert "  [FAIL] spin_rule" in lines
+    # every check after the certificate still ran
+    assert len(lines) == 23 and lines[-1].startswith("  [SKIP] unitarity_audit")
 
 
 @pytest.mark.parametrize("exc", [MemoryError, RecursionError])

@@ -155,6 +155,47 @@ def test_classical_tensor_matches_scalar_loop(family, rank, ell):
         assert classical_tensor(params.datum, lam, mu) == classical_tensor_scalar(params.datum, lam, mu)
 
 
+@pytest.mark.parametrize("family,rank,ell", [("B", 2, 9), ("B", 5, 13), ("B", 7, 19), ("B", 8, 21),
+                                             ("C", 3, 11)])
+def test_classical_rows_match_scalar_loop_in_one_pass(family, rank, ell):
+    """Seeded pairs through one ``_classical_rows`` pass, so a chunk holds many
+    pairs; at ranks 7 and 8 the smaller factor is one of the six smallest
+    labels, which keeps the scalar loop short."""
+    params = AlcoveParams(make_root_datum(family, rank), ell)
+    labels = alcove_enumerate(params)
+    small = sorted(labels, key=lambda lab: (params.datum.weyl_dim(lab), lab.doubled))[:6]
+    rng = random.Random(f"rows {family}{rank},{ell}")
+    pairs = [(rng.choice(small if rank > 5 else labels), rng.choice(labels)) for _ in range(30)]
+    got: dict[int, dict[Weight, int]] = {}
+    for ids, lab, mults in fusion._classical_rows(params.datum, pairs):
+        for p, row, m in zip(ids.tolist(), lab.tolist(), mults.tolist()):
+            got.setdefault(p, {})[Weight(tuple(row))] = m
+    assert [got.get(p, {}) for p in range(len(pairs))] == [
+        classical_tensor_scalar(params.datum, lam, mu) for lam, mu in pairs]
+
+
+def test_classical_tensor_sums_a_large_pair_in_bounded_slices(monkeypatch, params313):
+    """A pair with more Weyl images than _CHUNK_ROWS runs ``_classical_chunk``
+    on slices of at most that many; some slices leave a label negative, and
+    only the merged totals are checked."""
+    labels = alcove_enumerate(params313)
+    pairs = [(labels[-1], labels[-1]), (labels[-3], labels[-2])]
+    expected = [classical_tensor_scalar(params313.datum, lam, mu) for lam, mu in pairs]
+    real = fusion._classical_chunk
+    images, negative = [], []
+
+    def spy(datum, chunk):
+        images.append(sum(len(piece[3]) for piece in chunk))
+        columns, totals = real(datum, chunk)
+        negative.append(bool((totals < 0).any()))
+        return columns, totals
+
+    monkeypatch.setattr(fusion, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(fusion, "_classical_chunk", spy)
+    assert [classical_tensor(params313.datum, lam, mu) for lam, mu in pairs] == expected
+    assert len(images) > 2 * len(pairs) and max(images) <= 64 and any(negative)
+
+
 def test_classical_tensor_matches_scalar_loop_on_squares(params313):
     for lam in alcove_enumerate(params313):
         assert (classical_tensor(params313.datum, lam, lam)
