@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SingularParameterError
+from .errors import ConfigurationError, DomainError, NotABijectionError, SingularParameterError
 from .fusion import (AlcoveParams, FusionTable, _path_counts, alcove_enumerate, fuse, fuse_matrix,
                      label_positions)
 from .qchar import QuantumParams, twist_exponent, weyl_products
@@ -130,30 +130,34 @@ def generator_weight(k: int, ell: int) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def _gamma(k: int, ell: int) -> tuple[tuple[FerrersDiagram, ...], np.ndarray, np.ndarray]:
+def _gamma(k: int, ell: int) -> tuple[tuple[FerrersDiagram, ...], np.ndarray]:
     """Gamma(k, ell) once per (k, ell), from one ``gamma_set`` call: the
-    diagrams, their rows padded to 2k+1, and the ``alcove_enumerate`` index
-    of each Psi label (bar, then phi on the odd sizes), read-only.  Raises
-    unless Psi is a bijection onto C_ell."""
-    params = AlcoveParams(make_root_datum("B", k), ell)
+    diagrams and their rows padded to 2k+1, read-only."""
     diagrams = gamma_set(k, ell)
     rows = row_array([d.rows for d in diagrams], 2 * k + 1)
+    rows.setflags(write=False)
+    return diagrams, rows
+
+
+def _psi_positions(k: int, ell: int) -> np.ndarray:
+    """The ``alcove_enumerate`` index of each Psi label (bar, then phi on the
+    odd sizes) in ``_gamma`` order; raises ``NotABijectionError`` unless Psi is
+    a bijection onto C_ell.  ``_gamma`` and the box graph do not need Psi."""
+    params = AlcoveParams(make_root_datum("B", k), ell)
+    rows = _gamma(k, ell)[1]
     labels = bar_rows(k, rows)
     odd = rows.sum(axis=1) % 2 == 1
     labels[odd] = phi_rows(k, ell, labels[odd])
     positions = label_positions(params, labels)
     if not np.array_equal(np.sort(positions), np.arange(len(alcove_enumerate(params)))):
-        raise AssertionError(f"Psi is not a bijection onto C_ell at (k,ell)=({k},{ell})")
-    for a in (rows, positions):
-        a.setflags(write=False)
-    return diagrams, rows, positions
+        raise NotABijectionError(f"Psi is not a bijection onto C_ell at (k,ell)=({k},{ell})")
+    return positions
 
 
 def psi_table(k: int, ell: int) -> dict[FerrersDiagram, Weight]:
     """Psi on all of Gamma(k, ell), a bijection onto C_ell."""
-    diagrams, _, positions = _gamma(k, ell)
     labels = alcove_enumerate(AlcoveParams(make_root_datum("B", k), ell))
-    return {d: labels[p] for d, p in zip(diagrams, positions.tolist())}
+    return {d: labels[p] for d, p in zip(_gamma(k, ell)[0], _psi_positions(k, ell).tolist())}
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +168,7 @@ def box_graph(k: int, ell: int) -> tuple[tuple[FerrersDiagram, ...], np.ndarray]
     mu is lam plus one box exactly when |mu| = |lam| + 1 and mu contains lam,
     row by row; the rows are padded with zeros to the 2k+1 that col1 allows.
     """
-    diagrams, rows, _ = _gamma(k, ell)
+    diagrams, rows = _gamma(k, ell)
     sizes = rows.sum(axis=1)
     below = (sizes[:, None] + 1 == sizes[None, :]) & (rows[:, None] <= rows[None, :]).all(axis=2)
     A = (below | below.T).astype(np.int64)
@@ -186,7 +190,7 @@ def verify_psi_fusion(k: int, ell: int, M: np.ndarray) -> bool:
     the box adjacency.  Psi's positions are a bijection onto every label, so
     a match also forces every entry of M to be 0 or 1.
     """
-    P = _gamma(k, ell)[2]
+    P = _psi_positions(k, ell)
     return bool(np.array_equal(M[np.ix_(P, P)], box_graph(k, ell)[1]))
 
 
@@ -347,7 +351,7 @@ def ranklevel_check(k: int, ell: int) -> dict:
         raise ConfigurationError(f"need ell > 2k+1, got (k,ell)=({k},{ell})")
     paramsC = type_c_alcove(k, ell)
     r = paramsC.datum.rank
-    diagrams, rows, _ = _gamma(k, ell)
+    diagrams, rows = _gamma(k, ell)
     labelsC = alcove_enumerate(paramsC)
     report = {
         "k": k, "ell": ell, "rank_c": r,
@@ -375,17 +379,15 @@ def duality_report(k: int, ell: int) -> dict:
     small vector weight's instead: N_{V,mu}^nu = N_{Lambda_1,mu}^{phi(nu)},
     which is the vector matrix with its rows permuted by phi."""
     params = AlcoveParams(make_root_datum("B", k), ell)
-    diagrams, _, positions = _gamma(k, ell)
-    labels = alcove_enumerate(params)
+    mapping = psi_table(k, ell)
     vector = fuse_matrix(params, params.datum.fundamental_weight_1)
     report = {
         "k": k,
         "ell": ell,
         "r": (ell - 2 * k - 1) // 2,
-        "gamma_size": len(diagrams),
-        "alcove_size": len(labels),
-        "psi": [[list(d.rows), list(labels[p].doubled)]
-                for d, p in zip(diagrams, positions.tolist())],
+        "gamma_size": len(mapping),
+        "alcove_size": len(alcove_enumerate(params)),
+        "psi": [[list(d.rows), list(lab.doubled)] for d, lab in mapping.items()],
         "homeq_ok": verify_psi_fusion(k, ell, vector[list(InvolutionData.build(params).perm)]),
     }
     try:

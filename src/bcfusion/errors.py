@@ -25,5 +25,9 @@ class CertificationError(RuntimeError):
     """A finite certification search exhausted its cap without success."""
 
 
+class NotABijectionError(AssertionError):
+    """A map the construction needs to be one-to-one and onto is not."""
+
+
 class WeightParseError(ValueError):
     """Malformed textual weight."""

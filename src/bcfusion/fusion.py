@@ -15,8 +15,9 @@ the sign), one fold for type C.
 once into an exact (pairs, labels) int64 array.  It groups the pairs by
 their smaller factor, lays out that factor's distinct Weyl images once
 (``_orbit_blocks``: each orbit the distinct signed permutations of its
-weight, from a template cached per pattern of equal and zero entries, never
-the whole Weyl group), shifts each block of them by a run of partners'
+weight, gathered from a read-only int8 template cached per pattern of equal
+and zero entries and grown in numpy one coordinate at a time, never the
+whole Weyl group), shifts each block of them by a run of partners'
 mu + rho, at most _CHUNK_ROWS rows at a time, and reduces those.  ``fuse`` and
 ``fuse_matrix`` are views of it.  There is no reduce cache.  Reduced rows
 find their labels by ``label_positions``, the one array alcove lookup.
@@ -423,20 +424,6 @@ def _label_keys(family: str, rank: int, ell: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _stacked(pieces):
-    """Concatenate consecutive pieces, tuples of arrays with one first axis,
-    into blocks of at most _CHUNK_ROWS rows unless one piece is larger."""
-    block, rows = [], 0
-    for piece in pieces:
-        if block and rows + len(piece[0]) > _CHUNK_ROWS:
-            yield tuple(map(np.concatenate, zip(*block)))
-            block, rows = [], 0
-        block.append(piece)
-        rows += len(piece[0])
-    if block:
-        yield tuple(map(np.concatenate, zip(*block)))
-
-
 def fuse(params: AlcoveParams, lam: Weight, mu: Weight,
          _cache: None = None) -> dict[Weight, int]:
     """Fusion coefficients N_{lam,mu}^: the dict view of one ``fuse_pairs`` row,
@@ -459,57 +446,58 @@ def _orbit_blocks(doms: dict[Weight, int]):
     """Yield (images, mults): the distinct Weyl images of the dominant weights
     in doms, in doubled coordinates, each with its weight's multiplicity.
 
-    Weights with the same runs of equal entries share one orbit template.  A
-    block holds whole orbits, at most _CHUNK_ROWS images unless one orbit is
-    larger.
+    Weights with the same runs of equal entries share one orbit template
+    (``_orbit_template``), gathered for as many of them at a time as fit in
+    _CHUNK_ROWS rows.  Those pieces are packed in order into blocks of whole
+    orbits, at most _CHUNK_ROWS images unless one orbit is larger.
     """
     groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     for d, m in doms.items():
         key = (*(len(list(run)) for x, run in groupby(d.doubled) if x), d.doubled.count(0))
         groups.setdefault(key, []).append((d.doubled, m))
-
-    def parts():
-        for key, group in groups.items():
-            pos, sgn = _orbit_template(key)
-            step = max(1, _CHUNK_ROWS // len(pos))
-            for lo in range(0, len(group), step):
-                dom = np.array([d for d, _ in group[lo:lo + step]], dtype=np.int64)
-                mult = np.array([m for _, m in group[lo:lo + step]], dtype=np.int64)
-                yield (dom[:, pos] * sgn).reshape(-1, dom.shape[1]), np.repeat(mult, len(pos))
-
-    return _stacked(parts())
+    images, mults = [], []
+    for key, group in groups.items():
+        pos, sgn = _orbit_template(key)
+        step = max(1, _CHUNK_ROWS // len(pos))
+        for lo in range(0, len(group), step):
+            dom = np.array([d for d, _ in group[lo:lo + step]], dtype=np.int64)
+            mult = np.array([m for _, m in group[lo:lo + step]], dtype=np.int64)
+            piece = (dom[:, pos] * sgn).reshape(-1, dom.shape[1])
+            if images and sum(map(len, images)) + len(piece) > _CHUNK_ROWS:
+                yield np.concatenate(images), np.concatenate(mults)
+                images, mults = [], []
+            images.append(piece)
+            mults.append(np.repeat(mult, len(pos)))
+    if images:
+        yield np.concatenate(images), np.concatenate(mults)
 
 
 @lru_cache(maxsize=None)
 def _orbit_template(runs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(pos, sgn) with d[pos] * sgn the Weyl orbit of d, each image once.
+    """(pos, sgn), read-only int8: d[pos] * sgn is the Weyl orbit of d, each image once.
 
     runs lists the lengths of the runs of equal nonzero entries of the
     dominant doubled tuple d, left to right, then its number of zeros.  The
     orbit is every arrangement of the runs' values with every sign on the
-    nonzero entries: pos picks the first entry of a run, sgn the sign.
+    nonzero entries: pos picks the first entry of a run, sgn the sign.  The
+    rows grow one coordinate at a time: a choice is a run with a sign (the
+    zeros have one, +), and each partial row is extended by every choice
+    whose run it has not used up.
     """
-    *nonzero, zeros = runs
-    starts = list(accumulate((0, *nonzero)))
-    choices = [((starts[c], 1), (starts[c], -1)) for c in range(len(nonzero))]
-    choices.append(((starts[-1], 1),))
-    left = [*nonzero, zeros]
-    rows = []
-
-    def extend(prefix: tuple[tuple[int, int], ...]) -> None:
-        if not any(left):
-            rows.append(prefix)
-        for c, n in enumerate(left):
-            if n:
-                left[c] -= 1
-                for choice in choices[c]:
-                    extend(prefix + (choice,))
-                left[c] += 1
-
-    extend(())
-    table = np.array(rows, dtype=np.int64)
-    table.setflags(write=False)
-    return table[..., 0], table[..., 1]
+    nonzero = runs[:-1]
+    run = np.repeat(np.arange(len(runs)), [2] * len(nonzero) + [1])
+    first = np.array(list(accumulate((0, *nonzero))), dtype=np.int8)[run]
+    sign = np.array([1, -1] * len(nonzero) + [1], dtype=np.int8)
+    pos = sgn = np.zeros((1, 0), dtype=np.int8)
+    left = np.array([runs], dtype=np.int8)
+    for _ in range(sum(runs)):
+        row, choice = np.nonzero(left[:, run] > 0)
+        pos = np.column_stack((pos[row], first[choice]))
+        sgn = np.column_stack((sgn[row], sign[choice]))
+        left = left[row] - (run[choice, None] == np.arange(len(runs)))
+    for a in (pos, sgn):
+        a.setflags(write=False)
+    return pos, sgn
 
 
 def fuse_two_stage_pairs(params: AlcoveParams, pairs) -> np.ndarray:

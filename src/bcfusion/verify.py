@@ -16,7 +16,7 @@ import numpy as np
 
 from .bmwdual import (eig_square_set_check, gamma_bratteli, generator_weight, psi_table,
                       ranklevel_check, trace_match, verify_psi_fusion, vsq_summands)
-from .errors import CertificationError, ConfigurationError
+from .errors import CertificationError, ConfigurationError, NotABijectionError
 from .fusion import AlcoveParams, FusionTable, bratteli_endo_dim, fuse_pairs, fuse_two_stage_pairs
 from .qchar import (QuantumParams, admissible_z, character_law_defect, dim_mu_vector,
                     pf_certify_unique, positive_character, quantum_integer, weyl_products)
@@ -137,18 +137,23 @@ def run_suite(k: int, ell: int, seed: int = 0) -> list[CheckResult]:
 
     diagrams_defined = ell > 2 * k + 1
     if diagrams_defined:
-        mapping = psi_table(k, ell)
-        add("psi_bijection", len(mapping) == table.size)
         V = generator_weight(k, ell)
-        add("psi_fusion_graph", verify_psi_fusion(k, ell, table.fusion_matrix(V)))
-
-        ok = True
-        for n in range(7):
-            counts_b, total_b = bratteli_endo_dim(table, V, n)
-            counts_g, total_g = gamma_bratteli(k, ell, n)
-            mapped = {mapping[d]: c for d, c in counts_g.items()}
-            ok = ok and total_b == total_g and mapped == counts_b
-        add("bratteli_paths", ok)
+        try:
+            mapping = psi_table(k, ell)
+        except NotABijectionError as exc:
+            add("psi_bijection", False, str(exc))
+            for name in ("psi_fusion_graph", "bratteli_paths"):
+                skip(name, "skipped: Psi is not a bijection")
+        else:
+            add("psi_bijection", len(mapping) == table.size)
+            add("psi_fusion_graph", verify_psi_fusion(k, ell, table.fusion_matrix(V)))
+            ok = True
+            for n in range(7):
+                counts_b, total_b = bratteli_endo_dim(table, V, n)
+                counts_g, total_g = gamma_bratteli(k, ell, n)
+                mapped = {mapping[d]: c for d, c in counts_g.items()}
+                ok = ok and total_b == total_g and mapped == counts_b
+            add("bratteli_paths", ok)
     else:
         for name in ("psi_bijection", "psi_fusion_graph", "bratteli_paths"):
             skip(name, "skipped: no diagram labels at ell <= 2k+1")

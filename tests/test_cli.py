@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bcfusion import cli
+from bcfusion import bmwdual, cli
 from bcfusion.cli import main, parse_cell, parse_weight, run_checked
 from bcfusion.errors import CertificationError, SingularParameterError, WeightParseError
 from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate
@@ -221,6 +221,28 @@ def test_cli_verify_fails_an_uncertified_spin_matrix(monkeypatch, capsys):
     assert "  [FAIL] perron_frobenius_unique  (no odd s <= 24 with N^s + N^(s+1) positive)" in lines
     assert "  [FAIL] spin_rule" in lines
     # every check after the certificate still ran
+    assert len(lines) == 23 and lines[-1].startswith("  [SKIP] unitarity_audit")
+
+
+def test_cli_verify_fails_a_psi_that_is_not_a_bijection(monkeypatch, capsys):
+    """Without phi the odd sizes land on labels the even sizes already take:
+    verify reports psi_bijection as FAIL, skips the two graph checks that
+    compare under Psi, runs the other checks and exits 1, not 3."""
+    bmwdual._gamma.cache_clear()
+    bmwdual.box_graph.cache_clear()
+    monkeypatch.setattr(bmwdual, "phi_rows", lambda k, ell, rows: rows)
+    try:
+        assert main(["verify", "--rank", "2", "--ell", "9"]) == 1
+    finally:
+        bmwdual._gamma.cache_clear()
+        bmwdual.box_graph.cache_clear()
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    failed = "  [FAIL] psi_bijection  (Psi is not a bijection onto C_ell at (k,ell)=(2,9))"
+    assert [line for line in lines if "FAIL" in line] == [failed]
+    for name in ("psi_fusion_graph", "bratteli_paths"):
+        assert f"  [SKIP] {name}  (skipped: Psi is not a bijection)" in lines
     assert len(lines) == 23 and lines[-1].startswith("  [SKIP] unitarity_audit")
 
 
