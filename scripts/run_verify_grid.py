@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run the invariant suite over a (rank, ell) grid with per-cell timing.
+"""Run the invariant suite over a (rank, ell) grid with per-cell timing and
+the process's peak RSS (ru_maxrss, in MiB) after each cell.
 
 Usage:
     python scripts/run_verify_grid.py                 # default desk-scale grid
@@ -9,6 +10,7 @@ Exit codes as for the CLI: 0 every check passes, 1 a check fails, 2 a
 malformed or inadmissible cell, 3 an internal error.  A reader that closes
 stdout ends the output and keeps the code.
 """
+import resource
 import sys
 import time
 
@@ -24,7 +26,8 @@ def main(argv) -> int:
         results = run_suite(k, ell)
         elapsed = time.perf_counter() - start
         _print(format_results(k, ell, results), sys.stdout)
-        _print(f"  ({elapsed:.1f}s)", sys.stdout)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        _print(f"  ({elapsed:.1f}s, peak RSS {peak:.0f} MiB)", sys.stdout)
         failures += sum(not r.ok for r in results)
         skipped += sum(r.skipped for r in results)
     _print(f"grid done: {len(cells)} cells, {failures} failing checks, {skipped} skipped",

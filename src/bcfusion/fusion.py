@@ -23,8 +23,12 @@ mu + rho, at most _CHUNK_ROWS rows at a time, and reduces those.  ``fuse`` and
 find their labels by ``label_positions``, the one array alcove lookup.
 
 The two-stage route (classical decomposition first, affine
-antisymmetrization second), ``fuse_two_stage_pairs``, is kept as an
-independent oracle with the same layout.  Its first stage,
+antisymmetrization second), ``fuse_two_stage_pairs``, is the test suite's
+oracle for ``fuse_pairs``, with the same layout; ``verify`` checks its
+sampled rows against the Verlinde rows of ``qchar.verlinde_rows`` instead,
+which run no fusion kernel.  The route stays here, not in
+``tests/oracles.py``, while the benchmark's tracer binds ``fuse_two_stage``
+by name.  Its first stage,
 ``_classical_rows``, is its own exact integer numpy pass over chunks of
 whole pairs (a pair larger than a chunk in slices): the Weyl orbits from
 ``RootDatum.weyl_orbit`` (read-only arrays with their own enumeration) are

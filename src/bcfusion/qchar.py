@@ -2,9 +2,11 @@
 
 Every pairing <v, alpha> is an exact integer from ``rootdata.root_pairings``;
 character values are floating point from there.  ``qdim_signs`` decides the
-sign of qdim, ``chi_vector`` a vanishing Weyl denominator, and
+sign of qdim, ``chi_table`` a vanishing Weyl denominator, and
 ``pf_certify_unique`` that N_spin is irreducible (so the positive character
-is the only one), in integers; no eigensolver enters.
+is the only one), in integers; no eigensolver enters.  On type B the n
+characters at z = 1 (``character_table``) rebuild any fusion row by the
+Verlinde sum (``verlinde_rows``), with no fusion kernel and no inverse.
 
 Evaluation happens at q = exp(z*pi*i/ell) with gcd(z, ell) = 1, so q^2 is a
 primitive ell-th root of unity and q^ell = (-1)^z.
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import (CertificationError, DimensionMismatchError, DomainError,
                      SingularParameterError)
-from .fusion import AlcoveParams, FusionTable, alcove_enumerate
+from .fusion import _CHUNK_ROWS, AlcoveParams, FusionTable, alcove_enumerate
 from .rootdata import RootDatum, Weight, root_pairings
 
 
@@ -80,24 +82,32 @@ def twist_exponent(datum: RootDatum, lam: Weight) -> Fraction:
 
 # -- alternating Weyl sums -------------------------------------------------
 
-def alternating_sum(params: QuantumParams, shifted, nu: Weight) -> np.ndarray:
-    """sum_w eps(w) q^<w(v), nu> for each v in ``shifted``: the Weyl numerator
-    of chi_lam(H_nu) at v = lam + rho, and the Weyl denominator at v = rho.
+def alternating_sum(params: QuantumParams, shifted, nus) -> np.ndarray:
+    """sum_w eps(w) q^<w(v), nu> for each nu in ``nus`` (rows) and v in
+    ``shifted`` (columns): the Weyl numerator of chi_lam(H_nu) at v = lam + rho,
+    and the Weyl denominator at v = rho.
 
     W is the signed permutations of the coordinates, and summing out the
     signs leaves the determinantal Weyl character formula (Fulton-Harris,
     Lecture 24): the sum is (2i)^k det[sin(pi z v_j nu_m / (d ell))], where
     <a, b> = a.b / d in doubled coordinates (d = 2 on B, 4 on C).  The integer
     z v_j nu_m is reduced mod the sine's period 2 d ell before it becomes a
-    float, and one batched det covers every row.
+    float.  Batched dets cover the (nu, v) grid a block of nu at a time, at
+    most _CHUNK_ROWS determinants a block (fusion's chunk): the whole grid at
+    once raised verify's process peak at (5,23) from 1.64 to 1.88 GiB.  Each
+    entry is the same whatever the block.
     """
     k = params.datum.rank
     d = 2 if params.datum.family == "B" else 4
     period = 2 * d * params.ell
     rows = np.asarray([v.doubled for v in shifted], dtype=np.int64).reshape(-1, k)
-    nu_z = np.asarray(nu.doubled, dtype=np.int64) * params.z % period
-    sines = np.sin(rows[:, :, None] * nu_z % period * (math.pi / (d * params.ell)))
-    return (2j) ** k * np.linalg.det(sines)
+    nu_z = np.asarray([nu.doubled for nu in nus], dtype=np.int64).reshape(-1, k) * params.z % period
+    out = np.empty((len(nu_z), len(rows)), dtype=complex)
+    step = max(1, _CHUNK_ROWS // max(1, len(rows)))
+    for lo in range(0, len(nu_z), step):
+        turns = rows[:, :, None] * nu_z[lo:lo + step, None, None, :] % period
+        out[lo:lo + step] = (2j) ** k * np.linalg.det(np.sin(turns * (math.pi / (d * params.ell))))
+    return out
 
 
 def weyl_denominator(params: QuantumParams, nu: Weight) -> float:
@@ -121,20 +131,31 @@ def chi(params: QuantumParams, lam: Weight, nu: Weight) -> float:
 
 
 def chi_vector(params: QuantumParams, nu: Weight, lambdas) -> np.ndarray:
-    """chi_lam(H_nu) for many lam at once (one batched determinant).
+    """chi_lam(H_nu) for many lam at once: the one row of ``chi_table`` at nu."""
+    return chi_table(params, (nu,), lambdas)[0]
+
+
+def chi_table(params: QuantumParams, nus, lambdas) -> np.ndarray:
+    """chi_lam(H_nu) for every nu in ``nus`` (rows) and lam in ``lambdas``
+    (columns), from one batched ``alternating_sum``.
 
     The Weyl denominator prod_{alpha > 0} (q^{<alpha,nu>/2} - q^{-<alpha,nu>/2})
     vanishes exactly when some z <alpha, nu> is 0 mod 2 ell, an integer test.
     """
     datum = params.datum
-    if not datum.in_root_lattice(nu):
-        raise DomainError(f"{nu} is not in the root lattice")
-    if (params.z * root_pairings(datum, [nu.doubled]) % (2 * params.ell) == 0).any():
-        raise SingularParameterError(f"Weyl denominator vanishes at nu={nu}, z={params.z}")
+    for nu in nus:
+        if not datum.in_root_lattice(nu):
+            raise DomainError(f"{nu} is not in the root lattice")
+    doubled = np.array([nu.doubled for nu in nus], dtype=np.int64).reshape(-1, datum.rank)
+    pairings = root_pairings(datum, doubled)
+    singular = (params.z * pairings % (2 * params.ell) == 0).any(axis=1)
+    if singular.any():
+        raise SingularParameterError(
+            f"Weyl denominator vanishes at nu={nus[singular.argmax()]}, z={params.z}")
     rho = datum.rho
-    sums = alternating_sum(params, [rho] + [lam + rho for lam in lambdas], nu)
+    sums = alternating_sum(params, [rho] + [lam + rho for lam in lambdas], nus)
     # numerators and denominator share the factor (2i)^k, so the ratio is real
-    return (sums[1:] / sums[0]).real
+    return (sums[:, 1:] / sums[:, :1]).real
 
 
 def _label_pairings(alcove: AlcoveParams, labels, zs, coroot: bool = False) -> np.ndarray:
@@ -269,6 +290,50 @@ def character_law_defect(f: np.ndarray, table: FusionTable) -> float:
     # one n x n slice at a time, never n^3; each integer slice is cast to float64 by @
     rhs = np.array([s @ f for s in table.coeffs])
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
+
+
+def character_table(alcove: AlcoveParams) -> np.ndarray:
+    """The characters of the type B fusion ring at z = 1, one row each, labels
+    in alcove order: f_mu = chi_.(H_{mu+rho}) (``dim_mu_vector``) for each
+    half-integral label mu, from one ``chi_table`` pass, then eps * f_mu with
+    eps = +1 on the integral labels and -1 on the half-integral ones.  eps is
+    a character because fusion respects the sector grading, so each eps * f_mu
+    is one too.  That makes n rows for n labels."""
+    if alcove.datum.family != "B":
+        raise DomainError("the z = 1 character table is built on the type B side only")
+    labels = alcove_enumerate(alcove)
+    rho = alcove.datum.rho
+    f = chi_table(QuantumParams(alcove, 1), [mu + rho for mu in labels if mu.parity == -1], labels)
+    return np.vstack([f, f * np.array([mu.parity for mu in labels])])
+
+
+def verlinde_rows(alcove: AlcoveParams, pairs) -> tuple[np.ndarray, float, float]:
+    """(rows, orthogonality, rounding): N_{a,b}^c for each label pair (a, b),
+    row p and column c in alcove order, from the characters alone.
+
+    With the rows chi_i of ``character_table``, real since every label is
+    self-dual, N_{a,b}^c = sum_i chi_i(a) chi_i(b) chi_i(c) / |chi_i|^2: no
+    matrix is inverted and no fusion kernel runs.  rows is that sum rounded
+    to int64, orthogonality the largest |cos| between two character rows and
+    rounding max |sum - rint(sum)|; both are magnitudes for the caller to
+    bound, and n orthogonal characters of an n-label ring are all of them.
+    A table with another number of rows than labels is a CertificationError.
+    """
+    labels = alcove_enumerate(alcove)
+    chars = character_table(alcove)
+    if chars.shape != (len(labels), len(labels)):
+        raise CertificationError(f"{len(chars)} characters for {len(labels)} labels")
+    index = {w: i for i, w in enumerate(labels)}
+    try:
+        a, b = (np.array([index[p[i]] for p in pairs], dtype=np.int64) for i in (0, 1))
+    except KeyError as exc:
+        raise DomainError(f"{exc.args[0]} is not an alcove label") from None
+    norms = np.einsum("ij,ij->i", chars, chars)
+    cos = np.abs(chars @ chars.T) / np.sqrt(np.outer(norms, norms))
+    np.fill_diagonal(cos, 0.0)
+    sums = (chars[:, a] * chars[:, b] / norms[:, None]).T @ chars
+    rounded = np.rint(sums)
+    return rounded.astype(np.int64), float(cos.max()), float(np.abs(sums - rounded).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -271,6 +272,25 @@ def test_orbit_rows_are_the_weyl_orbit(family, rank, ell):
         assert len(np.unique(images, axis=0)) == len(images) == size
         if ell is not None:
             assert set(map(tuple, images.tolist())) == orbit_brute(d.doubled)
+
+
+# sha256 of pos.tobytes() + sgn.tobytes(): the rows, in the order the
+# recursive template construction listed them
+TEMPLATE_DIGESTS = {
+    (1, 1, 1, 1, 1, 1, 1, 0): "9ab617d765979c9e4d4d404f4e07f9bac8991217a18dd370ffd4e41739078528",
+    (2, 1, 3, 0): "f6f704210aaf028429c7af05c9d61602877a09e5dc6c157c2d8704b8a5b8ffcb",
+    (3, 2): "8a535101e591865da6079efc9a7e737393c37a1b47282e2933a8370adf4e4f11",
+    (1, 2, 1, 2): "65e463d5afa845e27ecd6115ba31ab9d3d8f71ec4cb952b9003a987daf7bb5d7",
+    (2, 2, 2, 1): "cbe61e18950b6231d9d891c39054484631774bc0139c6be3c903d3d9fcfea0fb",
+    (1, 0): "c49c3b8de74455dab32de2efc236ac7f059f99a04f0407fc3f530c56878818a3",
+}
+
+
+@pytest.mark.parametrize("runs", sorted(TEMPLATE_DIGESTS))
+def test_orbit_templates_keep_their_bytes(runs):
+    pos, sgn = fusion._orbit_template(runs)
+    assert pos.flags.c_contiguous and sgn.flags.c_contiguous
+    assert hashlib.sha256(pos.tobytes() + sgn.tobytes()).hexdigest() == TEMPLATE_DIGESTS[runs]
 
 
 def test_orbit_rows_of_the_c10_vector():

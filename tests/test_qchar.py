@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcfusion import fusion, qchar, rootdata
 from bcfusion.bmwdual import gamma_set
 from bcfusion.errors import (CertificationError, DimensionMismatchError, DomainError,
                              SingularParameterError)
-from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, classical_tensor
+from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, classical_tensor, fuse_pairs
 from bcfusion.qchar import (QuantumParams, admissible_z, alternating_sum, character_law_defect,
-                            chi, dim_mu_vector, pf_certify_unique, positive_character, qdim,
-                            qdim_signs, quantum_integer, twist_exponent, weyl_denominator,
+                            character_table, chi, chi_table, chi_vector, dim_mu_vector,
+                            pf_certify_unique, positive_character, qdim, qdim_signs,
+                            quantum_integer, twist_exponent, verlinde_rows, weyl_denominator,
                             weyl_products)
 from bcfusion.rootdata import Weight, make_root_datum, root_pairings
+from bcfusion.verify import DEFAULT_GRID, sampled_pairs
 
 from conftest import w
 from oracles import (alternating_sum_group, pf_certify_powers, psi, weyl_product_fraction,
@@ -52,7 +55,7 @@ def test_q_ell_sign(params29):
 def test_weyl_denominator_product_vs_sum(q29, b2):
     two_rho = Weight(tuple(2 * x for x in b2.rho.doubled))
     prod = weyl_denominator(q29, two_rho)
-    sum_form = alternating_sum(q29, (b2.rho,), two_rho)[0]
+    sum_form = alternating_sum(q29, (b2.rho,), (two_rho,))[0, 0]
     qq = q29.q - 1 / q29.q
     assert sum_form / qq ** 4 == pytest.approx(prod, rel=1e-9)
     assert prod > 0  # all arguments strictly inside (0, pi) at z = 1
@@ -151,7 +154,7 @@ def test_affine_antisymmetry_of_numerator(q29, b2):
         pairing = b2.form(shifted, b2.theta)
         reflected = Weight((shifted.doubled[0] + 2 * int(ell - pairing), shifted.doubled[1]))
         # t.kappa + rho = reflected, so the numerators at t.kappa and kappa are these sums
-        lhs, rhs = alternating_sum(q29, (reflected, shifted), nu)
+        lhs, rhs = alternating_sum(q29, (reflected, shifted), (nu,))[0]
         assert lhs == pytest.approx(-rhs, rel=1e-9, abs=1e-9)
 
 
@@ -162,20 +165,22 @@ def _alternating_sum_cases(draw):
     ell = draw(st.sampled_from(range(2 * k + 1, 2 * k + 12, 2)))
     z = draw(st.sampled_from(admissible_z(ell)))
     entries = st.lists(st.integers(-2 * ell - 1, 2 * ell + 1), min_size=k, max_size=k)
-    nu = Weight(tuple(draw(entries)))
+    nus = [Weight(tuple(v)) for v in draw(st.lists(entries, min_size=1, max_size=3))]
     shifted = [Weight(tuple(v)) for v in draw(st.lists(entries, min_size=1, max_size=4))]
-    return QuantumParams(AlcoveParams(make_root_datum(family, k), ell), z), shifted, nu
+    return QuantumParams(AlcoveParams(make_root_datum(family, k), ell), z), shifted, nus
 
 
 @settings(deadline=None)  # the first rank-5 draw builds the 3,840-element group
 @given(_alternating_sum_cases())
 def test_alternating_sum_is_the_whole_group_sum(case):
-    """The determinant equals the sum over all 2^k k! signed permutations."""
-    params, shifted, nu = case
-    got = alternating_sum(params, shifted, nu)
-    ref = alternating_sum_group(params, shifted, nu)
-    assert got.shape == ref.shape == (len(shifted),)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    """The determinant equals the sum over all 2^k k! signed permutations, row by row."""
+    params, shifted, nus = case
+    got = alternating_sum(params, shifted, nus)
+    assert got.shape == (len(nus), len(shifted))
+    for row, nu in zip(got, nus):
+        ref = alternating_sum_group(params, shifted, nu)
+        assert ref.shape == (len(shifted),)
+        assert np.max(np.abs(row - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_qdim_basics(q29, params29):
@@ -410,6 +415,82 @@ def test_positive_character(params29, table29):
             out *= math.sin(a * math.pi / ell)
         return out
     assert vec[w(1, 0)] == pytest.approx(sinprod(shifted) / sinprod(rho), rel=1e-12)
+
+
+@pytest.mark.parametrize("family,rank,ell,chunk_rows", [("B", 3, 13, 1 << 20), ("B", 4, 15, 1 << 9),
+                                                         ("C", 3, 11, 1)])
+def test_chi_table_rows_are_chi_vector(monkeypatch, family, rank, ell, chunk_rows):
+    """Each row of the batched table is chi_vector's row, bit for bit, however
+    the nus are blocked (one block, a few, one nu per block)."""
+    alcove = AlcoveParams(make_root_datum(family, rank), ell)
+    labels = alcove_enumerate(alcove)
+    rho = alcove.datum.rho
+    nus = [lam + rho for lam in labels if alcove.datum.in_root_lattice(lam + rho)][:40]
+    params = QuantumParams(alcove, admissible_z(ell)[-1])
+    rows = [chi_vector(params, nu, labels) for nu in nus]
+    monkeypatch.setattr(qchar, "_CHUNK_ROWS", chunk_rows)
+    table = chi_table(params, nus, labels)
+    assert table.shape == (len(nus), len(labels))
+    assert table.tobytes() == np.array(rows).tobytes()
+
+
+def test_chi_table_names_the_singular_nu(params29):
+    q = QuantumParams(params29, 1)
+    with pytest.raises(SingularParameterError, match="nu=9,9,"):
+        chi_table(q, [w(2, 1), w(9, 9)], [w(0, 0)])
+    with pytest.raises(DomainError, match="root lattice"):
+        chi_table(q, [w(2, 1), w("1/2", "1/2")], [w(0, 0)])
+
+
+def test_character_table_is_the_dim_mu_rows_and_their_twists(params313):
+    labels = alcove_enumerate(params313)
+    q = QuantumParams(params313, 1)
+    half = [mu for mu in labels if mu.parity == -1]
+    f = np.array([dim_mu_vector(q, mu, labels) for mu in half])
+    eps = np.array([mu.parity for mu in labels])
+    assert character_table(params313).tobytes() == np.vstack([f, f * eps]).tobytes()
+    with pytest.raises(DomainError):
+        character_table(AlcoveParams(make_root_datum("C", 2), 9))
+
+
+@pytest.mark.parametrize("rank,ell", [*DEFAULT_GRID, (4, 21)])
+def test_verlinde_rows_are_the_fusion_rows(rank, ell):
+    """All n characters, orthogonal to 1e-12 and reconstructing verify's sampled
+    rows to 1e-9 of integers, which are fuse_pairs' rows."""
+    alcove = AlcoveParams(make_root_datum("B", rank), ell)
+    labels = alcove_enumerate(alcove)
+    assert character_table(alcove).shape == (len(labels), len(labels))
+    pairs = sampled_pairs(labels)
+    rows, orthogonality, rounding = verlinde_rows(alcove, pairs)
+    assert rows.dtype == np.int64
+    assert orthogonality <= 1e-12 and rounding <= 1e-9
+    assert np.array_equal(rows, fuse_pairs(alcove, pairs))
+
+
+def test_verlinde_rows_reject_a_non_label(params29):
+    with pytest.raises(DomainError, match="not an alcove label"):
+        verlinde_rows(params29, [(w(0, 0), w(9, 9))])
+
+
+@pytest.mark.parametrize("rank,ell", [(3, 13), (4, 15)])
+def test_verlinde_rows_share_no_kernel_with_fuse(monkeypatch, rank, ell):
+    """The Verlinde rows run no fusion kernel: with every Racah-Speiser, orbit,
+    multiset, reduction, lookup and recursion route raising, they still equal
+    the fuse_pairs rows computed beforehand."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Verlinde rows called a fusion kernel")
+
+    alcove = AlcoveParams(make_root_datum("B", rank), ell)
+    pairs = sampled_pairs(alcove_enumerate(alcove))
+    expected = fuse_pairs(alcove, pairs)
+    for name in ("fuse_pairs", "_reduce_rows", "_orbit_blocks", "label_positions",
+                 "_recursion_row", "sort_network"):
+        monkeypatch.setattr(fusion, name, forbidden)
+    for name in ("dominant_weight_multiplicities", "weyl_orbit"):
+        monkeypatch.setattr(rootdata.RootDatum, name, forbidden)
+    monkeypatch.setattr(rootdata, "sort_network", forbidden)
+    rows, _, _ = verlinde_rows(alcove, pairs)
+    assert np.array_equal(rows, expected)
 
 
 def test_pf_certificate(table29, table211, table313):

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from bcfusion import verify
+from bcfusion import qchar, verify
 from bcfusion.bmwdual import box_graph
 from bcfusion.fusion import FusionTable
 from bcfusion.rootdata import Weight
@@ -107,3 +108,98 @@ def test_skipped_checks_print_as_skip(k, ell):
 
 def test_default_grid_shape():
     assert all(ell % 2 == 1 and k >= 2 for (k, ell) in DEFAULT_GRID)
+
+
+def _sampled_rows_check(k=2, ell=9):
+    return next(r for r in run_suite(k, ell) if r.name == "two_stage_oracle")
+
+
+def test_sampled_rows_fail_on_one_changed_table_entry(monkeypatch):
+    """A table entry off by one in a sampled row fails the Verlinde comparison,
+    though fuse_pairs and the characters are untouched."""
+    build = FusionTable.build
+
+    def bumped(cls, params):
+        table = build(params)
+        coeffs = table.coeffs.copy()
+        a, b = verify.sampled_pairs(table.labels)[-1]
+        coeffs[table.index(a), table.index(b), 0] += 1
+        return cls(params, table.labels, coeffs)
+
+    monkeypatch.setattr(FusionTable, "build", classmethod(bumped))
+    check = _sampled_rows_check()
+    assert not check.ok
+    assert check.detail.startswith("78 pairs, orthogonality ")
+
+
+def test_sampled_rows_fail_on_one_changed_fuse_pairs_entry(monkeypatch):
+    """fuse_pairs is judged too: one entry off by one in its last sampled row fails."""
+    exact = verify.fuse_pairs
+
+    def bumped(params, pairs):
+        rows = exact(params, pairs)
+        rows[-1, 0] += 1
+        return rows
+
+    monkeypatch.setattr(verify, "fuse_pairs", bumped)
+    check = _sampled_rows_check()
+    assert not check.ok
+    assert check.detail.startswith("78 pairs, orthogonality ")
+
+
+def _scale_row(chars):
+    chars[3] *= 2
+
+
+def _move_one_entry(chars):
+    chars[3, 5] += 1e-3
+
+
+def _swap_two_labels(chars):
+    chars[:, [1, 2]] = chars[:, [2, 1]]
+
+
+@pytest.mark.parametrize("edit,gate", [
+    (_move_one_entry, "orthogonality"),
+    # still orthogonal, but 2 chi_3 is no character: its Verlinde terms double
+    (_scale_row, "rounding"),
+    # the characters of the ring with labels 1 and 2 exchanged: orthogonal, and
+    # their rows are integers, but they are that ring's fusion rules
+    (_swap_two_labels, "exact"),
+], ids=["one-entry", "scaled", "relabelled"])
+def test_sampled_rows_fail_on_a_perturbed_character(monkeypatch, edit, gate):
+    """A perturbed character table fails the check: through the margin it
+    moves, and through the exact comparison of the rounded rows where it
+    moves neither."""
+    exact = qchar.character_table
+
+    def perturbed(alcove):
+        chars = exact(alcove)
+        edit(chars)
+        return chars
+
+    monkeypatch.setattr(qchar, "character_table", perturbed)
+    check = _sampled_rows_check()
+    assert not check.ok
+    margins = dict(part.split(" ") for part in check.detail.split(", ")[1:])
+    orthogonality, rounding = float(margins["orthogonality"]), float(margins["rounding"])
+    failed = ("orthogonality" if orthogonality >= verify.ORTHOGONALITY_TOL
+              else "rounding" if rounding >= verify.ROUNDING_TOL else "exact")
+    assert failed == gate
+
+
+def test_sampled_rows_fail_without_every_character(monkeypatch):
+    """One character short of the labels is a FAIL that says so, not a crash."""
+    exact = qchar.character_table
+    monkeypatch.setattr(qchar, "character_table", lambda alcove: exact(alcove)[1:])
+    check = _sampled_rows_check()
+    assert (check.ok, check.detail) == (False, "11 characters for 12 labels")
+
+
+def test_sampled_pairs_are_every_pair_or_300():
+    labels = list(range(30))
+    assert verify.sampled_pairs(labels[:12]) == [(a, b) for i, a in enumerate(labels[:12])
+                                                 for b in labels[i:12]]
+    pairs = verify.sampled_pairs(labels, seed=3)
+    assert len(pairs) == len(set(pairs)) == 300 and pairs == verify.sampled_pairs(labels, seed=3)
+    assert pairs != verify.sampled_pairs(labels, seed=4)
