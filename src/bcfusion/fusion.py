@@ -7,9 +7,10 @@ affine Weyl group.  In doubled rho-shifted coordinates that action is the
 signed permutations times the translations 2 ell L (L = Z^k for type B, the
 even-sum lattice D_k for type C), so ``_reduce_rows``, the one
 affine-reduction kernel, reduces any batch of rows in one closed-form numpy
-pass over its k coordinate columns: each entry modulo 2 ell, the
-odd-even transposition network ``rootdata.sort_network`` (which also counts
-the sign), one fold for type C.
+pass over its k coordinate columns, in the rows' own integer dtype: one
+floor division by 2 ell for each entry's remainder, the odd-even
+transposition network ``rootdata.sort_network`` (which also counts the
+sign), one fold for type C.
 
 ``fuse_pairs`` is the one Racah-Speiser kernel: it fuses many label pairs at
 once into an exact (pairs, labels) int64 array.  It groups the pairs by
@@ -18,9 +19,13 @@ their smaller factor, lays out that factor's distinct Weyl images once
 weight, gathered from a read-only int8 template cached per pattern of equal
 and zero entries and grown in numpy one coordinate at a time, never the
 whole Weyl group), shifts each block of them by a run of partners'
-mu + rho, at most _CHUNK_ROWS rows at a time, and reduces those.  ``fuse`` and
-``fuse_matrix`` are views of it.  There is no reduce cache.  Reduced rows
-find their labels by ``label_positions``, the one array alcove lookup.
+mu + rho, at most _CHUNK_ROWS rows at a time, and reduces those, all in
+the narrowest signed dtype that holds 6 ell (int16 up to ell = 5,461).
+``fuse`` and ``fuse_matrix`` are views of it.  There is no reduce cache.
+Reduced rows find their labels by ``label_positions``, the one array alcove
+lookup: a table indexed by the parity and the combinatorial-number-system
+rank (``rootdata.decreasing_rank``) of the halved entries, confirmed by a
+compare of the whole row.
 
 The two-stage route (classical decomposition first, affine
 antisymmetrization second), ``fuse_two_stage_pairs``, is the test suite's
@@ -71,6 +76,7 @@ axis.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -79,12 +85,12 @@ from itertools import accumulate, combinations, combinations_with_replacement, g
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .rootdata import RootDatum, Weight, make_root_datum, sort_network
+from .rootdata import RootDatum, Weight, decreasing_rank, make_root_datum, sort_network
 
 # rows reduced at once by fuse_pairs, and Weyl images per chunk of the
-# two-stage oracle; the temporaries are a few (rows, rank) int64 arrays, and
-# 1 << 15 rows already raised the peak RSS of 100 B(4,21) queries by about a
-# tenth over 1 << 13
+# two-stage oracle; the temporaries are a few (rows, rank) arrays (int16 in
+# fuse_pairs, int64 in the oracle), and 1 << 15 rows already raised the peak
+# RSS of 100 B(4,21) queries by about a tenth over 1 << 13
 _CHUNK_ROWS = 1 << 13
 
 # the dtype FusionTable.build starts the table in; it widens the whole table
@@ -181,23 +187,28 @@ def _reduce_rows(params: AlcoveParams, V: np.ndarray) -> tuple[np.ndarray, np.nd
     In these coordinates the dot action is the signed permutations times the
     translations 2 ell L, with L = Z^k for type B and L = D_k (even coordinate
     sum) for type C, so one pass reduces every row.  It runs on the k
-    coordinate columns of V, transposed once to contiguous (k, M).  Each entry
-    goes to r in [-ell, ell) modulo 2 ell, and ``sort_network`` sorts |r| in
-    descending order, adding each swap to the sign parity.  Translations are
+    coordinate columns of V, transposed once to contiguous (k, M), in V's own
+    integer dtype: the caller keeps |V| + ell within 6 ell and 6 ell within
+    the dtype (``_reduction_bound``).  With q = (v + ell) // 2 ell, one floor
+    division, each entry v goes to r = v + ell - 2 ell q - ell in [-ell, ell),
+    and ``sort_network`` sorts |r| in descending order, adding each swap to
+    the sign parity.  Translations are
     even, so the sign is (-1) to the number of negative entries plus the
     inversions of |r|.  For type C a row whose quotients q have odd sum also
     folds its largest |r| to 2 ell - |r|, the one translation by 2 ell e_i
     that keeps it in the closed alcove, and toggles that entry's sign; the
     folded entry stays the largest.  The row is on a wall iff two adjacent
     sorted entries are equal, the last one is 0, or w_0 = ell (type B),
-    w_0 + w_1 = 2 ell (type C).
+    w_0 + w_1 = 2 ell (type C).  The signs are int64, the labels in V's dtype.
     """
     ell, family = params.ell, params.datum.family
-    rho = np.array(params.datum.rho.doubled, dtype=np.int64)
+    rho = np.array(params.datum.rho.doubled, dtype=V.dtype)
     w = np.add(V.T, ell, order="C")
+    q = w // (2 * ell)
     if family == "C":
-        fold = (w // (2 * ell)).sum(axis=0) % 2 == 1
-    w %= 2 * ell
+        fold = q.sum(axis=0) % 2 == 1
+    q *= 2 * ell
+    w -= q
     w -= ell
     odd = np.logical_xor.reduce(w < 0, axis=0)
     np.abs(w, out=w)
@@ -209,7 +220,8 @@ def _reduce_rows(params: AlcoveParams, V: np.ndarray) -> tuple[np.ndarray, np.nd
         wall |= w[0] + w[1] == 2 * ell
     else:
         wall |= w[0] == ell
-    return np.where(wall, 0, np.where(odd, -1, 1)), (w - rho[:, None]).T
+    keep = ~wall
+    return keep - 2 * (odd & keep), (w - rho[:, None]).T
 
 
 def _classical_rows(datum: RootDatum, pairs) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -360,9 +372,14 @@ def fuse_pairs(params: AlcoveParams, pairs) -> np.ndarray:
     shifted by mu + rho for a run of the other factors mu of its group, at
     most _CHUNK_ROWS rows unless one orbit block is larger, and reduced by
     ``_reduce_rows``.  Each live row adds sign * multiplicity at
-    (pair, label), the label found by ``label_positions``.  Everything is
-    exact int64; nothing is cached between calls but the label keys of the
-    cell.
+    (pair, label), the label found by ``label_positions``.  The images,
+    shifts and reduced rows are laid out as (k, rows) columns in the
+    narrowest signed dtype that holds 6 ell (``_narrowest``), which holds
+    every entry the reduction forms (``_reduction_bound``, asserted on each
+    block): on B an image entry is at most lam_0 <= ell - 2k in absolute
+    value and (mu + rho)_0 < ell, on C lam_0 <= 2 ell - 4r and
+    (mu + rho)_0 < 2 ell.  Signs, multiplicities and the output are exact
+    int64; nothing is cached between calls but the label slots of the cell.
     """
     datum = params.datum
     out = np.zeros((len(pairs), len(alcove_enumerate(params))), dtype=np.int64)
@@ -375,18 +392,24 @@ def fuse_pairs(params: AlcoveParams, pairs) -> np.ndarray:
             lam, mu = mu, lam
         groups.setdefault(lam, []).append((p, mu))
     rho = np.array(datum.rho.doubled, dtype=np.int64)
+    dtype = _narrowest(6 * params.ell)
     for lam, members in groups.items():
         ids = np.array([p for p, _ in members], dtype=np.int64)
         shifts = np.array([mu.doubled for _, mu in members], dtype=np.int64) + rho
-        for images, mult in _orbit_blocks(datum.dominant_weight_multiplicities(lam)):
+        reach = int(shifts.max())
+        shifts = np.ascontiguousarray(shifts.T, dtype=dtype)
+        for images, mult in _orbit_blocks(datum.dominant_weight_multiplicities(lam), dtype):
+            _reduction_bound(params.ell, int(np.abs(images).max()) + reach, dtype)
             m = len(images)
             step = max(1, _CHUNK_ROWS // m)
+            columns = np.ascontiguousarray(images.T)[:, None, :]
             for lo in range(0, len(ids), step):
-                V = (images + shifts[lo:lo + step, None]).reshape(-1, params.rank)
+                # row r of V is images[r % m] shifted for pair ids[lo + r // m];
+                # V and labels are views of contiguous (k, rows) arrays
+                V = (columns + shifts[:, lo:lo + step, None]).reshape(params.rank, -1).T
                 signs, labels = _reduce_rows(params, V)
-                # row r of V is images[r % m] shifted for pair ids[lo + r // m]
                 live = np.flatnonzero(signs)
-                cols = label_positions(params, labels[live])
+                cols = label_positions(params, labels.T.take(live, axis=1).T)
                 if (cols < 0).any():
                     raise AssertionError("affine reduction reached a weight outside the alcove")
                 np.add.at(out, (ids[lo + live // m], cols), signs[live] * mult[live % m])
@@ -399,33 +422,38 @@ def fuse_pairs(params: AlcoveParams, pairs) -> np.ndarray:
 
 def label_positions(params: AlcoveParams, rows: np.ndarray) -> np.ndarray:
     """The ``alcove_enumerate`` index of each row of ``rows``, an (m, rank)
-    int64 array of doubled coordinates, or -1 where the row is not a label:
-    its key is found among the labels' sorted keys (``_label_keys``), and the
-    hit counts only if the whole row equals the label found."""
-    keys, order, columns, powers = _label_keys(params.datum.family, params.rank, params.ell)
-    pos = np.minimum(np.searchsorted(keys, rows @ powers), len(keys) - 1)
-    # a column at a time: one (m, rank) gather and .all(axis=1) cost three times as much
-    hit = np.logical_and.reduce([column[pos] == x for column, x in zip(columns, rows.T)])
-    return np.where(hit, order[pos], -1)
+    integer array of doubled coordinates, or -1 where the row is not a label.
+
+    A row's slot (``_label_slots``) is 2 ``rootdata.decreasing_rank`` of its
+    halved entries, clipped into the labels' range, plus the parity of its
+    first entry.  Every label has a slot of its own, so the label held there
+    is the only candidate, and it counts only if the whole row equals it.
+    """
+    index, columns, top = _label_slots(params.datum.family, params.rank, params.ell)
+    y = rows.T
+    pos = index.take((decreasing_rank(y >> 1, top) << 1) | (y[0] & 1))
+    # a column at a time; an empty slot holds -1, which gathers the last
+    # label and gives -1 whatever the compare says
+    hit = np.logical_and.reduce([column.take(pos) == x for column, x in zip(columns, y)])
+    return np.where(hit, pos, -1)
 
 
 @lru_cache(maxsize=None)
-def _label_keys(family: str, rank: int, ell: int) -> tuple[np.ndarray, ...]:
-    """(keys, order, columns, powers), read-only: the labels' sorted keys,
-    the ``alcove_enumerate`` index of each, their doubled coordinates as
-    (rank, n) columns in key order, and the key multipliers (2 ell + 1)^i.
-    A key is row @ powers in int64, which wraps once (2 ell + 1)^rank leaves
-    int64; the labels' keys must stay distinct."""
+def _label_slots(family: str, rank: int, ell: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(index, columns, top), the arrays read-only.  top is the largest halved
+    entry of a label.  index has 2 C(top + rank, rank) slots: slot 2 r + p
+    holds the ``alcove_enumerate`` index of the label of parity p whose
+    halved entries have ``decreasing_rank`` r, and every other slot holds -1.
+    columns are the labels' doubled coordinates as contiguous (rank, n)
+    columns in the narrowest signed dtype that holds them."""
     labels = np.array([w.doubled for w in _alcove_enumerate(family, rank, ell)], dtype=np.int64)
-    powers = (2 * ell + 1) ** np.arange(rank, dtype=np.int64)
-    keyed = labels @ powers
-    order = np.argsort(keyed)
-    out = keyed[order], order, np.ascontiguousarray(labels[order].T), powers
-    if (out[0][1:] == out[0][:-1]).any():
-        raise AssertionError(f"two labels of {family}_{rank} at ell={ell} share a key")
-    for a in out:
+    top = int(labels[:, 0].max()) // 2
+    columns = np.ascontiguousarray(labels.T, dtype=_narrowest(2 * top + 1))
+    index = np.full(2 * math.comb(top + rank, rank), -1, dtype=np.int64)
+    index[(decreasing_rank(columns >> 1, top) << 1) | (columns[0] & 1)] = np.arange(len(labels))
+    for a in (index, columns):
         a.setflags(write=False)
-    return out
+    return index, columns, top
 
 
 def fuse(params: AlcoveParams, lam: Weight, mu: Weight,
@@ -446,9 +474,10 @@ def fuse_matrix(params: AlcoveParams, lam: Weight) -> np.ndarray:
     return fuse_pairs(params, [(lam, mu) for mu in alcove_enumerate(params)]).T
 
 
-def _orbit_blocks(doms: dict[Weight, int]):
+def _orbit_blocks(doms: dict[Weight, int], dtype):
     """Yield (images, mults): the distinct Weyl images of the dominant weights
-    in doms, in doubled coordinates, each with its weight's multiplicity.
+    in doms, in doubled coordinates of the signed integer dtype, each with its
+    weight's multiplicity as int64.
 
     Weights with the same runs of equal entries share one orbit template
     (``_orbit_template``), gathered for as many of them at a time as fit in
@@ -464,7 +493,7 @@ def _orbit_blocks(doms: dict[Weight, int]):
         pos, sgn = _orbit_template(key)
         step = max(1, _CHUNK_ROWS // len(pos))
         for lo in range(0, len(group), step):
-            dom = np.array([d for d, _ in group[lo:lo + step]], dtype=np.int64)
+            dom = np.array([d for d, _ in group[lo:lo + step]], dtype=dtype)
             mult = np.array([m for _, m in group[lo:lo + step]], dtype=np.int64)
             piece = (dom[:, pos] * sgn).reshape(-1, dom.shape[1])
             if images and sum(map(len, images)) + len(piece) > _CHUNK_ROWS:
@@ -550,6 +579,16 @@ def _exact_float_bound(n: int, top: int) -> None:
         raise AssertionError(f"float64 fusion products inexact: n={n}, max N of the table = {top}")
 
 
+def _reduction_bound(ell: int, top: int, dtype) -> None:
+    """Raise unless ``_reduce_rows`` stays exact in dtype on rows whose entries
+    are at most top in absolute value: every entry it forms (v + ell, the
+    multiple of 2 ell at most v + ell, 2 ell - w_0, w_0 + w_1) is at most
+    top + ell in absolute value, which must be at most 6 ell, and 6 ell must
+    fit the dtype."""
+    if top + ell > 6 * ell or 6 * ell > np.iinfo(dtype).max:
+        raise AssertionError(f"rows up to {top} at ell={ell} overflow {np.dtype(dtype)}")
+
+
 def _generator_indices(datum: RootDatum, index: dict[Weight, int]) -> list[int]:
     """The label indices of the generators (``_generators``) that lie in the alcove."""
     return [index[g] for g in map(Weight, _generators(datum)) if g in index]
@@ -602,11 +641,16 @@ def _step_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _holding(coeffs: np.ndarray, top: int) -> np.ndarray:
-    """coeffs, or a copy in the narrowest of int16, int32 and int64 that holds
-    top when coeffs' own dtype cannot."""
+    """coeffs, or a copy in ``_narrowest(top)`` when coeffs' own dtype cannot
+    hold top."""
     if top <= np.iinfo(coeffs.dtype).max:
         return coeffs
-    return coeffs.astype(next(t for t in (np.int16, np.int32, np.int64) if np.iinfo(t).max >= top))
+    return coeffs.astype(_narrowest(top))
+
+
+def _narrowest(top: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds top."""
+    return next(t for t in (np.int16, np.int32, np.int64) if np.iinfo(t).max >= top)
 
 
 @dataclass(frozen=True)

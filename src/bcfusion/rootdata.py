@@ -10,15 +10,17 @@ Freudenthal multiplicities are found in two parts.  numpy does every lookup
 in one int64 pass over all dominant mu <= lam and all positive roots a at
 once: the last step j with |mu + j a|^2 <= |lam|^2 comes from the root of a
 quadratic, checked exactly in integers, every (mu, a, j) term is laid out by
-``np.repeat``, ``sort_network`` makes each mu + j a dominant and
-``searchsorted`` on a ``ravel_multi_index`` key finds it among the dominant
-weights.  Python then runs the recursion over those (target,
+``np.repeat``, ``sort_network`` makes each mu + j a dominant and one table
+lookup on ``decreasing_rank`` of its halved entries finds it among the
+dominant weights.  Python then runs the recursion over those (target,
 2(<mu, a> + j|a|^2)) lists in height order, in exact ints, so an inexact
 division still raises.
 
 ``sort_network`` is the odd-even transposition network that sorts the k
 coordinate columns of many weights at once; the affine reduction in
-``fusion`` runs on it too.
+``fusion`` runs on it too.  ``decreasing_rank`` is the exact place of a
+weakly decreasing tuple among all of them, the combinatorial number system;
+``fusion.label_positions`` finds alcove labels by it too.
 """
 from __future__ import annotations
 
@@ -299,17 +301,11 @@ def _freudenthal(family: str, rank: int, lam: tuple[int, ...]) -> dict[tuple[int
 
     doms = _dominant_below(datum, lam)
     lex = np.array(doms, dtype=np.int64)
-    # every entry of a weight of V_lam has lam's parity, so halving it keeps it
-    # distinct; lexicographic order makes the keys come out sorted
-    dims = (lam[0] // 2 + 1,) * rank
-    keys = np.ravel_multi_index((lex // 2).T, dims)
     # process by increasing height of lam - mu so higher multiplicities exist first;
     # the height is the sum of root_coordinates, and the sort is stable like sorted()
     coords = np.cumsum(np.array(lam) - lex, axis=1) // 2
     coords[:, -1] //= half
     order = np.argsort(coords.sum(axis=1), kind="stable")
-    pos = np.empty(len(doms), dtype=np.int64)
-    pos[order] = np.arange(len(doms))
     doms = [doms[i] for i in order.tolist()]
 
     # every (mu, a, j) term whose mu + j a lies in P(lam), in one numpy pass:
@@ -317,6 +313,11 @@ def _freudenthal(family: str, rank: int, lam: tuple[int, ...]) -> dict[tuple[int
     # of a pair are j = 1, ..., its last step
     D = lex[order]
     Dt = np.ascontiguousarray(D.T)
+    # every entry of a weight of V_lam has lam's parity, so halving it keeps it
+    # distinct; at[rank of the halved weight] is its place in height order
+    top = lam[0] // 2
+    at = np.full(math.comb(top + rank, rank), -1, dtype=np.int64)
+    at[decreasing_rank(Dt >> 1, top)] = np.arange(len(doms))
     R = np.array([r.doubled for r in _positive_roots(family, rank)], dtype=np.int64)
     Rt = np.ascontiguousarray(R.T)
     r_norm = (R * R).sum(axis=1) // half
@@ -329,12 +330,10 @@ def _freudenthal(family: str, rank: int, lam: tuple[int, ...]) -> dict[tuple[int
     # (k, terms), one contiguous row per coordinate
     w = np.abs(np.take(Dt, mu_i, axis=1) + j * np.take(Rt, a_i, axis=1))
     sort_network(w)  # its dominant image
-    inside = w[0] <= lam[0]
-    # entries are at most w[0], so every inside column is on the grid dims
-    key = np.ravel_multi_index(tuple(w // 2), dims, mode="clip")
-    at = np.searchsorted(keys, key).clip(max=len(keys) - 1)
-    hit = inside & (keys[at] == key)
-    src, tgt, coef = mu_i[hit], pos[at[hit]], 2 * (pair[hit] + j[hit] * r_norm[a_i[hit]])
+    # entries are at most w[0], so the rank of every inside column is exact
+    tgt = at.take(decreasing_rank(w >> 1, top))
+    hit = (w[0] <= lam[0]) & (tgt >= 0)
+    src, tgt, coef = mu_i[hit], tgt[hit], 2 * (pair[hit] + j[hit] * r_norm[a_i[hit]])
     ends = np.cumsum(np.bincount(src, minlength=len(doms))).tolist()
     tgt, coef = tgt.tolist(), coef.tolist()
     casimir = (((D + np.array(rho)) ** 2).sum(axis=1) // half).tolist()
@@ -389,6 +388,32 @@ def sort_network(w: np.ndarray, parity: np.ndarray | None = None) -> None:
             top = np.maximum(a, b)
             np.minimum(a, b, out=b)
             a[...] = top
+
+
+def decreasing_rank(y: np.ndarray, top: int) -> np.ndarray:
+    """The place of each column of y, a (k, M) integer array, among the weakly
+    decreasing k-tuples with entries in [0, top] in lexicographic order, as int64.
+
+    It is the combinatorial-number-system rank sum_i C(y_i + k-1-i, k-i) of
+    the strictly decreasing y_i + k-1-i, a bijection from those tuples onto
+    [0, C(top + k, k)), read off ``_rank_table``.  Entries are clipped into
+    [0, top] first, so any column gets some place in that range; only a
+    weakly decreasing column in range gets its own.
+    """
+    table = _rank_table(len(y), top)
+    out = table[0].take(y[0], mode="clip")
+    for i in range(1, len(y)):
+        out += table[i].take(y[i], mode="clip")
+    return out
+
+
+@lru_cache(maxsize=None)
+def _rank_table(k: int, top: int) -> np.ndarray:
+    """(k, top + 1) read-only int64: entry [i, y] is C(y + k-1-i, k-i)."""
+    table = np.array([[math.comb(y + k - 1 - i, k - i) for y in range(top + 1)] for i in range(k)],
+                     dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
 def _dominant_below(datum: RootDatum, lam: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -13,8 +14,9 @@ import pytest
 from bcfusion import bmwdual, cli
 from bcfusion.cli import main, parse_cell, parse_weight, run_checked
 from bcfusion.errors import CertificationError, SingularParameterError, WeightParseError
-from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate
+from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, fuse_pairs
 from bcfusion.rootdata import make_root_datum
+from bcfusion.verify import sampled_pairs
 
 
 def test_parse_weight():
@@ -376,7 +378,8 @@ def test_parse_cell():
             parse_cell(bad)
 
 
-@pytest.mark.parametrize("script,cell", [("run_verify_grid", "2,8"), ("run_verify_grid", "2,9,1")])
+@pytest.mark.parametrize("script,cell", [("run_verify_grid", "2,8"), ("run_verify_grid", "2,9,1"),
+                                         ("time_fuse_pairs", "2,8"), ("time_fuse_pairs", "2,9,1")])
 def test_script_rejects_a_bad_cell_with_exit_2(script, cell):
     """A malformed or inadmissible cell is a usage error, not a failed verification."""
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{script}.py"), cell],
@@ -403,6 +406,23 @@ def test_grid_script_counts_skipped_checks_apart(capsys):
     assert _script("run_verify_grid").main(["2,5"]) == 0
     summary = capsys.readouterr().out.splitlines()[-1]
     assert summary == "grid done: 1 cells, 0 failing checks, 9 skipped"
+
+
+def test_timing_script_prints_the_fuse_pairs_digest():
+    """time_fuse_pairs prints one line a cell, ending in the sha256 of
+    fuse_pairs' int64 array on the pairs verify samples with that seed."""
+    script = str(ROOT / "scripts" / "time_fuse_pairs.py")
+    proc = subprocess.run([sys.executable, script, "--seed", "1", "2,9", "3,11"],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    for line, (k, ell) in zip(lines, [(2, 9), (3, 11)]):
+        params = AlcoveParams(make_root_datum("B", k), ell)
+        pairs = sampled_pairs(alcove_enumerate(params), 1)
+        digest = hashlib.sha256(fuse_pairs(params, pairs).astype("<i8").tobytes()).hexdigest()
+        assert line.startswith(f"B({k},{ell}) {len(pairs)} pairs: ")
+        assert line.endswith(f" minor faults, sha256 {digest}")
 
 
 MAIN = "import sys; from bcfusion import cli; sys.exit(cli.main(sys.argv[1:]))"

@@ -16,7 +16,7 @@ from bcfusion.fusion import (AlcoveParams, FusionTable, affine_reduce, alcove_en
                              _generators, _reduce_rows, bratteli_endo_dim, classical_tensor, fuse,
                              fuse_matrix, fuse_pairs, fuse_two_stage, fuse_two_stage_pairs,
                              label_positions)
-from bcfusion.rootdata import Weight, make_root_datum
+from bcfusion.rootdata import Weight, decreasing_rank, make_root_datum
 from bcfusion.verify import DEFAULT_GRID
 
 from conftest import w
@@ -213,7 +213,8 @@ def test_classical_tensor_shares_no_kernel_with_fuse(monkeypatch, params313):
     expected = {(lam, mu): classical_tensor_scalar(params313.datum, lam, mu)
                 for lam, mu in zip(labels, reversed(labels))}
     reduced = fuse_two_stage_pairs(params313, list(expected))
-    for name in ("_orbit_blocks", "_orbit_template", "_label_keys", "label_positions"):
+    for name in ("_orbit_blocks", "_orbit_template", "_label_slots", "decreasing_rank",
+                 "label_positions"):
         monkeypatch.setattr(fusion, name, forbidden)
     # the second stage reduces with the shared kernel and nothing else of fuse's
     assert np.array_equal(fuse_two_stage_pairs(params313, list(expected)), reduced)
@@ -245,7 +246,8 @@ def test_fuse_shares_no_orbit_code_with_classical_tensor(monkeypatch, params313)
 def _orbit_rows(dom: Weight) -> list[tuple[int, ...]]:
     from bcfusion.fusion import _orbit_blocks
 
-    return [tuple(row) for images, _ in _orbit_blocks({dom: 1}) for row in images.tolist()]
+    return [tuple(row) for images, _ in _orbit_blocks({dom: 1}, np.int16)
+            for row in images.tolist()]
 
 
 @pytest.mark.parametrize("family,rank,ell", [("B", 3, 13), ("B", 4, 15), ("C", 3, 11), ("C", 4, 11),
@@ -267,7 +269,7 @@ def test_orbit_rows_are_the_weyl_orbit(family, rank, ell):
         pos, sgn = fusion._orbit_template(runs)
         assert pos.dtype == sgn.dtype == np.int8
         assert not pos.flags.writeable and not sgn.flags.writeable
-        images = np.concatenate([images for images, _ in fusion._orbit_blocks({d: 1})])
+        images = np.concatenate([images for images, _ in fusion._orbit_blocks({d: 1}, np.int16)])
         size = math.factorial(rank) * 2 ** (rank - zeros) // math.prod(map(math.factorial, runs))
         assert len(np.unique(images, axis=0)) == len(images) == size
         if ell is not None:
@@ -923,6 +925,73 @@ def test_pair_kernels_do_not_depend_on_chunk_boundaries(monkeypatch, family, ran
         assert np.array_equal(fuse_two_stage_pairs(params, pairs), fused), rows
 
 
+@pytest.mark.parametrize("family,rank,ell", [("B", 4, 21), ("B", 7, 23), ("C", 3, 11),
+                                             ("C", 11, 27), ("B", 2, 5461), ("C", 2, 5461)])
+def test_reduce_rows_is_the_same_in_every_dtype(family, rank, ell):
+    """int16, int32 and int64 copies of the same rows reduce to the same signs
+    and labels, the rows with |v| + ell = 6 ell (less one for even entries)
+    included; the int64 reduction is the loop's.  ell = 5461 is the largest
+    level that int16 holds 6 ell at, so no alcove is enumerated: the live rows
+    are affine Weyl images of points strictly inside the rho-shifted alcove.
+    """
+    params = AlcoveParams(make_root_datum(family, rank), ell)
+    rng = np.random.default_rng(rank * ell)
+    # inside: distinct entries of one parity in [1, ell) (even ones in [2, ell) for C)
+    inside = np.array([-np.sort(-rng.choice(np.arange(2 - p, ell, 2), rank, replace=False))
+                       for p in rng.integers(0, 2 if family == "B" else 1, size=200)])
+    reach = 2 if family == "B" else 1
+    shift = rng.integers(-reach, reach + 1, size=inside.shape)
+    if family == "C":  # an even-sum translation
+        shift[:, 0] = np.where(shift.sum(axis=1) % 2, 1 - np.abs(shift[:, 0]), shift[:, 0])
+    images = rng.permuted(inside * rng.choice((-1, 1), size=inside.shape), axis=1) + 2 * ell * shift
+    par = rng.integers(0, 2 if family == "B" else 1, size=(200, 1))
+    half = (5 * ell - par) // 2  # 2 half + par is the largest |v| <= 5 ell of the row's parity
+    stray = 2 * rng.integers(-half, half + 1, size=(200, rank)) + par
+    stray[np.arange(100), rng.integers(0, rank, size=100)] = (
+        rng.choice((-1, 1), size=100) * (2 * half + par)[:100, 0])
+    V = np.concatenate([images, stray])
+    assert np.abs(V).max() + ell == 6 * ell - (family == "C")
+    wide_signs, wide_labels = _reduce_rows(params, V.copy())
+    loop_signs, loop_labels = reduce_rows_loop(params, V.copy())
+    assert np.array_equal(wide_signs, loop_signs)
+    live = wide_signs != 0
+    assert np.array_equal(wide_labels[live], loop_labels[live]) and live[:200].all()
+    for dtype in (np.int16, np.int32):
+        signs, labels = _reduce_rows(params, V.astype(dtype))
+        assert signs.dtype == np.int64 and labels.dtype == dtype
+        assert np.array_equal(signs, wide_signs)
+        assert np.array_equal(labels[live], wide_labels[live])
+
+
+def test_reduction_dtype_is_the_narrowest_that_holds_six_ell():
+    """int16 up to ell = 5461, wider above; no alcove is enumerated."""
+    assert fusion._narrowest(6 * 23) is np.int16
+    assert fusion._narrowest(6 * 5461) is np.int16
+    assert fusion._narrowest(6 * 5463) is np.int32
+    assert fusion._narrowest(2 ** 40) is np.int64
+    fusion._reduction_bound(23, 5 * 23, np.int16)
+    fusion._reduction_bound(5463, 5 * 5463, np.int32)
+    for ell, top, dtype in ((23, 5 * 23 + 1, np.int16), (5463, 0, np.int16)):
+        with pytest.raises(AssertionError, match="overflow"):
+            fusion._reduction_bound(ell, top, dtype)
+
+
+def test_fuse_pairs_reduces_in_the_narrow_dtype(monkeypatch, params313):
+    """fuse_pairs hands _reduce_rows int16 rows at B(3,13) and gets the int64
+    rows' coefficients."""
+    real, seen = fusion._reduce_rows, set()
+
+    def spy(params, V):
+        seen.add(V.dtype)
+        return real(params, V)
+
+    labels = alcove_enumerate(params313)
+    pairs = list(zip(labels, reversed(labels)))
+    monkeypatch.setattr(fusion, "_reduce_rows", spy)
+    assert np.array_equal(fuse_pairs(params313, pairs), fuse_two_stage_pairs(params313, pairs))
+    assert seen == {np.dtype(np.int16), np.dtype(np.int64)}
+
+
 def test_pair_kernels_reject_non_labels(params29):
     with pytest.raises(DomainError):
         fuse_pairs(params29, [(w(1, 0), w(1, 0)), (w(3, 0), w(1, 0))])
@@ -955,23 +1024,40 @@ def test_pair_kernels_assert_their_output(monkeypatch, params29):
                                              ("C", 11, 27), ("C", 20, 45)])
 def test_label_positions_is_the_label_dict(family, rank, ell):
     """The array lookup agrees with a {doubled: index} dict on the labels and
-    on shifted, negative and off-grid rows.  Each label plus (2 ell + 1, -1,
-    0, ...) has that label's key but is off the grid, so only the row compare
-    rejects it.  The keys of C_11 at 27 and C_20 at 45 wrap in int64."""
+    on shifted, negative, off-grid, permuted and parity-flipped rows.  A label
+    with the parity of a later entry flipped halves to the same entries, so
+    it has that label's slot; many permutations of a label's entries have
+    another label's slot.  Only the row compare rejects those.  C_11 at 27
+    and C_20 at 45 have the most slots (2 x 4,368 and 2 x 53,130), and a
+    (2 ell + 1)-adic key of their labels would wrap in int64."""
     params = AlcoveParams(make_root_datum(family, rank), ell)
     labels = np.array([lab.doubled for lab in alcove_enumerate(params)], dtype=np.int64)
     index = {row: c for c, row in enumerate(map(tuple, labels.tolist()))}
     same_key = np.zeros(rank, dtype=np.int64)
     same_key[:2] = 2 * ell + 1, -1
     rng = np.random.default_rng(0)
+    flipped = labels.copy()
+    flipped[np.arange(len(labels)), rng.integers(1, rank, size=len(labels))] ^= 1
+    permuted = rng.permuted(np.repeat(labels, 3, axis=0), axis=1)
+    permuted = permuted[[tuple(row) not in index for row in permuted.tolist()]]
     rows = np.concatenate([labels, labels + 2 * np.eye(rank, dtype=np.int64)[-1], -labels,
-                           labels + same_key, labels + 2 * ell,
+                           labels + same_key, labels + 2 * ell, flipped, permuted,
                            rng.integers(-3 * ell, 3 * ell, size=(500, rank))])
     got = label_positions(params, rows)
     assert got.tolist() == [index.get(row, -1) for row in map(tuple, rows.tolist())]
     assert np.array_equal(got[:len(labels)], np.arange(len(labels)))
     assert (got[3 * len(labels):5 * len(labels)] == -1).all()
     assert ((2 * ell + 1) ** rank > 2 ** 63) == ((family, rank) in {("C", 11), ("C", 20)})
+    # the slot each row reaches, and the label held there
+    slots, _, top = fusion._label_slots(family, rank, ell)
+    assert len(slots) == 2 * math.comb(top + rank, rank)
+    assert len(slots) == {("C", 11): 2 * 4368, ("C", 20): 2 * 53130}.get((family, rank), len(slots))
+    held = lambda x: slots[(2 * decreasing_rank(x.T >> 1, top)) | (x[:, 0] & 1)]
+    assert np.array_equal(held(labels), np.arange(len(labels)))
+    assert np.array_equal(held(flipped), np.arange(len(labels)))
+    assert (label_positions(params, flipped) == -1).all()
+    shared = held(permuted) >= 0
+    assert shared.sum() >= len(permuted) // 4 and (label_positions(params, permuted) == -1).all()
 
 
 def test_type_c_fusion_table():

@@ -484,11 +484,12 @@ def test_verlinde_rows_share_no_kernel_with_fuse(monkeypatch, rank, ell):
     pairs = sampled_pairs(alcove_enumerate(alcove))
     expected = fuse_pairs(alcove, pairs)
     for name in ("fuse_pairs", "_reduce_rows", "_orbit_blocks", "label_positions",
-                 "_recursion_row", "sort_network"):
+                 "_recursion_row", "sort_network", "decreasing_rank"):
         monkeypatch.setattr(fusion, name, forbidden)
     for name in ("dominant_weight_multiplicities", "weyl_orbit"):
         monkeypatch.setattr(rootdata.RootDatum, name, forbidden)
     monkeypatch.setattr(rootdata, "sort_network", forbidden)
+    monkeypatch.setattr(rootdata, "decreasing_rank", forbidden)
     rows, _, _ = verlinde_rows(alcove, pairs)
     assert np.array_equal(rows, expected)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from bcfusion.errors import DimensionMismatchError, DomainError, InvalidRankErro
 from bcfusion.fusion import AlcoveParams, alcove_enumerate
 from bcfusion import rootdata
 from bcfusion.rootdata import (RootDatum, Weight, _dominant_below, _freudenthal, _last_step,
-                               _orbit, make_root_datum, root_pairings, sort_network)
+                               _orbit, decreasing_rank, make_root_datum, root_pairings,
+                               sort_network)
 
 from conftest import w
 from oracles import (WeylElement, character_multiset, dominant_below_scan, freudenthal_scalar,
@@ -244,6 +246,19 @@ def test_sort_network_sorts_and_counts_inversions(rows):
     assert w.T.tolist() == [sorted(r, reverse=True) for r in rows]
     inversions = [sum(r[i] < r[j] for i in range(len(r)) for j in range(i + 1, len(r))) for r in rows]
     assert parity.tolist() == [n % 2 == 1 for n in inversions]
+
+
+@pytest.mark.parametrize("k,top", [(1, 0), (1, 6), (2, 5), (3, 4), (4, 3), (5, 2), (6, 0)])
+def test_decreasing_rank_is_the_lexicographic_place(k, top):
+    """The rank is a bijection from the weakly decreasing k-tuples in [0, top]
+    onto [0, C(top + k, k)), increasing in lexicographic order, and a column
+    out of range or out of order still gets a place in that range."""
+    tuples = sorted(itertools.combinations_with_replacement(range(top, -1, -1), k))
+    ranks = decreasing_rank(np.array(tuples, dtype=np.int64).T.copy(), top)
+    assert ranks.tolist() == list(range(math.comb(top + k, k)))
+    rng = np.random.default_rng(k * 7 + top)
+    stray = decreasing_rank(rng.integers(-3, top + 4, size=(k, 200)), top)
+    assert stray.min() >= 0 and stray.max() < math.comb(top + k, k)
 
 
 @pytest.mark.parametrize("family,rank,lam", [
