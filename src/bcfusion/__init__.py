@@ -12,7 +12,7 @@ from .fusion import (AlcoveParams, FusionTable, affine_reduce, alcove_enumerate,
                      bratteli_endo_dim, classical_tensor, fuse, fuse_two_stage)
 from .qchar import (PFCertificate, QuantumParams, admissible_z, chi, pf_certify_unique,
                     positive_character, qdim, qdim_signs, quantum_integer, twist_exponent,
-                    weyl_denominator, weyl_products)
+                    weyl_products)
 from .rootdata import RootDatum, Weight, make_root_datum
 from .symmetry import InvolutionData, phi_sign, verify_simple_current
 from .bmwdual import (FerrersDiagram, braiding_eig_sq, dim_from_eigs, gamma_set, ranklevel_check,
@@ -29,7 +29,7 @@ __all__ = [
     "dim_from_eigs", "fuse", "fuse_two_stage", "gamma_set", "h", "make_root_datum",
     "pf_certify_unique", "phi_sign", "positive_character", "qdim", "qdim_signs",
     "quantum_integer", "ranklevel_check", "twist_exponent", "verify_psi_fusion",
-    "verify_simple_current", "weyl_denominator", "weyl_products",
+    "verify_simple_current", "weyl_products",
 ]
 
 __version__ = "0.1.0"

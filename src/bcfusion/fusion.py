@@ -31,17 +31,17 @@ The two-stage route (classical decomposition first, affine
 antisymmetrization second), ``fuse_two_stage_pairs``, is the test suite's
 oracle for ``fuse_pairs``, with the same layout; ``verify`` checks its
 sampled rows against the Verlinde rows of ``qchar.verlinde_rows`` instead,
-which run no fusion kernel.  The route stays here, not in
-``tests/oracles.py``, while the benchmark's tracer binds ``fuse_two_stage``
-by name.  Its first stage,
-``_classical_rows``, is its own exact integer numpy pass over chunks of
-whole pairs (a pair larger than a chunk in slices): the Weyl orbits from
+which run no fusion kernel, so only tests call the route.  It stays here,
+not in ``tests/oracles.py``, while the benchmark's tracer binds
+``fuse_two_stage`` by name.  It decomposes one pair at a time.  Its first
+stage, ``_classical_rows``, is its own exact int64 numpy pass: the Weyl
+orbits of the smaller factor's dominant weights from
 ``RootDatum.weyl_orbit`` (read-only arrays with their own enumeration) are
-stacked and shifted, one contiguous row per coordinate, and made dominant
-by comparing each pair of coordinates once (``_classical_chunk``), which
-gives the sign, the walls and each entry's slot; it keeps its own label
-map.  It never calls ``_orbit_blocks``, ``_reduce_rows``, ``sort_network``
-or ``label_positions``, and ``fuse_pairs`` never calls ``weyl_orbit``, so a
+stacked and shifted, one contiguous row per coordinate, and made dominant by
+comparing each pair of coordinates once, which gives the sign, the walls and
+each entry's slot.  That stage never calls ``_orbit_blocks``,
+``_reduce_rows``, ``sort_network`` or ``label_positions``, the second stage
+keeps its own label map, and ``fuse_pairs`` never calls ``weyl_orbit``, so a
 fault in either enumeration, sort or lookup cannot hide in both sides of the
 comparison.  The two routes share only ``_reduce_rows``, which the second
 stage applies to the classical summands; ``tests/oracles.py`` checks that
@@ -87,10 +87,10 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .rootdata import RootDatum, Weight, decreasing_rank, make_root_datum, sort_network
 
-# rows reduced at once by fuse_pairs, and Weyl images per chunk of the
-# two-stage oracle; the temporaries are a few (rows, rank) arrays (int16 in
-# fuse_pairs, int64 in the oracle), and 1 << 15 rows already raised the peak
-# RSS of 100 B(4,21) queries by about a tenth over 1 << 13
+# rows reduced at once by fuse_pairs, and determinants per block of
+# qchar.alternating_sum, the two readers; fuse_pairs' temporaries are a few
+# (rows, rank) int16 arrays, and 1 << 15 rows already raised the peak RSS of
+# 100 B(4,21) queries by about a tenth over 1 << 13
 _CHUNK_ROWS = 1 << 13
 
 # the dtype FusionTable.build starts the table in; it widens the whole table
@@ -224,137 +224,65 @@ def _reduce_rows(params: AlcoveParams, V: np.ndarray) -> tuple[np.ndarray, np.nd
     return keep - 2 * (odd & keep), (w - rho[:, None]).T
 
 
-def _classical_rows(datum: RootDatum, pairs) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """V_lam (x) V_mu classically for every pair (lam, mu), a chunk of whole pairs at a time.
+def _classical_rows(datum: RootDatum, pairs) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """V_lam (x) V_mu classically for every pair (lam, mu), one pair at a time.
 
-    Yields (ids, labels, mults): ids (m,) the position of the pair in
-    ``pairs``, labels (m, k) in doubled coordinates, mults (m,) positive.
-    Each chunk holds at most _CHUNK_ROWS Weyl images unless one pair has
-    more, and every pair's totals are complete when it is yielded.  One exact
-    int64 pass of Racah-Speiser over P(lam): every Weyl image of every
-    dominant weight (from ``datum.weyl_orbit``) is shifted by mu + rho and
-    made dominant (``_classical_chunk``); rows on a wall (a zero or a
-    repeated |entry|) drop out, and the sign is the parity of the negative
-    entries plus that of the inversions of |v|.  A pair with more than
-    _CHUNK_ROWS images is summed a slice of _CHUNK_ROWS images at a time
-    (``_classical_totals``), so no temporary grows with the pair.  It shares
-    no code with ``fuse_pairs``, which it is an oracle for.
+    Yields (p, labels, mults) in pair order: p the position of the pair in
+    ``pairs``, labels (m, k) in doubled coordinates and in lexicographic
+    order, mults (m,) positive.  One exact int64 pass of Racah-Speiser over
+    P(lam), lam the factor of smaller Weyl dimension: every Weyl image of
+    every dominant weight of lam (from ``datum.weyl_orbit``) is shifted by
+    mu + rho, in the transposed (k, M) layout, one contiguous row per
+    coordinate.  The sign parity starts as that of the negative entries of
+    each column; with a = |v|, each coordinate pair i < j toggles it where
+    a[i] < a[j] (an inversion of the descending order), a column stays live
+    only if it has no zero and no two equal entries, and each entry's slot in
+    the dominant image is the number of entries above it.  The live columns
+    are scattered into that image one coordinate at a time and summed on a
+    ravel of the label's entries.  It counts ranks where ``_reduce_rows``
+    runs a sorting network, and shares no code with ``fuse_pairs``, which it
+    is an oracle for.
     """
-    groups: dict[Weight, list[tuple[int, Weight]]] = {}
-    for p, (lam, mu) in enumerate(pairs):
-        for w in (lam, mu):
-            if not w.is_dominant:
-                raise DomainError(f"{w} is not dominant")
-        if datum.weyl_dim(lam) > datum.weyl_dim(mu):
-            lam, mu = mu, lam
-        groups.setdefault(lam, []).append((p, mu))
-    chunk, rows = [], 0
-    for lam, members in groups.items():
-        doms = datum.dominant_weight_multiplicities(lam)
-        orbits = [datum.weyl_orbit(d) for d in doms]
-        images = np.concatenate(orbits)
-        mult = np.repeat(np.fromiter(doms.values(), dtype=np.int64, count=len(doms)),
-                         [len(orbit) for orbit in orbits])
-        for p, mu in members:
-            if chunk and rows + len(images) > _CHUNK_ROWS:
-                yield _classical_totals(datum, chunk)
-                chunk, rows = [], 0
-            chunk.append((p, lam, mu, images, mult))
-            rows += len(images)
-    if chunk:
-        yield _classical_totals(datum, chunk)
-
-
-def _classical_totals(datum: RootDatum, chunk: list):
-    """(ids, labels, mults) of one chunk of ``_classical_rows``, the pairs
-    (id, lam, mu, images, mults), without its zero totals.
-
-    A chunk of one pair runs ``_classical_chunk`` on slices of at most
-    _CHUNK_ROWS of its images.  The slices' (label, total) rows are merged on
-    the same key whenever more than _CHUNK_ROWS of them are pending, so no
-    temporary grows with the pair.  A slice may leave a label negative that
-    a later one makes up, so only the merged totals are checked for a
-    negative multiplicity.
-    """
-    ids, lams, mus, _, _ = zip(*chunk)
-    if len(chunk) > 1:
-        columns, totals = _classical_chunk(datum, chunk)
-    else:
-        (p, lam, mu, images, mult), = chunk
-        parts = []
-        for lo in range(0, len(images), _CHUNK_ROWS):
-            piece = (p, lam, mu, images[lo:lo + _CHUNK_ROWS], mult[lo:lo + _CHUNK_ROWS])
-            parts.append(_classical_chunk(datum, [piece]))
-            if sum(len(t) for _, t in parts) > _CHUNK_ROWS:
-                parts = [_merged(parts)]
-        columns, totals = _merged(parts) if len(parts) > 1 else parts[0]
-    if (totals < 0).any():
-        c = columns[0][np.argmax(totals < 0)]
-        raise AssertionError(f"negative classical multiplicity in {lams[c]} (x) {mus[c]}")
-    nonzero = totals != 0
-    return np.array(ids)[columns[0][nonzero]], np.stack(columns[1:], axis=1)[nonzero], totals[nonzero]
-
-
-def _classical_chunk(datum: RootDatum, chunk: list) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The signed classical terms of the pairs (id, lam, mu, images, mults) of
-    one chunk, summed (``_summed``) on the columns (chunk-local pair index,
-    label's doubled coordinates); totals may be zero or negative.
-
-    It works on the shifted images v in the transposed (k, M) layout, one
-    contiguous row per coordinate.  The sign parity starts as that of the
-    negative entries of each column; with a = |v|, each coordinate pair
-    i < j toggles it where a[i] < a[j] (an inversion of the descending
-    order), a column stays live only if it has no zero and no two equal
-    entries, and each entry's slot in the dominant image is the number of
-    entries above it.  The live columns are scattered into that image one
-    coordinate at a time.  It counts ranks where ``_reduce_rows`` runs a
-    sorting network, and shares no code with it.
-    """
-    _, _, mus, images, mults = zip(*chunk)
     k = datum.rank
     rho = np.array(datum.rho.doubled, dtype=np.int64)
-    sizes = [len(x) for x in images]
-    shifts = np.array([mu.doubled for mu in mus], dtype=np.int64) + rho
-    a = np.empty((k, sum(sizes)), dtype=np.int64)
-    for x, s, lo in zip(images, shifts, accumulate(sizes, initial=0)):
-        np.add(x.T, s[:, None], out=a[:, lo:lo + len(x)])
-    odd = np.logical_xor.reduce(a < 0, axis=0)
-    np.abs(a, out=a)
-    live = np.logical_and.reduce(a > 0, axis=0)
-    # slots count to k - 1; int16 runs the loop faster than intp at rank 7
-    place = np.zeros(a.shape, dtype=np.int16)
-    for i, j in combinations(range(k), 2):
-        below = a[i] < a[j]
-        odd ^= below
-        live &= a[i] != a[j]
-        place[i] += below
-        place[j] += ~below
-    cols = np.flatnonzero(live)
-    w = np.empty((k, len(cols)), dtype=np.int64)
-    at = np.arange(len(cols))
-    for i in range(k):
-        w[place[i, cols], at] = a[i, cols]
-    mult = np.concatenate(mults)[cols]
-    local = np.repeat(np.arange(len(chunk)), sizes)[cols]
-    return _summed((local, *(w - rho[:, None])), np.where(odd[cols], -mult, mult))
-
-
-def _summed(columns, terms: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """(columns, totals): the distinct rows of ``columns``, equal-length
-    nonnegative integer arrays, in lexicographic order, and the sum of
-    ``terms`` over each.  Each column is raveled on its own range [0, max],
-    so row-major raveling is lexicographic whatever the dims."""
-    dims = tuple(int(c.max(initial=0)) + 1 for c in columns)
-    keys, where = np.unique(np.ravel_multi_index(columns, dims), return_inverse=True)
-    totals = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(totals, where, terms)
-    return np.unravel_index(keys, dims), totals
-
-
-def _merged(parts: list) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """One ``_summed`` result from several, summed again on the same columns."""
-    return _summed([np.concatenate(c) for c in zip(*(columns for columns, _ in parts))],
-                   np.concatenate([totals for _, totals in parts]))
+    for p, (lam, mu) in enumerate(pairs):
+        for x in (lam, mu):
+            if not x.is_dominant:
+                raise DomainError(f"{x} is not dominant")
+        if datum.weyl_dim(lam) > datum.weyl_dim(mu):
+            lam, mu = mu, lam
+        doms = datum.dominant_weight_multiplicities(lam)
+        orbits = [datum.weyl_orbit(d) for d in doms]
+        mult = np.repeat(np.fromiter(doms.values(), dtype=np.int64, count=len(doms)),
+                         [len(orbit) for orbit in orbits])
+        shift = np.array(mu.doubled, dtype=np.int64) + rho
+        a = np.add(np.concatenate(orbits).T, shift[:, None], order="C")
+        odd = np.logical_xor.reduce(a < 0, axis=0)
+        np.abs(a, out=a)
+        live = np.logical_and.reduce(a > 0, axis=0)
+        # slots count to k - 1; int16 runs the loop faster than intp at rank 7
+        place = np.zeros(a.shape, dtype=np.int16)
+        for i, j in combinations(range(k), 2):
+            below = a[i] < a[j]
+            odd ^= below
+            live &= a[i] != a[j]
+            place[i] += below
+            place[j] += ~below
+        cols = np.flatnonzero(live)
+        w = np.empty((k, len(cols)), dtype=np.int64)
+        at = np.arange(len(cols))
+        for i in range(k):
+            w[place[i, cols], at] = a[i, cols]
+        w -= rho[:, None]
+        # each coordinate raveled on its own range [0, max], so the keys sort lexicographically
+        dims = tuple((w.max(axis=1, initial=0) + 1).tolist())
+        keys, where = np.unique(np.ravel_multi_index(w, dims), return_inverse=True)
+        totals = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(totals, where, np.where(odd[cols], -mult[cols], mult[cols]))
+        if (totals < 0).any():
+            raise AssertionError(f"negative classical multiplicity in {lam} (x) {mu}")
+        nonzero = totals != 0
+        yield p, np.stack(np.unravel_index(keys[nonzero], dims), axis=1), totals[nonzero]
 
 
 def classical_tensor(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
@@ -534,23 +462,32 @@ def _orbit_template(runs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fuse_two_stage_pairs(params: AlcoveParams, pairs) -> np.ndarray:
-    """Oracle path for ``fuse_pairs``, same layout: classical decomposition,
-    then affine antisymmetrization of each chunk of ``_classical_rows``.
+    """Oracle path for ``fuse_pairs``, same layout: each pair's classical
+    decomposition (``_classical_rows``), then its affine antisymmetrization.
 
-    Its label map is its own: each live reduced row is looked up in a dict
-    of the alcove labels.
+    The summands of a pair are reduced by ``_reduce_rows`` and added into its
+    row through a label map of its own, a dict of the alcove labels.  Like
+    ``fuse_pairs`` it rejects a pair member outside the alcove and raises
+    AssertionError on a negative coefficient.
     """
+    for lam, mu in pairs:
+        for w in (lam, mu):
+            if not params.contains(w):
+                raise DomainError(f"{w} is not in the alcove C_{params.ell}")
     labels = alcove_enumerate(params)
     index = {w.doubled: c for c, w in enumerate(labels)}
     rho = np.array(params.datum.rho.doubled, dtype=np.int64)
     out = np.zeros((len(pairs), len(labels)), dtype=np.int64)
-    for ids, classical, mults in _classical_rows(params.datum, pairs):
+    for p, classical, mults in _classical_rows(params.datum, pairs):
         signs, reduced = _reduce_rows(params, classical + rho)
         live = signs != 0
         found = [index.get(t) for t in map(tuple, reduced[live].tolist())]
         if None in found:
             raise AssertionError("affine antisymmetrization reached a weight outside the alcove")
-        np.add.at(out, (ids[live], np.array(found, dtype=np.int64)), signs[live] * mults[live])
+        np.add.at(out[p], np.array(found, dtype=np.int64), signs[live] * mults[live])
+        if (out[p] < 0).any():
+            lam, mu = pairs[p]
+            raise AssertionError(f"negative fusion coefficient in {lam} (x) {mu}")
     return out
 
 

@@ -110,21 +110,6 @@ def alternating_sum(params: QuantumParams, shifted, nus) -> np.ndarray:
     return out
 
 
-def weyl_denominator(params: QuantumParams, nu: Weight) -> float:
-    """delta(H_nu) = prod_{alpha > 0} [<alpha, nu>/2] for nu in the root lattice.
-
-    [p/2] = sin(p z pi/(2 ell)) / sin(z pi/ell), and the sine has period 4 ell
-    in p z and changes sign every 2 ell: p z is folded into [0, 2 ell) in
-    integers first, so a vanishing factor is an exact 0.
-    """
-    datum, ell = params.datum, params.ell
-    if not datum.in_root_lattice(nu):
-        raise DomainError(f"{nu} is not in the root lattice")
-    t = root_pairings(datum, [nu.doubled])[0] * params.z % (4 * ell)
-    sines = np.where(t < 2 * ell, 1, -1) * np.sin(t % (2 * ell) * (math.pi / (2 * ell)))
-    return float(np.prod(sines / math.sin(math.pi * params.z / ell)))
-
-
 def chi(params: QuantumParams, lam: Weight, nu: Weight) -> float:
     """The q-character chi_lam(H_nu) as a real number."""
     return float(chi_vector(params, nu, (lam,))[0])

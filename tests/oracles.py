@@ -20,9 +20,11 @@ box graph from them, the Psi graph by walking every pair of diagrams, the
 Perron-Frobenius vector by diagonalizing the matrix powers N^s + N^(s+1)
 (pf_certify_powers), the q-Weyl product through exact Fraction pairings,
 the q-Weyl product of one label at one z as a scalar loop over the roots
-(weyl_product_scalar), the signed-permutation group (WeylElement,
-weyl_elements) that the package never builds, and the Weyl alternating sum
-over that whole group (alternating_sum_group) instead of a determinant.
+(weyl_product_scalar), the Weyl denominator delta(H_nu) as a product over
+the positive roots (weyl_denominator), the signed-permutation group
+(WeylElement, weyl_elements) that the package never builds, and the Weyl
+alternating sum over that whole group (alternating_sum_group) instead of a
+determinant.
 Keep these slow and obvious.
 """
 from __future__ import annotations
@@ -37,7 +39,8 @@ import numpy as np
 from bcfusion.bmwdual import BOX, FerrersDiagram
 from bcfusion.errors import (CertificationError, ConfigurationError, DimensionMismatchError,
                              DomainError)
-from bcfusion.rootdata import RootDatum, Weight, _dominant_below, _positive_roots, make_root_datum
+from bcfusion.rootdata import (RootDatum, Weight, _dominant_below, _positive_roots, make_root_datum,
+                               root_pairings)
 
 
 def _as_doubled(w):
@@ -446,6 +449,21 @@ def weyl_product_fraction(params, lam: Weight, coroot: bool) -> float:
     for a in datum.positive_roots:
         val *= quantum_integer(pairing(shifted, a)) / quantum_integer(pairing(datum.rho, a))
     return val
+
+
+def weyl_denominator(params, nu: Weight) -> float:
+    """delta(H_nu) = prod_{alpha > 0} [<alpha, nu>/2] for nu in the root lattice.
+
+    [p/2] = sin(p z pi/(2 ell)) / sin(z pi/ell), and the sine has period 4 ell
+    in p z and changes sign every 2 ell: p z is folded into [0, 2 ell) in
+    integers first, so a vanishing factor is an exact 0.
+    """
+    datum, ell = params.datum, params.ell
+    if not datum.in_root_lattice(nu):
+        raise DomainError(f"{nu} is not in the root lattice")
+    t = root_pairings(datum, [nu.doubled])[0] * params.z % (4 * ell)
+    sines = np.where(t < 2 * ell, 1, -1) * np.sin(t % (2 * ell) * (math.pi / (2 * ell)))
+    return float(np.prod(sines / math.sin(math.pi * params.z / ell)))
 
 
 def weyl_product_scalar(params, pairings: np.ndarray) -> float:

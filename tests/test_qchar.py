@@ -13,14 +13,14 @@ from bcfusion.fusion import AlcoveParams, FusionTable, alcove_enumerate, classic
 from bcfusion.qchar import (QuantumParams, admissible_z, alternating_sum, character_law_defect,
                             character_table, chi, chi_table, chi_vector, dim_mu_vector,
                             pf_certify_unique, positive_character, qdim, qdim_signs,
-                            quantum_integer, twist_exponent, verlinde_rows, weyl_denominator,
+                            quantum_integer, twist_exponent, verlinde_rows,
                             weyl_products)
 from bcfusion.rootdata import Weight, make_root_datum, root_pairings
 from bcfusion.verify import DEFAULT_GRID, sampled_pairs
 
 from conftest import w
-from oracles import (alternating_sum_group, pf_certify_powers, psi, weyl_product_fraction,
-                     weyl_product_scalar)
+from oracles import (alternating_sum_group, pf_certify_powers, psi, weyl_denominator,
+                     weyl_product_fraction, weyl_product_scalar)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bcfusion import qchar, verify
+import bcfusion
+from bcfusion import fusion, qchar, verify
 from bcfusion.bmwdual import box_graph
 from bcfusion.fusion import FusionTable
 from bcfusion.rootdata import Weight
@@ -18,6 +19,20 @@ EXPECTED_CHECKS = {
 
 
 def test_suite_covers_all_checks_and_passes():
+    results = run_suite(2, 9)
+    assert {r.name for r in results} == EXPECTED_CHECKS
+    assert all(r.ok for r in results)
+
+
+def test_suite_never_reaches_the_two_stage_route(monkeypatch):
+    """The two-stage route is the tests' oracle only: every check passes with it raising."""
+    def forbidden(*args):
+        raise AssertionError("verify reached the two-stage route")
+
+    for name in ("_classical_rows", "fuse_two_stage_pairs", "fuse_two_stage", "classical_tensor"):
+        monkeypatch.setattr(fusion, name, forbidden)
+        if hasattr(bcfusion, name):
+            monkeypatch.setattr(bcfusion, name, forbidden)
     results = run_suite(2, 9)
     assert {r.name for r in results} == EXPECTED_CHECKS
     assert all(r.ok for r in results)
