@@ -13,8 +13,12 @@ transposition network ``rootdata.sort_network`` (which also counts the
 sign), one fold for type C.
 
 ``fuse_pairs`` is the one Racah-Speiser kernel: it fuses many label pairs at
-once into an exact (pairs, labels) int64 array.  It groups the pairs by
-their smaller factor, lays out that factor's distinct Weyl images once
+once into an exact (pairs, labels) int64 array.  It finds every pair member
+among the labels with one ``label_positions`` call, orders each pair by the
+cell's cached Weyl-dimension ranks (``_dimension_ranks``), groups the pairs
+by their smaller factor, takes the factors' weight multisets from
+``rootdata._freudenthal_passes``, many factors a pass, with no ``Weight``
+made for a dominant weight, lays out each factor's distinct Weyl images once
 (``_orbit_blocks``: each orbit the distinct signed permutations of its
 weight, gathered from a read-only int8 template cached per pattern of equal
 and zero entries and grown in numpy one coordinate at a time, never the
@@ -85,7 +89,8 @@ from itertools import accumulate, combinations, combinations_with_replacement, g
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .rootdata import RootDatum, Weight, decreasing_rank, make_root_datum, sort_network
+from .rootdata import (RootDatum, Weight, _freudenthal_passes, decreasing_rank, make_root_datum,
+                       root_pairings, sort_network)
 
 # rows reduced at once by fuse_pairs, and determinants per block of
 # qchar.alternating_sum, the two readers; fuse_pairs' temporaries are a few
@@ -294,39 +299,63 @@ def classical_tensor(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, 
 def fuse_pairs(params: AlcoveParams, pairs) -> np.ndarray:
     """N_{lam,mu}^nu for every pair (lam, mu): row p, column nu in ``alcove_enumerate`` order.
 
-    The one Racah-Speiser kernel.  The pairs are grouped by their smaller
-    factor (by Weyl dimension); for each distinct smaller lam, each block of
-    distinct Weyl images of its dominant weights (``_orbit_blocks``) is
-    shifted by mu + rho for a run of the other factors mu of its group, at
-    most _CHUNK_ROWS rows unless one orbit block is larger, and reduced by
-    ``_reduce_rows``.  Each live row adds sign * multiplicity at
-    (pair, label), the label found by ``label_positions``.  The images,
-    shifts and reduced rows are laid out as (k, rows) columns in the
-    narrowest signed dtype that holds 6 ell (``_narrowest``), which holds
+    The one Racah-Speiser kernel.  Every pair member is found among the labels
+    by one ``label_positions`` call; the first one in pair order that is not a
+    label is a DomainError.  The pairs are grouped by their smaller factor
+    (by Weyl dimension, ``_dimension_ranks``; a tie keeps the pair's order),
+    the groups in order of first appearance, and the factors' dominant
+    weights come from ``rootdata._freudenthal_passes``, as many factors a
+    pass as fit in _CHUNK_ROWS // 4 (dominant weight, positive root) pairs:
+    such a pair spreads into 1.4 to 2.9 Freudenthal terms on average over
+    the labels of B(4,15) to B(8,23), so a pass lays out at most about
+    _CHUNK_ROWS terms unless one factor has more.  For each factor lam, each
+    block of distinct Weyl images of its dominant weights (``_orbit_blocks``)
+    is shifted by mu + rho for a run of the other factors mu of its group,
+    at most _CHUNK_ROWS rows unless one orbit block is larger, and reduced
+    by ``_reduce_rows``.  Each live row adds sign * multiplicity at
+    (pair, label), the label found by ``label_positions``.
+    The images, shifts and reduced rows are laid out as (k, rows) columns in
+    the narrowest signed dtype that holds 6 ell (``_narrowest``), which holds
     every entry the reduction forms (``_reduction_bound``, asserted on each
     block): on B an image entry is at most lam_0 <= ell - 2k in absolute
     value and (mu + rho)_0 < ell, on C lam_0 <= 2 ell - 4r and
     (mu + rho)_0 < 2 ell.  Signs, multiplicities and the output are exact
-    int64; nothing is cached between calls but the label slots of the cell.
+    int64; nothing is cached between calls but the label slots, dimension
+    ranks and orbit templates.
     """
-    datum = params.datum
-    out = np.zeros((len(pairs), len(alcove_enumerate(params))), dtype=np.int64)
-    groups: dict[Weight, list[tuple[int, Weight]]] = {}
-    for p, (lam, mu) in enumerate(pairs):
-        for w in (lam, mu):
-            if not params.contains(w):
-                raise DomainError(f"{w} is not in the alcove C_{params.ell}")
-        if datum.weyl_dim(lam) > datum.weyl_dim(mu):
-            lam, mu = mu, lam
-        groups.setdefault(lam, []).append((p, mu))
+    datum, k = params.datum, params.rank
+    labels = alcove_enumerate(params)
+    out = np.zeros((len(pairs), len(labels)), dtype=np.int64)
+    members = [w for lam, mu in pairs for w in (lam, mu)]
+    # a member of another rank gets a row that is no label, so it fails with the rest
+    stray = (-1,) * k
+    try:
+        rows = np.array([w.doubled if w.rank == k else stray for w in members],
+                        dtype=np.int64).reshape(-1, k)
+    except OverflowError:  # an entry past int64 is outside every alcove
+        rows = np.array([w.doubled if params.contains(w) else stray for w in members],
+                        dtype=np.int64).reshape(-1, k)
+    at = label_positions(params, rows)
+    bad = np.flatnonzero(at < 0)
+    if bad.size:
+        raise DomainError(f"{members[bad[0]]} is not in the alcove C_{params.ell}")
+    first, second = at[0::2], at[1::2]
+    place = _dimension_ranks(datum.family, k, params.ell)
+    swap = place[first] > place[second]
+    small, big = np.where(swap, second, first), np.where(swap, first, second)
+    factors, first_pair, group = np.unique(small, return_index=True, return_inverse=True)
+    order = np.argsort(first_pair).tolist()
+    _, label_columns, _ = _label_slots(datum.family, k, params.ell)
     rho = np.array(datum.rho.doubled, dtype=np.int64)
     dtype = _narrowest(6 * params.ell)
-    for lam, members in groups.items():
-        ids = np.array([p for p, _ in members], dtype=np.int64)
-        shifts = np.array([mu.doubled for _, mu in members], dtype=np.int64) + rho
+    multisets = _freudenthal_passes(datum.family, k, [labels[factors[g]].doubled for g in order],
+                                    _CHUNK_ROWS // 4)
+    for g, (doms, mults) in zip(order, multisets):
+        ids = np.flatnonzero(group == g)
+        shifts = label_columns.take(big[ids], axis=1).astype(np.int64) + rho[:, None]
         reach = int(shifts.max())
-        shifts = np.ascontiguousarray(shifts.T, dtype=dtype)
-        for images, mult in _orbit_blocks(datum.dominant_weight_multiplicities(lam), dtype):
+        shifts = shifts.astype(dtype)
+        for images, mult in _orbit_blocks(doms, mults, dtype):
             _reduction_bound(params.ell, int(np.abs(images).max()) + reach, dtype)
             m = len(images)
             step = max(1, _CHUNK_ROWS // m)
@@ -334,10 +363,10 @@ def fuse_pairs(params: AlcoveParams, pairs) -> np.ndarray:
             for lo in range(0, len(ids), step):
                 # row r of V is images[r % m] shifted for pair ids[lo + r // m];
                 # V and labels are views of contiguous (k, rows) arrays
-                V = (columns + shifts[:, lo:lo + step, None]).reshape(params.rank, -1).T
-                signs, labels = _reduce_rows(params, V)
+                V = (columns + shifts[:, lo:lo + step, None]).reshape(k, -1).T
+                signs, reduced = _reduce_rows(params, V)
                 live = np.flatnonzero(signs)
-                cols = label_positions(params, labels.T.take(live, axis=1).T)
+                cols = label_positions(params, reduced.T.take(live, axis=1).T)
                 if (cols < 0).any():
                     raise AssertionError("affine reduction reached a weight outside the alcove")
                 np.add.at(out, (ids[lo + live // m], cols), signs[live] * mult[live % m])
@@ -345,6 +374,26 @@ def fuse_pairs(params: AlcoveParams, pairs) -> np.ndarray:
     if negative.size:
         lam, mu = pairs[negative[0]]
         raise AssertionError(f"negative fusion coefficient in {lam} (x) {mu}")
+    return out
+
+
+@lru_cache(maxsize=None)
+def _dimension_ranks(family: str, rank: int, ell: int) -> np.ndarray:
+    """Read-only int64, one entry a label in ``alcove_enumerate`` order: the
+    place of the label's Weyl dimension among the cell's distinct ones, so
+    that places compare as the dimensions do, ties included.
+
+    The dimension is prod <lam + rho, a> / prod <rho, a> over the positive
+    roots a, so the numerators, exact Python ints from the int64 pairings,
+    order the labels as the dimensions do; none is formed in int64, which
+    the dimensions outgrow (C(20,45) has labels past 2**63).
+    """
+    datum = make_root_datum(family, rank)
+    labels = np.array([w.doubled for w in _alcove_enumerate(family, rank, ell)], dtype=np.int64)
+    nums = [math.prod(row) for row in root_pairings(datum, labels + datum.rho.doubled).tolist()]
+    place = {x: i for i, x in enumerate(sorted(set(nums)))}
+    out = np.array([place[x] for x in nums], dtype=np.int64)
+    out.setflags(write=False)
     return out
 
 
@@ -402,35 +451,43 @@ def fuse_matrix(params: AlcoveParams, lam: Weight) -> np.ndarray:
     return fuse_pairs(params, [(lam, mu) for mu in alcove_enumerate(params)]).T
 
 
-def _orbit_blocks(doms: dict[Weight, int], dtype):
+def _orbit_blocks(doms: np.ndarray, mults, dtype):
     """Yield (images, mults): the distinct Weyl images of the dominant weights
-    in doms, in doubled coordinates of the signed integer dtype, each with its
-    weight's multiplicity as int64.
+    doms, an (m, rank) integer array of doubled coordinates, in the signed
+    integer dtype, each with its weight's multiplicity (mults, one a weight)
+    as int64.
 
     Weights with the same runs of equal entries share one orbit template
-    (``_orbit_template``), gathered for as many of them at a time as fit in
-    _CHUNK_ROWS rows.  Those pieces are packed in order into blocks of whole
-    orbits, at most _CHUNK_ROWS images unless one orbit is larger.
+    (``_orbit_template``).  Each weight's pattern (bit i set where entry i
+    equals entry i + 1, bit rank - 1 where the last entry is 0) is found
+    for all of them at once, and the weights are sorted stably by pattern,
+    so a template is gathered for a slice of them, as many at a time as fit
+    in _CHUNK_ROWS rows.  Those pieces are packed in order into blocks of
+    whole orbits, at most _CHUNK_ROWS images unless one orbit is larger.
     """
-    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for d, m in doms.items():
-        key = (*(len(list(run)) for x, run in groupby(d.doubled) if x), d.doubled.count(0))
-        groups.setdefault(key, []).append((d.doubled, m))
-    images, mults = [], []
-    for key, group in groups.items():
-        pos, sgn = _orbit_template(key)
+    k = doms.shape[1]
+    pattern = ((doms[:, 1:] == doms[:, :-1]) @ (1 << np.arange(k - 1, dtype=np.int64))
+               + np.where(doms[:, -1] == 0, 1 << (k - 1), 0))
+    order = np.argsort(pattern, kind="stable")
+    ends = (np.flatnonzero(np.diff(pattern[order])) + 1).tolist() + [len(doms)]
+    doms, mults = doms[order].astype(dtype), np.array(mults, dtype=np.int64)[order]
+    images, blocks, size, lo = [], [], 0, 0
+    for hi in ends:
+        d = doms[lo].tolist()
+        pos, sgn = _orbit_template((*(len(list(run)) for x, run in groupby(d) if x), d.count(0)))
         step = max(1, _CHUNK_ROWS // len(pos))
-        for lo in range(0, len(group), step):
-            dom = np.array([d for d, _ in group[lo:lo + step]], dtype=dtype)
-            mult = np.array([m for _, m in group[lo:lo + step]], dtype=np.int64)
-            piece = (dom[:, pos] * sgn).reshape(-1, dom.shape[1])
-            if images and sum(map(len, images)) + len(piece) > _CHUNK_ROWS:
-                yield np.concatenate(images), np.concatenate(mults)
-                images, mults = [], []
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            piece = (doms[a:b].take(pos, axis=1) * sgn).reshape(-1, k)
+            if images and size + len(piece) > _CHUNK_ROWS:
+                yield np.concatenate(images), np.concatenate(blocks)
+                images, blocks, size = [], [], 0
             images.append(piece)
-            mults.append(np.repeat(mult, len(pos)))
+            blocks.append(np.repeat(mults[a:b], len(pos)))
+            size += len(piece)
+        lo = hi
     if images:
-        yield np.concatenate(images), np.concatenate(mults)
+        yield np.concatenate(images), np.concatenate(blocks)
 
 
 @lru_cache(maxsize=None)

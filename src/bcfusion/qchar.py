@@ -82,10 +82,11 @@ def twist_exponent(datum: RootDatum, lam: Weight) -> Fraction:
 
 # -- alternating Weyl sums -------------------------------------------------
 
-def alternating_sum(params: QuantumParams, shifted, nus) -> np.ndarray:
+def alternating_sum(params: QuantumParams, shifted: np.ndarray, nus: np.ndarray) -> np.ndarray:
     """sum_w eps(w) q^<w(v), nu> for each nu in ``nus`` (rows) and v in
     ``shifted`` (columns): the Weyl numerator of chi_lam(H_nu) at v = lam + rho,
-    and the Weyl denominator at v = rho.
+    and the Weyl denominator at v = rho.  Both are (m, rank) int64 arrays of
+    doubled coordinates, one vector a row.
 
     W is the signed permutations of the coordinates, and summing out the
     signs leaves the determinantal Weyl character formula (Fulton-Harris,
@@ -100,12 +101,11 @@ def alternating_sum(params: QuantumParams, shifted, nus) -> np.ndarray:
     k = params.datum.rank
     d = 2 if params.datum.family == "B" else 4
     period = 2 * d * params.ell
-    rows = np.asarray([v.doubled for v in shifted], dtype=np.int64).reshape(-1, k)
-    nu_z = np.asarray([nu.doubled for nu in nus], dtype=np.int64).reshape(-1, k) * params.z % period
-    out = np.empty((len(nu_z), len(rows)), dtype=complex)
-    step = max(1, _CHUNK_ROWS // max(1, len(rows)))
+    nu_z = nus * params.z % period
+    out = np.empty((len(nu_z), len(shifted)), dtype=complex)
+    step = max(1, _CHUNK_ROWS // max(1, len(shifted)))
     for lo in range(0, len(nu_z), step):
-        turns = rows[:, :, None] * nu_z[lo:lo + step, None, None, :] % period
+        turns = shifted[:, :, None] * nu_z[lo:lo + step, None, None, :] % period
         out[lo:lo + step] = (2j) ** k * np.linalg.det(np.sin(turns * (math.pi / (d * params.ell))))
     return out
 
@@ -137,8 +137,12 @@ def chi_table(params: QuantumParams, nus, lambdas) -> np.ndarray:
     if singular.any():
         raise SingularParameterError(
             f"Weyl denominator vanishes at nu={nus[singular.argmax()]}, z={params.z}")
-    rho = datum.rho
-    sums = alternating_sum(params, [rho] + [lam + rho for lam in lambdas], nus)
+    for lam in lambdas:
+        if lam.rank != datum.rank:
+            raise DimensionMismatchError(f"rank mismatch: {lam.rank} vs {datum.rank}")
+    rho = np.array(datum.rho.doubled, dtype=np.int64)
+    lams = np.array([lam.doubled for lam in lambdas], dtype=np.int64).reshape(-1, datum.rank)
+    sums = alternating_sum(params, np.vstack([rho, lams + rho]), doubled)
     # numerators and denominator share the factor (2i)^k, so the ratio is real
     return (sums[:, 1:] / sums[:, :1]).real
 

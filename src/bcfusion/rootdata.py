@@ -6,15 +6,18 @@ and all dominance / wall tests are integer comparisons.  The bilinear form
 is normalized so that short roots have squared length 2: for B_k this is
 twice the Euclidean dot product, for C_r it is the dot product itself.
 
-Freudenthal multiplicities are found in two parts.  numpy does every lookup
-in one int64 pass over all dominant mu <= lam and all positive roots a at
-once: the last step j with |mu + j a|^2 <= |lam|^2 comes from the root of a
-quadratic, checked exactly in integers, every (mu, a, j) term is laid out by
-``np.repeat``, ``sort_network`` makes each mu + j a dominant and one table
-lookup on ``decreasing_rank`` of its halved entries finds it among the
-dominant weights.  Python then runs the recursion over those (target,
-2(<mu, a> + j|a|^2)) lists in height order, in exact ints, so an inexact
-division still raises.
+Freudenthal multiplicities are found in two parts, for many highest weights
+lam at once (``_freudenthal_pass``; ``_freudenthal_passes`` packs them into
+passes of bounded size, and ``_freudenthal`` is a pass of one).  numpy does
+every lookup in one int64 pass over all dominant mu <= lam of every lam and
+all positive roots a at once: the last step j with |mu + j a|^2 <= |lam|^2
+comes from the root of a quadratic, checked exactly in integers, every
+(mu, a, j) term is laid out by ``np.repeat``, ``sort_network`` makes each
+mu + j a dominant and one table lookup on ``decreasing_rank`` of its halved
+entries, offset by its lam's own slots, finds it among lam's dominant
+weights.  Python then runs the recursion over those (target,
+2(<mu, a> + j|a|^2)) lists in height order, lam by lam, in exact ints, so
+an inexact division still raises.
 
 ``sort_network`` is the odd-even transposition network that sorts the k
 coordinate columns of many weights at once; the affine reduction in
@@ -28,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 
 import numpy as np
@@ -292,62 +296,118 @@ def _orbit(doubled: tuple[int, ...]) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _freudenthal(family: str, rank: int, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The dominant weights of V_lam in height order, each with its multiplicity:
+    ``_freudenthal_passes`` on lam alone."""
+    ((doms, mult),) = _freudenthal_passes(family, rank, [lam], 0)
+    return dict(zip(map(tuple, doms.tolist()), mult))
+
+
+def _freudenthal_passes(family: str, rank: int, lams, budget: int):
+    """Yield (doms, mults) for each highest weight lam of lams, in order: doms
+    the dominant weights of V_lam as a read-only (m, rank) int64 array in
+    height order (lam - mu by increasing sum of root coordinates, ties in
+    lexicographic order), starting at lam, and mults their multiplicities as
+    Python ints.
+
+    The highest weights are packed in order into passes of
+    ``_freudenthal_pass`` with at most budget (dominant weight, positive
+    root) pairs each, unless one weight alone has more.
+    """
+    datum = make_root_datum(family, rank)
+    roots = len(_positive_roots(family, rank))
+    batch, size = [], 0
+    for lam in lams:
+        doms = _dominant_below(datum, lam)
+        if batch and size + len(doms) * roots > budget:
+            yield from _freudenthal_pass(family, rank, batch)
+            batch, size = [], 0
+        batch.append((lam, doms))
+        size += len(doms) * roots
+    if batch:
+        yield from _freudenthal_pass(family, rank, batch)
+
+
+def _freudenthal_pass(family: str, rank: int, batch) -> list[tuple[np.ndarray, list[int]]]:
+    """Freudenthal's recursion for every (lam, doms) of batch in one numpy pass,
+    as ``_freudenthal_passes`` yields it: doms is ``_dominant_below(lam)``, and
+    each lam owns its dominant weights.  It returns a list, not a generator,
+    so that its term arrays are freed before the caller lays out any orbit.
+
+    All owners' weights are stacked, each owner's in its own height order, so
+    one index is global.  Every (mu, a, j) term of every owner is laid out at
+    once; ``sort_network`` makes each mu + j a dominant, and one lookup finds
+    it among its owner's weights: ``decreasing_rank`` of the halved entries,
+    at the largest halved first entry of the batch, added to the owner's own
+    offset, indexes a table with C(lam_0 // 2 + rank, rank) slots an owner.
+    The recursion then runs owner by owner in exact Python ints, over the
+    global indices, against its owner's |lam|^2 and |lam + rho|^2.
+    """
     datum = make_root_datum(family, rank)
     half = 1 if family == "B" else 2  # <a, b> = (a . b) / half in doubled coordinates
-    rho = datum.rho.doubled
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    top_norm = sum(x * x for x in lam) // half
-    top_casimir = sum(x * x for x in lam_rho) // half
-
-    doms = _dominant_below(datum, lam)
-    lex = np.array(doms, dtype=np.int64)
+    rho = np.array(datum.rho.doubled, dtype=np.int64)
+    lams = np.array([lam for lam, _ in batch], dtype=np.int64).reshape(-1, rank)
+    counts = [len(doms) for _, doms in batch]
+    starts = list(accumulate(counts, initial=0))
+    owner = np.repeat(np.arange(len(batch)), counts)
+    lex = np.array([d for _, doms in batch for d in doms], dtype=np.int64).reshape(-1, rank)
     # process by increasing height of lam - mu so higher multiplicities exist first;
     # the height is the sum of root_coordinates, and the sort is stable like sorted()
-    coords = np.cumsum(np.array(lam) - lex, axis=1) // 2
+    coords = np.cumsum(lams[owner] - lex, axis=1) // 2
     coords[:, -1] //= half
-    order = np.argsort(coords.sum(axis=1), kind="stable")
-    doms = [doms[i] for i in order.tolist()]
+    D = lex[np.lexsort((coords.sum(axis=1), owner))]
+    D.setflags(write=False)
+    Dt = np.ascontiguousarray(D.T)
+    # every entry of a weight of V_lam has lam's parity, so halving it keeps it
+    # distinct; at[offset[o] + rank of the halved weight] is its global index
+    top = int(lams[:, 0].max()) // 2
+    slots = [math.comb(lam[0] // 2 + rank, rank) for lam, _ in batch]
+    offset = np.array(list(accumulate(slots, initial=0))[:-1], dtype=np.int64)
+    at = np.full(sum(slots), -1, dtype=np.int64)
+    at[offset[owner] + decreasing_rank(Dt >> 1, top)] = np.arange(len(D))
 
     # every (mu, a, j) term whose mu + j a lies in P(lam), in one numpy pass:
     # <mu, a> >= 0 for dominant mu, so |mu + j a|^2 grows with j, and the terms
     # of a pair are j = 1, ..., its last step
-    D = lex[order]
-    Dt = np.ascontiguousarray(D.T)
-    # every entry of a weight of V_lam has lam's parity, so halving it keeps it
-    # distinct; at[rank of the halved weight] is its place in height order
-    top = lam[0] // 2
-    at = np.full(math.comb(top + rank, rank), -1, dtype=np.int64)
-    at[decreasing_rank(Dt >> 1, top)] = np.arange(len(doms))
     R = np.array([r.doubled for r in _positive_roots(family, rank)], dtype=np.int64)
     Rt = np.ascontiguousarray(R.T)
     r_norm = (R * R).sum(axis=1) // half
-    mu_i, a_i = (x.ravel() for x in np.indices((len(doms), len(R))))
-    pair = (D[mu_i] * R[a_i]).sum(axis=1) // half
-    excess = (D * D).sum(axis=1)[mu_i] // half - top_norm
+    top_norm = (lams * lams).sum(axis=1) // half
+    mu_i, a_i = (x.ravel() for x in np.indices((len(D), len(R))))
+    pair = (D @ Rt).ravel() // half
+    excess = ((D * D).sum(axis=1) // half - top_norm[owner])[mu_i]
     steps = _last_step(pair, excess, r_norm[a_i])
     mu_i, a_i, pair = (np.repeat(x, steps) for x in (mu_i, a_i, pair))
     j = np.arange(1, len(mu_i) + 1) - np.repeat(np.cumsum(steps) - steps, steps)
     # (k, terms), one contiguous row per coordinate
     w = np.abs(np.take(Dt, mu_i, axis=1) + j * np.take(Rt, a_i, axis=1))
     sort_network(w)  # its dominant image
-    # entries are at most w[0], so the rank of every inside column is exact
-    tgt = at.take(decreasing_rank(w >> 1, top))
-    hit = (w[0] <= lam[0]) & (tgt >= 0)
+    # a column with entries at most its owner's lam_0 has an exact rank inside
+    # the owner's slots; any other column is masked, so its slot may be clipped
+    term_owner = owner[mu_i]
+    tgt = at.take(offset[term_owner] + decreasing_rank(w >> 1, top), mode="clip")
+    hit = (w[0] <= lams[term_owner, 0]) & (tgt >= 0)
     src, tgt, coef = mu_i[hit], tgt[hit], 2 * (pair[hit] + j[hit] * r_norm[a_i[hit]])
-    ends = np.cumsum(np.bincount(src, minlength=len(doms))).tolist()
+    ends = np.cumsum(np.bincount(src, minlength=len(D))).tolist()
     tgt, coef = tgt.tolist(), coef.tolist()
-    casimir = (((D + np.array(rho)) ** 2).sum(axis=1) // half).tolist()
+    casimir = (((D + rho) ** 2).sum(axis=1) // half).tolist()
+    top_casimir = (((lams + rho) ** 2).sum(axis=1) // half).tolist()
 
-    # the recursion itself, in exact Python ints
-    mult = [1] + [0] * (len(doms) - 1)  # doms[0] = lam, the only weight of height 0
-    for i in range(1, len(doms)):
-        lo, hi = ends[i - 1], ends[i]
-        num = sum(map(mul, map(mult.__getitem__, tgt[lo:hi]), coef[lo:hi]))
-        denom = top_casimir - casimir[i]
-        if num % denom:
-            raise AssertionError(f"Freudenthal recursion not integral at {doms[i]} below {lam}")
-        mult[i] = num // denom
-    return dict(zip(doms, mult))
+    # the recursion itself, in exact Python ints; each owner's first weight is
+    # its lam, the only one of height 0
+    mult, out = [0] * len(D), []
+    for o, (lam, _) in enumerate(batch):
+        first, last = starts[o], starts[o + 1]
+        mult[first] = 1
+        for i in range(first + 1, last):
+            lo, hi = ends[i - 1], ends[i]
+            num = sum(map(mul, map(mult.__getitem__, tgt[lo:hi]), coef[lo:hi]))
+            denom = top_casimir[o] - casimir[i]
+            if num % denom:
+                raise AssertionError(
+                    f"Freudenthal recursion not integral at {tuple(D[i].tolist())} below {lam}")
+            mult[i] = num // denom
+        out.append((D[first:last], mult[first:last]))
+    return out
 
 
 def _last_step(pair: np.ndarray, excess: np.ndarray, r_norm: np.ndarray) -> np.ndarray:

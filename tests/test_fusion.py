@@ -225,7 +225,7 @@ def test_fuse_shares_no_orbit_code_with_classical_tensor(monkeypatch, params313)
 def _orbit_rows(dom: Weight) -> list[tuple[int, ...]]:
     from bcfusion.fusion import _orbit_blocks
 
-    return [tuple(row) for images, _ in _orbit_blocks({dom: 1}, np.int16)
+    return [tuple(row) for images, _ in _orbit_blocks(np.array([dom.doubled]), [1], np.int16)
             for row in images.tolist()]
 
 
@@ -248,7 +248,8 @@ def test_orbit_rows_are_the_weyl_orbit(family, rank, ell):
         pos, sgn = fusion._orbit_template(runs)
         assert pos.dtype == sgn.dtype == np.int8
         assert not pos.flags.writeable and not sgn.flags.writeable
-        images = np.concatenate([images for images, _ in fusion._orbit_blocks({d: 1}, np.int16)])
+        blocks = fusion._orbit_blocks(np.array([d.doubled]), [1], np.int16)
+        images = np.concatenate([images for images, _ in blocks])
         size = math.factorial(rank) * 2 ** (rank - zeros) // math.prod(map(math.factorial, runs))
         assert len(np.unique(images, axis=0)) == len(images) == size
         if ell is not None:
@@ -981,6 +982,81 @@ def test_pair_kernels_reject_non_labels(params29):
         assert kernel(params29, []).shape == (0, 12)
     with pytest.raises(DomainError, match="not in the alcove C_9"):
         fuse_two_stage(params29, w(5, 0), w(1, 0))
+
+
+@pytest.mark.parametrize("family,rank,ell", [("B", 2, 9), ("B", 3, 13), ("C", 3, 11)])
+def test_fuse_pairs_rejects_what_contains_rejects(family, rank, ell):
+    """fuse_pairs' one array lookup rejects a member exactly when
+    ``AlcoveParams.contains`` does: another rank, mixed parity, not dominant,
+    past the alcove's wall, odd entries on C, entries past int64; the
+    DomainError names the member, in either place of the pair."""
+    params = AlcoveParams(make_root_datum(family, rank), ell)
+    labels = alcove_enumerate(params)
+    cap = max(lab.doubled[0] for lab in labels)
+    candidates = [Weight(d) for d in itertools.product(range(-1, cap + 3), repeat=rank)]
+    candidates += [Weight.zero(rank + 1), Weight((2,) * (rank - 1)), Weight((2 ** 70,) + (0,) * (rank - 1)),
+                   Weight((1,) * rank), Weight((3,) + (1,) * (rank - 1))]
+    unit = Weight.zero(rank)
+    for cand in candidates:
+        for pair in ((unit, cand), (cand, unit)):
+            if params.contains(cand):
+                assert fuse_pairs(params, [pair]).shape == (1, len(labels))
+                continue
+            with pytest.raises(DomainError, match=re.escape(f"{cand} is not in the alcove C_{ell}")):
+                fuse_pairs(params, [pair])
+    assert set(filter(params.contains, candidates)) == set(labels)
+
+
+@pytest.mark.parametrize("family,rank,ell", [("B", 3, 13), ("B", 4, 21), ("C", 3, 11), ("C", 20, 45)])
+def test_dimension_ranks_order_the_labels_as_weyl_dim(family, rank, ell):
+    """Places compare exactly as the Weyl dimensions do, ties included, past
+    int64 too: C(20,45) has labels of dimension above 2**63."""
+    params = AlcoveParams(make_root_datum(family, rank), ell)
+    dims = [params.datum.weyl_dim(lab) for lab in alcove_enumerate(params)]
+    place = fusion._dimension_ranks(family, rank, ell)
+    assert place.dtype == np.int64 and not place.flags.writeable
+    assert place.tolist() == [sorted(set(dims)).index(d) for d in dims]
+    assert (max(dims) > 2 ** 63) == ((family, rank) == ("C", 20))
+
+
+def test_fuse_pairs_names_the_first_bad_member_in_pair_order(params29):
+    outside, wrong_rank, mixed = w(5, 0), Weight((2, 0, 0)), Weight((2, 1))
+    ok = w(1, 0)
+    for pairs, first in [([(ok, ok), (ok, outside), (wrong_rank, ok)], outside),
+                         ([(ok, ok), (wrong_rank, outside)], wrong_rank),
+                         ([(mixed, wrong_rank), (outside, ok)], mixed),
+                         ([(ok, w(0, 0)), (ok, ok), (ok, wrong_rank), (outside, outside)], wrong_rank)]:
+        with pytest.raises(DomainError, match=re.escape(f"{first} is not in the alcove")) as info:
+            fuse_pairs(params29, pairs)
+        assert str(info.value) == f"{first} is not in the alcove C_9"
+
+
+@pytest.mark.parametrize("family,rank,ell", [("B", 2, 9), ("B", 3, 13), ("B", 4, 15), ("C", 3, 11)])
+def test_fuse_pairs_keeps_the_first_factor_on_a_weyl_dimension_tie(monkeypatch, family, rank, ell):
+    """Labels of equal Weyl dimension are not swapped: the first member is the
+    factor whose multiset is expanded, and the rows equal the two-stage
+    route's in both orders."""
+    params = AlcoveParams(make_root_datum(family, rank), ell)
+    labels = alcove_enumerate(params)
+    dims = {}
+    for lab in labels:
+        dims.setdefault(params.datum.weyl_dim(lab), []).append(lab)
+    ties = [(a, b) for group in dims.values() for a, b in itertools.permutations(group, 2)]
+    assert ties
+    real, factors = fusion._freudenthal_passes, []
+
+    def spy(family, rank, lams, budget):
+        factors.extend(lams)
+        return real(family, rank, lams, budget)
+
+    monkeypatch.setattr(fusion, "_freudenthal_passes", spy)
+    for a, b in ties:
+        factors.clear()
+        assert np.array_equal(fuse_pairs(params, [(a, b)]), fuse_two_stage_pairs(params, [(a, b)]))
+        assert factors == [a.doubled]
+    factors.clear()
+    assert np.array_equal(fuse_pairs(params, ties), fuse_two_stage_pairs(params, ties))
+    assert factors == list(dict.fromkeys(a.doubled for a, _ in ties))
 
 
 def test_pair_kernels_assert_their_output(monkeypatch, params29):

@@ -55,7 +55,7 @@ def test_q_ell_sign(params29):
 def test_weyl_denominator_product_vs_sum(q29, b2):
     two_rho = Weight(tuple(2 * x for x in b2.rho.doubled))
     prod = weyl_denominator(q29, two_rho)
-    sum_form = alternating_sum(q29, (b2.rho,), (two_rho,))[0, 0]
+    sum_form = alternating_sum(q29, np.array([b2.rho.doubled]), np.array([two_rho.doubled]))[0, 0]
     qq = q29.q - 1 / q29.q
     assert sum_form / qq ** 4 == pytest.approx(prod, rel=1e-9)
     assert prod > 0  # all arguments strictly inside (0, pi) at z = 1
@@ -154,7 +154,8 @@ def test_affine_antisymmetry_of_numerator(q29, b2):
         pairing = b2.form(shifted, b2.theta)
         reflected = Weight((shifted.doubled[0] + 2 * int(ell - pairing), shifted.doubled[1]))
         # t.kappa + rho = reflected, so the numerators at t.kappa and kappa are these sums
-        lhs, rhs = alternating_sum(q29, (reflected, shifted), (nu,))[0]
+        lhs, rhs = alternating_sum(q29, np.array([reflected.doubled, shifted.doubled]),
+                                   np.array([nu.doubled]))[0]
         assert lhs == pytest.approx(-rhs, rel=1e-9, abs=1e-9)
 
 
@@ -175,7 +176,7 @@ def _alternating_sum_cases(draw):
 def test_alternating_sum_is_the_whole_group_sum(case):
     """The determinant equals the sum over all 2^k k! signed permutations, row by row."""
     params, shifted, nus = case
-    got = alternating_sum(params, shifted, nus)
+    got = alternating_sum(params, *(np.array([v.doubled for v in vs]) for vs in (shifted, nus)))
     assert got.shape == (len(nus), len(shifted))
     for row, nu in zip(got, nus):
         ref = alternating_sum_group(params, shifted, nu)
@@ -440,6 +441,8 @@ def test_chi_table_names_the_singular_nu(params29):
         chi_table(q, [w(2, 1), w(9, 9)], [w(0, 0)])
     with pytest.raises(DomainError, match="root lattice"):
         chi_table(q, [w(2, 1), w("1/2", "1/2")], [w(0, 0)])
+    with pytest.raises(DimensionMismatchError, match="rank mismatch: 3 vs 2"):
+        chi_table(q, [w(2, 1)], [w(0, 0), w(1, 0, 0)])
 
 
 def test_character_table_is_the_dim_mu_rows_and_their_twists(params313):
@@ -484,12 +487,13 @@ def test_verlinde_rows_share_no_kernel_with_fuse(monkeypatch, rank, ell):
     pairs = sampled_pairs(alcove_enumerate(alcove))
     expected = fuse_pairs(alcove, pairs)
     for name in ("fuse_pairs", "_reduce_rows", "_orbit_blocks", "label_positions",
-                 "_recursion_row", "sort_network", "decreasing_rank"):
+                 "_recursion_row", "sort_network", "decreasing_rank", "_freudenthal_passes",
+                 "_dimension_ranks"):
         monkeypatch.setattr(fusion, name, forbidden)
     for name in ("dominant_weight_multiplicities", "weyl_orbit"):
         monkeypatch.setattr(rootdata.RootDatum, name, forbidden)
-    monkeypatch.setattr(rootdata, "sort_network", forbidden)
-    monkeypatch.setattr(rootdata, "decreasing_rank", forbidden)
+    for name in ("sort_network", "decreasing_rank", "_freudenthal_passes", "_freudenthal_pass"):
+        monkeypatch.setattr(rootdata, name, forbidden)
     rows, _, _ = verlinde_rows(alcove, pairs)
     assert np.array_equal(rows, expected)
 

@@ -277,6 +277,49 @@ def test_freudenthal_edge_cases(family, rank, lam):
     assert all(type(m) is int and type(x) is int for mu, m in got.items() for x in mu)
 
 
+BATCHES = [
+    # the unit, the spin weight, repeats, integral and half-integral weights in one batch
+    ("B", 4, [(0, 0, 0, 0), (1, 1, 1, 1), (6, 4, 2, 0), (1, 1, 1, 1), (7, 5, 3, 1), (2, 0, 0, 0),
+              (0, 0, 0, 0), (6, 4, 2, 0), (11, 3, 3, 1)]),
+    ("B", 5, [(3, 3, 1, 1, 1), (0, 0, 0, 0, 0), (4, 4, 2, 2, 0), (1, 1, 1, 1, 1)]),
+    ("C", 3, [(0, 0, 0), (4, 2, 0), (2, 0, 0), (6, 4, 2), (4, 2, 0), (8, 2, 2)]),
+    ("C", 4, [(6, 4, 2, 2), (0, 0, 0, 0), (2, 2, 0, 0), (6, 4, 2, 2)]),
+]
+
+
+@pytest.mark.parametrize("family,rank,lams", BATCHES)
+@pytest.mark.parametrize("budget", [0, 1, 300, 10 ** 9])
+def test_freudenthal_passes_equal_one_weight_at_a_time(monkeypatch, family, rank, lams, budget):
+    """Whatever the budget packs into a pass, each highest weight gets the dict
+    of ``_freudenthal`` and the scalar loop, values and key order, as a
+    read-only int64 array and Python ints.  A pass is filled in order while
+    its (dominant weight, positive root) pairs stay within the budget, so
+    budget 0 or 1 runs one weight a pass and a large one a single pass."""
+    real, passes = rootdata._freudenthal_pass, []
+    roots = len(rootdata._positive_roots(family, rank))
+
+    def spy(family, rank, batch):
+        passes.append([len(doms) * roots for _, doms in batch])
+        return real(family, rank, batch)
+
+    monkeypatch.setattr(rootdata, "_freudenthal_pass", spy)
+    got = list(rootdata._freudenthal_passes(family, rank, lams, budget))
+    assert len(got) == len(lams) == sum(map(len, passes))
+    for this, after in zip(passes, passes[1:]):
+        assert sum(this) + after[0] > budget
+    assert all(len(this) == 1 or sum(this) <= budget for this in passes)
+    if budget <= 1:
+        assert list(map(len, passes)) == [1] * len(lams)
+    if budget == 10 ** 9:
+        assert list(map(len, passes)) == [len(lams)]
+    for lam, (doms, mults) in zip(lams, got):
+        assert doms.dtype == np.int64 and not doms.flags.writeable
+        assert all(type(m) is int for m in mults)
+        items = list(zip(map(tuple, doms.tolist()), mults))
+        assert items == list(_freudenthal(family, rank, lam).items())
+        assert items == list(freudenthal_scalar(family, rank, lam).items())
+
+
 def test_freudenthal_counts_weyl_dim_on_every_b4_l21_label():
     datum = make_root_datum("B", 4)
     labels = alcove_enumerate(AlcoveParams(datum, 21))
